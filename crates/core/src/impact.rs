@@ -185,15 +185,19 @@ pub struct DirtySet {
 }
 
 impl DirtySet {
-    /// Derive the seed from an operation and the cascade it triggered.
+    /// Derive the seed from an applied operation and its impact report.
     ///
     /// Deliberately conservative: every type name mentioned by the op or by
-    /// any cascade entry is included. The consistency engine expands this
-    /// seed along the hierarchy before rechecking.
-    pub fn from_op(op: &ModOp, cascade: &CascadeReport) -> Self {
+    /// any impact entry is included. The consistency engine expands this
+    /// seed along the hierarchy before rechecking. The same seed serves the
+    /// forward apply and [`Workspace::undo_last`]: an inverse image touches
+    /// exactly what the op touched.
+    ///
+    /// [`Workspace::undo_last`]: crate::workspace::Workspace::undo_last
+    pub fn from_applied(op: &ModOp, impact: &ImpactReport) -> Self {
         let mut set = DirtySet::default();
         set.add_op(op);
-        set.add_cascade(cascade);
+        set.add_impact(impact);
         set
     }
 
@@ -266,37 +270,25 @@ impl DirtySet {
         }
     }
 
-    fn add_cascade(&mut self, cascade: &CascadeReport) {
-        for (ty, _) in &cascade.removed_attrs {
-            self.touch(ty);
-        }
-        for (ty, _) in &cascade.removed_ops {
-            self.touch(ty);
-        }
-        for (a, _, b, _) in &cascade.removed_rels {
-            self.touch(a);
-            self.touch(b);
-        }
-        for (_, parent, _, child, _) in &cascade.removed_links {
-            self.touch(parent);
-            self.touch(child);
-        }
-        for (sub, sup) in &cascade.removed_supertype_edges {
-            self.touch(sub);
-            self.touch(sup);
-        }
-        for (sub, new_sup) in &cascade.rewired_subtypes {
-            self.touch(sub);
-            self.touch(new_sup);
-        }
-        for sub in &cascade.detached_subtypes {
-            self.touch(sub);
-        }
-        for (ty, _) in &cascade.keys_pruned {
-            self.touch(ty);
-        }
-        for (ty, _, _) in &cascade.order_by_pruned {
-            self.touch(ty);
+    fn add_impact(&mut self, impact: &ImpactReport) {
+        use ImpactEntry::*;
+        for entry in &impact.entries {
+            let names = match *entry {
+                RemovedAttribute { ty, .. }
+                | RemovedOperation { ty, .. }
+                | PrunedKey { ty, .. }
+                | PrunedOrderBy { ty, .. }
+                | DetachedSubtype { sub: ty } => [Some(ty), None],
+                RemovedRelationship { ty_a, ty_b, .. } => [Some(ty_a), Some(ty_b)],
+                RemovedLink { parent, child, .. } => [Some(parent), Some(child)],
+                RemovedSupertypeEdge { sub, sup: other }
+                | RewiredSubtype {
+                    sub,
+                    new_sup: other,
+                } => [Some(sub), Some(other)],
+                Note(_) => [None, None],
+            };
+            self.touched.extend(names.into_iter().flatten());
         }
     }
 }
@@ -355,7 +347,10 @@ mod tests {
             rewired_subtypes: vec![("C".into(), "A".into())],
             ..CascadeReport::default()
         };
-        let set = DirtySet::from_op(&ModOp::DeleteTypeDefinition { ty: "B".into() }, &cascade);
+        let set = DirtySet::from_applied(
+            &ModOp::DeleteTypeDefinition { ty: "B".into() },
+            &ImpactReport::from_cascade(&cascade, &[]),
+        );
         for name in ["A", "B", "C"] {
             assert!(
                 set.touched.contains(&Symbol::intern(name)),
@@ -372,14 +367,14 @@ mod tests {
 
     #[test]
     fn dirty_set_covers_move_endpoints() {
-        let set = DirtySet::from_op(
+        let set = DirtySet::from_applied(
             &ModOp::ModifyRelationshipTargetType {
                 ty: "Dept".into(),
                 path: "has".into(),
                 old_target: "Employee".into(),
                 new_target: "Person".into(),
             },
-            &CascadeReport::default(),
+            &ImpactReport::default(),
         );
         for name in ["Dept", "Employee", "Person"] {
             assert!(

@@ -19,8 +19,10 @@
 //!   working schema (invalidated by its generation counter), one with the
 //!   immutable shrink wrap schema (never invalidated);
 //! * an **undo log** of [`UndoPatch`]es, one per applied operation, so
-//!   rejection cleanup and [`Workspace::reset`] replay inverse images
-//!   instead of cloning the whole graph;
+//!   rejection cleanup, [`Workspace::undo_last`] and [`Workspace::reset`]
+//!   replay inverse images instead of cloning the whole graph — the only
+//!   undo mechanism in the system (designer undo/redo and the server's
+//!   batch rollback both go through it);
 //! * a [`ConsistencyState`] holding per-type consistency findings, kept
 //!   current incrementally from each operation's
 //!   [`DirtySet`](crate::impact::DirtySet). Consistency maintenance is
@@ -177,10 +179,10 @@ impl Workspace {
         let patch = self.working.commit_undo();
         sws_trace::counter("ws.undo_entries", patch.touched() as u64);
         self.undo.push(patch);
+        let impact = ImpactReport::from_cascade(&outcome.cascade, &outcome.notes);
         self.state
             .borrow_mut()
-            .record(&DirtySet::from_op(&op, &outcome.cascade));
-        let impact = ImpactReport::from_cascade(&outcome.cascade, &outcome.notes);
+            .record(&DirtySet::from_applied(&op, &impact));
         let (warnings, infos) = cautionary(&op, &self.working);
         sp.record("verdict", "ok");
         sp.record("warnings", warnings.len());
@@ -278,15 +280,26 @@ impl Workspace {
         &self.qc_working
     }
 
-    /// Reset the working schema back to the shrink wrap schema by replaying
-    /// the undo log in reverse, clearing the log.
+    /// Take back the last applied operation: revert its undo patch, pop
+    /// its log record, and reseed the incremental consistency state with
+    /// the same dirty names the forward apply recorded (the inverse touches
+    /// exactly what the op touched). Returns the popped record, or `None`
+    /// when the log is empty.
+    pub fn undo_last(&mut self) -> Option<AppliedOp> {
+        let patch = self.undo.pop()?;
+        let record = self.log.pop().expect("one log record per undo patch");
+        self.working.revert(&patch);
+        self.state
+            .borrow_mut()
+            .record(&DirtySet::from_applied(&record.op, &record.impact));
+        Some(record)
+    }
+
+    /// Reset the working schema back to the shrink wrap schema by undoing
+    /// every logged operation, last first.
     pub fn reset(&mut self) {
         let mut sp = sws_trace::span!("ws.reset", patches = self.undo.len());
-        while let Some(patch) = self.undo.pop() {
-            self.working.revert(&patch);
-        }
-        self.log.clear();
-        self.state.borrow_mut().invalidate();
+        while self.undo_last().is_some() {}
         sp.record("generation", self.working.generation() as usize);
         // Oracle: undo replay must land on a graph structurally identical
         // to the graph the session started from — the shrink wrap copy,

@@ -111,9 +111,12 @@ fn serve_jsonl(
         let frame = line.trim();
         if !frame.is_empty() {
             *requests += 1;
-            let (response, rendered) = respond(service, frame);
+            let (response, mut rendered) = respond(service, frame);
+            // One write per response: a line split across two segments
+            // stalls on Nagle's algorithm until a delayed-ACK client
+            // acknowledges the first.
+            rendered.push('\n');
             writer.write_all(rendered.as_bytes())?;
-            writer.write_all(b"\n")?;
             writer.flush()?;
             service.maintain();
             if matches!(response, Response::Bye) {
@@ -202,16 +205,17 @@ fn serve_http(
         };
 
         let (status, reason) = http_status(&response);
-        write!(
-            writer,
+        // Head and body in one write (see `serve_jsonl`).
+        let mut out = format!(
             "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\n\
              content-length: {}\r\nconnection: {}\r\n\r\n",
             rendered.len(),
             if close { "close" } else { "keep-alive" },
-        )?;
+        );
         if method != "HEAD" {
-            writer.write_all(rendered.as_bytes())?;
+            out.push_str(&rendered);
         }
+        writer.write_all(out.as_bytes())?;
         writer.flush()?;
         service.maintain();
         if matches!(response, Response::Bye) {

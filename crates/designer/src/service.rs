@@ -267,6 +267,8 @@ pub struct DesignService {
     core: Mutex<Core>,
     log: RwLock<Vec<LogRecord>>,
     view: RwLock<Arc<ReadView>>,
+    /// The immutable shrink-wrap schema, shared by every published view.
+    shrink: Arc<SchemaGraph>,
     /// First rev this service holds a delta from (the repository may have
     /// ops from before the service started; those are behind the horizon).
     start_rev: u64,
@@ -302,12 +304,14 @@ impl DesignService {
         let checkpoint_every = session.checkpoint_interval();
         session.set_checkpoint_interval(None);
         let start_rev = session.repository().total_ops();
-        let view = Arc::new(Self::snapshot(&session));
+        let shrink = Arc::new(session.repository().workspace().shrink_wrap().clone());
+        let view = Arc::new(Self::snapshot(&session, &shrink));
         DesignService {
             sessions: RwLock::new(HashMap::new()),
             core: Mutex::new(Core { session }),
             log: RwLock::new(Vec::new()),
             view: RwLock::new(view),
+            shrink,
             start_rev,
             checkpoint_every,
             ops_since_checkpoint: AtomicU64::new(0),
@@ -315,18 +319,18 @@ impl DesignService {
         }
     }
 
-    fn snapshot(session: &Session) -> ReadView {
+    fn snapshot(session: &Session, shrink: &Arc<SchemaGraph>) -> ReadView {
         let repo = session.repository();
         let consistency = repo.consistency();
         ReadView {
             rev: repo.total_ops(),
             types: repo.workspace().working().type_count(),
-            concepts: session.concept_list().len(),
+            concepts: session.concepts().all().count(),
             odl: repo.custom_schema_odl(),
             errors: consistency.errors().count(),
             warnings: consistency.warnings().count(),
             working: Arc::new(repo.workspace().working().clone()),
-            shrink: Arc::new(repo.workspace().shrink_wrap().clone()),
+            shrink: Arc::clone(shrink),
         }
     }
 
@@ -339,7 +343,7 @@ impl DesignService {
     }
 
     fn refresh_view(&self, core: &Core) {
-        let fresh = Arc::new(Self::snapshot(&core.session));
+        let fresh = Arc::new(Self::snapshot(&core.session, &self.shrink));
         *self.view.write().unwrap_or_else(PoisonError::into_inner) = fresh;
     }
 
@@ -530,12 +534,9 @@ impl DesignService {
                     warnings.extend(feedback.warnings.iter().map(|w| format!("ops[{i}]: {w}")));
                 }
                 Err(e) => {
-                    for _ in 0..i {
-                        core.session
-                            .undo()
-                            .expect("undoing the just-applied batch prefix");
-                    }
-                    core.session.clear_history();
+                    core.session
+                        .rollback(i)
+                        .expect("rolling back the just-applied batch prefix");
                     sws_trace::counter("serve.rejected", 1);
                     return Response::Rejected {
                         session: session.to_string(),
@@ -549,8 +550,9 @@ impl DesignService {
         if let Some(w) = core.session.take_autosave_warning() {
             warnings.push(format!("autosave: {w}"));
         }
-        // The batch is in; drop the per-op undo snapshots (the service's
-        // only rollback unit is the batch) and publish.
+        // The batch is in; drop its undo steps (the service's only
+        // rollback unit is the batch, and a committed one stays) and
+        // publish.
         core.session.clear_history();
         {
             let mut log = self.log.write().unwrap_or_else(PoisonError::into_inner);
@@ -920,6 +922,53 @@ mod tests {
             }
             other => panic!("expected conflict: {other:?}"),
         }
+    }
+
+    #[test]
+    fn rejected_batch_rolls_back_with_one_manifest_commit() {
+        use std::path::PathBuf;
+        use sws_repository::io::{FaultIo, MemIo};
+
+        let io = Arc::new(FaultIo::new(MemIo::new()));
+        let dir = PathBuf::from("/mem/service");
+        let mut session = Session::from_odl(SRC).expect("test schema parses");
+        session.set_io(Box::new(io.clone()));
+        session.save(&dir).expect("initial save");
+        let svc = DesignService::new(session);
+        open(&svc, "alice");
+        let before = svc.view().odl.clone();
+        io.clear_journal();
+
+        let resp = svc.handle(Request::Submit {
+            session: "alice".into(),
+            base_rev: 0,
+            ops: vec![
+                wagon("add_type_definition(Project)"),
+                wagon("add_type_definition(Task)"),
+                wagon("add_type_definition(Project)"),
+            ],
+        });
+        assert!(
+            matches!(
+                resp,
+                Response::Rejected {
+                    index: 2,
+                    rev: 0,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+        let journal = io.journal();
+        let commits = journal
+            .iter()
+            .filter(|l| l.starts_with("rename") && l.ends_with("/MANIFEST"))
+            .count();
+        assert_eq!(commits, 1, "one rollback rewrite: {journal:#?}");
+
+        let reloaded = Session::load_with(Box::new(io.clone()), &dir).expect("reload");
+        assert!(reloaded.recovery().is_some_and(|r| r.is_clean()));
+        assert_eq!(reloaded.repository().custom_schema_odl(), before);
     }
 
     #[test]

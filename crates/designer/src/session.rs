@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use sws_core::concept::{ConceptSchema, Decomposition};
 use sws_core::consistency::ConsistencyReport;
 use sws_core::oplang::parse_statement;
-use sws_core::{ConceptKind, Feedback, Mapping, ModOp, OpError};
+use sws_core::{AliasTable, ConceptKind, Feedback, Mapping, ModOp, OpError};
 use sws_odl::OdlError;
 use sws_repository::io::{RealIo, RepoIo};
 use sws_repository::{append_log_line, CheckpointOutcome, RecoveryReport, RepoError, Repository};
@@ -62,14 +62,35 @@ impl From<RepoError> for SessionError {
     }
 }
 
+/// One undoable step of a session. An op step holds nothing: its inverse
+/// is the workspace's undo journal entry, reverted by
+/// [`Repository::undo_last`]. An alias step holds the local-name table as
+/// it was before the change.
+#[derive(Debug)]
+enum Step {
+    Op,
+    Alias(AliasTable),
+}
+
+/// One redoable step: the undone op, re-applied through the normal
+/// pipeline, or the alias table the undone change had produced.
+#[derive(Debug)]
+enum Redo {
+    Op(ConceptKind, ModOp),
+    Alias(AliasTable),
+}
+
 /// One interactive design session.
 #[derive(Debug)]
 pub struct Session {
     repo: Repository,
     context: ConceptKind,
     focus: Option<String>,
-    undo_stack: Vec<Repository>,
-    redo_stack: Vec<Repository>,
+    /// Steps issued in this session, oldest first. Ops replayed by
+    /// [`Session::load`] and history dropped by
+    /// [`Session::clear_history`] are not in it, so undo never reaches them.
+    undo: Vec<Step>,
+    redo: Vec<Redo>,
     /// Directory each applied op is durably appended to. Attached by
     /// [`Session::save`] and [`Session::load`]; detached (with a warning)
     /// on the first append failure so a dying disk cannot wedge the REPL.
@@ -94,8 +115,8 @@ impl Session {
             repo,
             context: ConceptKind::WagonWheel,
             focus: None,
-            undo_stack: Vec::new(),
-            redo_stack: Vec::new(),
+            undo: Vec::new(),
+            redo: Vec::new(),
             autosave_dir: None,
             autosave_warning: None,
             recovery: None,
@@ -117,35 +138,31 @@ impl Session {
         &self.repo
     }
 
-    /// The repository, mutably (e.g. to register local names). Alias
-    /// changes participate in undo/redo like operations do.
+    /// The repository, mutably (e.g. to checkpoint it directly). Changes
+    /// made through it bypass the session's undo history; register local
+    /// names with [`Self::set_alias`] to make them undoable.
     pub fn repository_mut(&mut self) -> &mut Repository {
         &mut self.repo
     }
 
-    /// Register a local (display/export) name, snapshotting for undo.
+    /// Register a local (display/export) name; undoable like an op.
     pub fn set_alias(
         &mut self,
         ty: &str,
         member: Option<&str>,
         local: &str,
     ) -> Result<(), SessionError> {
-        let snapshot = self.repo.clone();
-        let result = match member {
-            None => self.repo.set_type_alias(ty, local),
-            Some(member) => self.repo.set_member_alias(ty, member, local),
-        };
-        match result {
-            Ok(()) => {
-                self.undo_stack.push(snapshot);
-                self.redo_stack.clear();
-                // Aliases live outside the op log: autosave needs a full
-                // rewrite, not an append.
-                self.autosave_full();
-                Ok(())
-            }
-            Err(e) => Err(SessionError::Repo(e)),
+        let before = self.repo.aliases().clone();
+        match member {
+            None => self.repo.set_type_alias(ty, local)?,
+            Some(member) => self.repo.set_member_alias(ty, member, local)?,
         }
+        self.undo.push(Step::Alias(before));
+        self.redo.clear();
+        // Aliases live outside the op log: autosave needs a full rewrite,
+        // not an append.
+        self.autosave_full();
+        Ok(())
     }
 
     /// The current concept-schema context kind.
@@ -191,13 +208,19 @@ impl Session {
     /// before any checkpoint starts — a checkpoint's MANIFEST generation
     /// commits with no autosave interleaved into its micro-steps.
     pub fn issue(&mut self, op: ModOp) -> Result<Feedback, SessionError> {
-        let snapshot = self.repo.clone();
-        let feedback = self.repo.workspace_mut().apply(self.context, op.clone())?;
-        self.undo_stack.push(snapshot);
-        self.redo_stack.clear();
+        let feedback = self.apply(self.context, op)?;
+        self.redo.clear();
+        Ok(feedback)
+    }
+
+    /// The pipeline [`Self::issue`] and [`Self::redo`] share: apply, record
+    /// the undo step, durably append, consult the checkpoint interval.
+    fn apply(&mut self, context: ConceptKind, op: ModOp) -> Result<Feedback, SessionError> {
+        let feedback = self.repo.workspace_mut().apply(context, op)?;
+        self.undo.push(Step::Op);
         if let Some(dir) = self.autosave_dir.clone() {
             let seq = self.repo.total_ops() - 1;
-            if let Err(e) = append_log_line(self.io.as_ref(), &dir, seq, self.context, &op) {
+            if let Err(e) = append_log_line(self.io.as_ref(), &dir, seq, context, &feedback.op) {
                 self.disable_autosave(&dir, &e);
             } else {
                 self.maybe_autocheckpoint(&dir);
@@ -263,32 +286,69 @@ impl Session {
         self.issue(op)
     }
 
-    /// Undo the last applied operation. Autosave rewrites the whole
-    /// directory: undo shortens the op log, which an append cannot express.
+    /// Undo the last step (an op or an alias change). Autosave rewrites
+    /// the whole directory: undo shortens the op log, which an append
+    /// cannot express.
     pub fn undo(&mut self) -> Result<(), SessionError> {
-        let snapshot = self.undo_stack.pop().ok_or(SessionError::NothingToUndo)?;
-        self.redo_stack
-            .push(std::mem::replace(&mut self.repo, snapshot));
+        let redo = self.undo_step().ok_or(SessionError::NothingToUndo)?;
+        self.redo.push(redo);
         self.autosave_full();
         Ok(())
     }
 
-    /// Redo the last undone operation.
+    /// Redo the last undone step. An op is re-applied through the normal
+    /// pipeline (so autosave appends it like a fresh op).
     pub fn redo(&mut self) -> Result<(), SessionError> {
-        let snapshot = self.redo_stack.pop().ok_or(SessionError::NothingToRedo)?;
-        self.undo_stack
-            .push(std::mem::replace(&mut self.repo, snapshot));
-        self.autosave_full();
+        match self.redo.pop().ok_or(SessionError::NothingToRedo)? {
+            Redo::Op(context, op) => {
+                self.apply(context, op)?;
+            }
+            Redo::Alias(aliases) => {
+                let before = self.repo.replace_aliases(aliases);
+                self.undo.push(Step::Alias(before));
+                self.autosave_full();
+            }
+        }
         Ok(())
     }
 
-    /// Drop the undo/redo history (the snapshots backing it). Long-running
-    /// hosts like `swsd serve` call this after each committed batch: their
-    /// rollback unit is the batch, and per-op repository snapshots would
-    /// otherwise accumulate for the life of the process.
+    /// Take back the last `steps` steps as one unit — nothing becomes
+    /// redoable, and autosave rewrites the directory once. `swsd serve`
+    /// rolls a rejected batch's applied prefix back this way. Fails,
+    /// changing nothing, if fewer steps are undoable.
+    pub fn rollback(&mut self, steps: usize) -> Result<(), SessionError> {
+        if steps > self.undo.len() {
+            return Err(SessionError::NothingToUndo);
+        }
+        for _ in 0..steps {
+            self.undo_step();
+        }
+        if steps > 0 {
+            self.autosave_full();
+        }
+        Ok(())
+    }
+
+    /// Revert the last step in memory; returns what would redo it.
+    fn undo_step(&mut self) -> Option<Redo> {
+        Some(match self.undo.pop()? {
+            Step::Op => {
+                let record = self
+                    .repo
+                    .undo_last()
+                    .expect("every op step has a journaled op");
+                Redo::Op(record.context, record.op)
+            }
+            Step::Alias(before) => Redo::Alias(self.repo.replace_aliases(before)),
+        })
+    }
+
+    /// Drop the undo/redo history. Long-running hosts like `swsd serve`
+    /// call this after each committed batch: their rollback unit is the
+    /// batch, so a committed batch must not become undoable.
     pub fn clear_history(&mut self) {
-        self.undo_stack.clear();
-        self.redo_stack.clear();
+        self.undo.clear();
+        self.redo.clear();
     }
 
     /// Derive the mapping report.
@@ -477,6 +537,140 @@ mod tests {
     }
 
     #[test]
+    fn alias_changes_undo_and_redo_with_ops() {
+        let mut s = session();
+        s.issue_str("add_type_definition(Project)").unwrap();
+        s.set_alias("Employee", None, "StaffMember").unwrap();
+        let aliased = s.repository().custom_schema_local_odl();
+        assert!(aliased.contains("StaffMember"));
+
+        s.undo().unwrap();
+        assert!(s.repository().aliases().is_empty());
+        assert!(s
+            .repository()
+            .workspace()
+            .working()
+            .type_id("Project")
+            .is_some());
+        s.undo().unwrap();
+        assert!(s.repository().workspace().log().is_empty());
+        assert!(matches!(s.undo(), Err(SessionError::NothingToUndo)));
+
+        s.redo().unwrap();
+        s.redo().unwrap();
+        assert_eq!(s.repository().custom_schema_local_odl(), aliased);
+        assert!(matches!(s.redo(), Err(SessionError::NothingToRedo)));
+    }
+
+    #[test]
+    fn rollback_takes_back_steps_as_one_unit() {
+        let mut s = session();
+        let before = s.repository().custom_schema_odl();
+        s.issue_str("add_type_definition(Project)").unwrap();
+        s.issue_str("add_type_definition(Task)").unwrap();
+        assert!(matches!(s.rollback(3), Err(SessionError::NothingToUndo)));
+        assert_eq!(
+            s.repository().total_ops(),
+            2,
+            "a refused rollback changes nothing"
+        );
+        s.rollback(2).unwrap();
+        assert_eq!(s.repository().custom_schema_odl(), before);
+        assert!(matches!(s.redo(), Err(SessionError::NothingToRedo)));
+    }
+
+    #[test]
+    fn undo_across_a_checkpoint_keeps_the_directory_loadable() {
+        for undone in 1..=3 {
+            let mut s = session();
+            let dir =
+                std::env::temp_dir().join(format!("sws_undo_ckpt_{undone}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            s.save(&dir).unwrap();
+            let mut generation = 0;
+            let mut step = |s: &mut Session| {
+                let g = s.repository().checkpoint_state().generation;
+                assert!(g >= generation, "generation fell from {generation} to {g}");
+                generation = g;
+            };
+            for ty in ["Project", "Task", "Sprint"] {
+                s.issue_str(&format!("add_type_definition({ty})")).unwrap();
+            }
+            assert_eq!(s.checkpoint().unwrap().unwrap().generation, 1);
+            step(&mut s);
+            for _ in 0..undone {
+                s.undo().unwrap();
+                step(&mut s);
+            }
+            // The re-issued ops take sequence numbers the first checkpoint
+            // archived for the undone ones.
+            for ty in ["Epic", "Story"] {
+                s.issue_str(&format!("add_type_definition({ty})")).unwrap();
+                step(&mut s);
+            }
+            let second = s.checkpoint().unwrap().unwrap();
+            assert_eq!(second.generation, 2, "snapshot.1 is never rewritten");
+            step(&mut s);
+            s.issue_str("add_type_definition(Bug)").unwrap();
+            s.final_save().unwrap();
+            assert!(s.take_autosave_warning().is_none());
+            let live = s.repository().custom_schema_odl();
+
+            let strict = Session::load_strict(&dir).unwrap();
+            assert_eq!(
+                strict.repository().custom_schema_odl(),
+                live,
+                "undo {undone}"
+            );
+            let salvaged = Session::load(&dir).unwrap();
+            assert!(salvaged.recovery().unwrap().is_clean(), "undo {undone}");
+            assert_eq!(salvaged.repository().custom_schema_odl(), live);
+
+            // Without snapshots, salvage replays the archive plus the tail:
+            // the stale archived records of the undone ops must lose to the
+            // re-archived ones.
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                if name.starts_with("snapshot.") {
+                    std::fs::remove_file(&path).unwrap();
+                }
+            }
+            let replayed = Session::load(&dir).unwrap();
+            assert!(!replayed.recovery().unwrap().data_loss(), "undo {undone}");
+            assert_eq!(replayed.repository().custom_schema_odl(), live);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn undone_ops_stay_undone_in_the_archive() {
+        let mut s = session();
+        let dir = std::env::temp_dir().join(format!("sws_undo_archive_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        s.save(&dir).unwrap();
+        for ty in ["Project", "Task", "Sprint"] {
+            s.issue_str(&format!("add_type_definition({ty})")).unwrap();
+        }
+        s.checkpoint().unwrap();
+        for _ in 0..3 {
+            s.undo().unwrap();
+        }
+        // Fewer ops than the archive holds: its records past the new head
+        // describe undone ops and must not be replayed.
+        s.issue_str("add_type_definition(Epic)").unwrap();
+        let live = s.repository().custom_schema_odl();
+        let salvaged = Session::load(&dir).unwrap();
+        assert_eq!(salvaged.repository().custom_schema_odl(), live);
+        assert!(!salvaged.recovery().unwrap().data_loss());
+        s.final_save().unwrap();
+        let salvaged = Session::load(&dir).unwrap();
+        assert_eq!(salvaged.repository().custom_schema_odl(), live);
+        assert!(salvaged.recovery().unwrap().is_clean());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn failed_issue_does_not_pollute_undo() {
         let mut s = session();
         assert!(s.issue_str("add_type_definition(Person)").is_err());
@@ -601,34 +795,11 @@ mod tests {
         use std::sync::Arc;
         use sws_repository::io::{FaultIo, MemIo};
 
-        // Session owns its RepoIo; share the FaultIo so the test can read
-        // the micro-step journal after handing it over.
-        #[derive(Debug, Clone)]
-        struct SharedIo(Arc<FaultIo>);
-        impl RepoIo for SharedIo {
-            fn read(&self, p: &Path) -> std::io::Result<Vec<u8>> {
-                self.0.read(p)
-            }
-            fn write_atomic(&self, p: &Path, d: &[u8]) -> std::io::Result<()> {
-                self.0.write_atomic(p, d)
-            }
-            fn append_sync(&self, p: &Path, d: &[u8]) -> std::io::Result<()> {
-                self.0.append_sync(p, d)
-            }
-            fn exists(&self, p: &Path) -> bool {
-                self.0.exists(p)
-            }
-            fn create_dir_all(&self, p: &Path) -> std::io::Result<()> {
-                self.0.create_dir_all(p)
-            }
-            fn remove(&self, p: &Path) -> std::io::Result<()> {
-                self.0.remove(p)
-            }
-        }
-
         let io = Arc::new(FaultIo::new(MemIo::new()));
         let mut s = session();
-        s.set_io(Box::new(SharedIo(io.clone())));
+        // The session owns one handle; the test reads the journal through
+        // the other.
+        s.set_io(Box::new(io.clone()));
         s.set_checkpoint_interval(Some(1));
         let dir = PathBuf::from("/mem/session");
         s.save(&dir).unwrap();

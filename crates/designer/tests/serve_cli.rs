@@ -213,3 +213,90 @@ fn clean_shutdown_flushes_autosave_and_exits_0() {
     );
     std::fs::remove_dir_all(&session_dir).unwrap();
 }
+
+/// A naive client — one write per request, blocking reads, no blank-line
+/// acknowledgements — must not pay a Nagle/delayed-ACK stall per
+/// response: each response leaves the server in a single write.
+#[test]
+fn naive_clients_get_each_response_in_one_segment() {
+    use std::io::Read;
+    use std::time::Instant;
+
+    /// Kills the server if an assertion fails before the clean shutdown.
+    struct Reap(Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let schema = schema_file("naive");
+    let (child, _stdout, addr) = spawn_serve(&[
+        "--schema",
+        schema.to_str().unwrap(),
+        "--addr=127.0.0.1:0",
+        "serve",
+    ]);
+    let mut server = Reap(child);
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    };
+
+    // JSONL framing.
+    let (mut stream, mut reader) = connect();
+    let started = Instant::now();
+    for _ in 0..20 {
+        stream.write_all(b"{\"type\":\"ping\"}\n").expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("recv");
+        assert!(line.contains("\"type\":\"pong\""), "{line}");
+    }
+    let jsonl = started.elapsed();
+    assert!(
+        jsonl < Duration::from_millis(500),
+        "20 JSONL pings took {jsonl:?}"
+    );
+    // An acceptor serves one connection until it closes: free it.
+    drop((stream, reader));
+
+    // HTTP/1.1 keep-alive framing.
+    let (mut stream, mut reader) = connect();
+    let started = Instant::now();
+    for _ in 0..20 {
+        stream
+            .write_all(b"GET /ping HTTP/1.1\r\nhost: swsd\r\n\r\n")
+            .expect("send");
+        let mut length = 0usize;
+        loop {
+            let mut header = String::new();
+            reader.read_line(&mut header).expect("recv head");
+            let header = header.trim_end();
+            if header.is_empty() {
+                break;
+            }
+            if let Some(value) = header.strip_prefix("content-length: ") {
+                length = value.parse().expect("content-length");
+            }
+        }
+        let mut body = vec![0u8; length];
+        reader.read_exact(&mut body).expect("recv body");
+        assert!(String::from_utf8_lossy(&body).contains("\"type\":\"pong\""));
+    }
+    let http = started.elapsed();
+    assert!(
+        http < Duration::from_millis(500),
+        "20 HTTP pings took {http:?}"
+    );
+    drop((stream, reader));
+
+    let (mut stream, mut reader) = connect();
+    let bye = rpc(&mut stream, &mut reader, "{\"type\":\"shutdown\"}");
+    assert!(bye.contains("\"type\":\"bye\""), "{bye}");
+    assert_eq!(server.0.wait().expect("server exits").code(), Some(0));
+}

@@ -16,45 +16,19 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use sws_corpus::university;
 use sws_designer::protocol::Json;
 use sws_designer::{serve, DesignService, Session};
-use sws_repository::io::{FaultIo, MemIo, RepoIo};
+use sws_repository::io::{FaultIo, MemIo};
 use sws_repository::Repository;
 
 const CLIENTS: usize = 2;
 const OPS_PER_CLIENT: usize = 10;
 const THREADS: usize = 2;
-
-/// `Session` owns its I/O, but the test must keep a handle to plant the
-/// fault and reboot the disk afterwards — so share one `FaultIo`.
-#[derive(Debug, Clone)]
-struct SharedIo(Arc<FaultIo>);
-
-impl RepoIo for SharedIo {
-    fn read(&self, p: &Path) -> std::io::Result<Vec<u8>> {
-        self.0.read(p)
-    }
-    fn write_atomic(&self, p: &Path, d: &[u8]) -> std::io::Result<()> {
-        self.0.write_atomic(p, d)
-    }
-    fn append_sync(&self, p: &Path, d: &[u8]) -> std::io::Result<()> {
-        self.0.append_sync(p, d)
-    }
-    fn exists(&self, p: &Path) -> bool {
-        self.0.exists(p)
-    }
-    fn create_dir_all(&self, p: &Path) -> std::io::Result<()> {
-        self.0.create_dir_all(p)
-    }
-    fn remove(&self, p: &Path) -> std::io::Result<()> {
-        self.0.remove(p)
-    }
-}
 
 /// Stop the server on every exit path so a failed assertion can never
 /// leave the scope join hanging on a blocked acceptor.
@@ -153,7 +127,9 @@ fn crash_and_salvage(plant: impl FnOnce(&FaultIo)) {
     let disk = io.fs().clone();
 
     let mut session = Session::from_odl(university::SOURCE).expect("schema");
-    session.set_io(Box::new(SharedIo(io.clone())));
+    // `Session` owns its I/O; the test keeps a second handle to plant the
+    // fault and reboot the disk afterwards.
+    session.set_io(Box::new(io.clone()));
     session.save(&dir).expect("initial save");
     // Off-request-path checkpoints every 4 accepted ops.
     session.set_checkpoint_interval(Some(4));

@@ -49,6 +49,29 @@ pub trait RepoIo: fmt::Debug + Send + Sync {
     fn remove(&self, path: &Path) -> io::Result<()>;
 }
 
+/// A shared implementation: tests keep one handle to a [`FaultIo`] (to
+/// plant faults and read its journal) while a session owns another.
+impl<T: RepoIo + ?Sized> RepoIo for Arc<T> {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        (**self).read(path)
+    }
+    fn write_atomic(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        (**self).write_atomic(path, data)
+    }
+    fn append_sync(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        (**self).append_sync(path, data)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        (**self).exists(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        (**self).create_dir_all(path)
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        (**self).remove(path)
+    }
+}
+
 /// Name of the temporary file `write_atomic` stages next to `path`.
 /// Loaders ignore it: a crash can leave a torn temp behind harmlessly.
 pub(crate) fn temp_name(path: &Path) -> PathBuf {

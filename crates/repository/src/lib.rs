@@ -69,7 +69,9 @@ use sws_core::concept::normalize_single_root;
 use sws_core::consistency::ConsistencyReport;
 use sws_core::mapping::derive_mapping;
 use sws_core::oplang::{parse_statement, print_op};
-use sws_core::{AliasError, AliasTable, ConceptKind, Mapping, ModOp, OpError, Workspace};
+use sws_core::{
+    AliasError, AliasTable, AppliedOp, ConceptKind, Mapping, ModOp, OpError, Workspace,
+};
 use sws_model::{graph_to_schema, schema_to_graph, LowerError, SchemaGraph};
 use sws_odl::{parse_schema, print_schema, OdlError};
 
@@ -319,6 +321,12 @@ impl Repository {
         &self.aliases
     }
 
+    /// Swap in a whole local-name table, returning the one it replaces
+    /// (how the designer undoes and redoes an alias change).
+    pub fn replace_aliases(&mut self, aliases: AliasTable) -> AliasTable {
+        std::mem::replace(&mut self.aliases, aliases)
+    }
+
     /// Register a local name for a type.
     pub fn set_type_alias(&mut self, canonical: &str, local: &str) -> Result<(), RepoError> {
         let schema = graph_to_schema(self.workspace.working());
@@ -357,6 +365,19 @@ impl Repository {
                 .map(|(_, op)| op)
                 .chain(self.workspace.log().iter().map(|r| &r.op)),
         )
+    }
+
+    /// Take back the last in-memory op through the workspace's undo
+    /// journal (see [`Workspace::undo_last`]). Committed snapshots that
+    /// covered the undone op describe a history that no longer exists:
+    /// they are dropped here, before new ops can bring the op count back
+    /// up to their coverage, while the generation counter keeps counting
+    /// so the next checkpoint never reuses a snapshot file name.
+    pub fn undo_last(&mut self) -> Option<AppliedOp> {
+        let record = self.workspace.undo_last()?;
+        let total = self.total_ops();
+        self.checkpoint.snapshots.retain(|s| s.ops <= total);
+        Some(record)
     }
 
     /// Total committed ops across the whole session: the archived prefix
@@ -449,10 +470,11 @@ impl Repository {
     }
 
     /// The checkpoint state a save may legitimately commit right now:
-    /// snapshots whose coverage exceeds the current op count (a deep undo
-    /// rewound past them) or whose file is gone (pruned by a later
-    /// checkpoint on disk) are dropped, so the manifest never references a
-    /// snapshot the tail being written does not compose with.
+    /// snapshots whose coverage exceeds the current op count (an undo
+    /// through the bare workspace, bypassing [`Self::undo_last`]) or whose
+    /// file is gone (pruned by a later checkpoint on disk) are dropped, so
+    /// the manifest never references a snapshot the tail being written
+    /// does not compose with.
     fn effective_checkpoint(&self, io: &dyn RepoIo, dir: &Path) -> CheckpointMeta {
         let total = self.total_ops();
         let mut meta = self.checkpoint.clone();
@@ -804,9 +826,13 @@ impl Repository {
         // recoveries need the truncated prefixes back, and the archive is
         // scanned skip-invalid (a crashed checkpoint retry may leave torn
         // duplicate segments; sequence numbers dedupe them, last
-        // occurrence wins, live tail over archive).
+        // occurrence wins, live tail over archive). An intact manifest
+        // also says where the live tail starts: archived records from
+        // there on are copies of tail records or records of ops an undo
+        // took back, so only the prefix before it is taken from the
+        // archive.
         let archive_path = dir.join(ARCHIVE_FILE);
-        let archive = if salvage && io.exists(&archive_path) {
+        let mut archive = if salvage && io.exists(&archive_path) {
             match io.read(&archive_path) {
                 Ok(bytes) => scan_log(&String::from_utf8_lossy(&bytes), false).records,
                 Err(_) => Vec::new(),
@@ -814,6 +840,10 @@ impl Repository {
         } else {
             Vec::new()
         };
+        if manifest.is_some() {
+            let tail_start = manifest_ckpt.tail_start();
+            archive.retain(|r| r.seq < tail_start);
+        }
         let mut tail_records = tail.records;
         for r in &mut tail_records {
             r.from_tail = true;

@@ -10,15 +10,24 @@
 //! clean type stores three empty (never-allocated) finding vectors. CI
 //! runs this test so a regression that re-introduces allocation on the hot
 //! path fails the build.
+//!
+//! A second guard pins submit at head to O(op): one `Session::issue`
+//! allocates about as much with 2,000 ops of history as with 10.
 
 #![cfg(feature = "alloc-stats")]
 
 use shrink_wrap_schemas::core::{ConceptKind, ModOp, Workspace};
 use shrink_wrap_schemas::corpus::university;
+use std::sync::{Mutex, PoisonError};
 use sws_trace::{FieldValue, Recorder, TraceSummary};
+
+/// The allocation counters are process-wide: tests that read them must
+/// not overlap with each other.
+static COUNTERS: Mutex<()> = Mutex::new(());
 
 #[test]
 fn incremental_recheck_span_is_allocation_free() {
+    let _serial = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
     let rec = Recorder::new();
     let _guard = rec.install_thread();
 
@@ -90,4 +99,63 @@ fn incremental_recheck_span_is_allocation_free() {
     assert!(row.spans >= 1);
     let rendered = summary.render();
     assert!(rendered.contains("allocations"), "{rendered}");
+}
+
+/// `alloc.bytes` of one `Session::issue` of the same churn op, after
+/// `history` ops are already in the session's undo history.
+fn issue_bytes_at(history: usize) -> u64 {
+    use shrink_wrap_schemas::core::parse_statement;
+    use shrink_wrap_schemas::designer::Session;
+
+    // Alternate adding and deleting one attribute: the schema stays put
+    // while the op log and the undo history grow.
+    let churn = |i: usize| {
+        parse_statement(if i % 2 == 0 {
+            "add_attribute(Course, long, zz_churn)"
+        } else {
+            "delete_attribute(Course, zz_churn)"
+        })
+        .expect("churn op parses")
+    };
+    let mut session = Session::from_odl(university::SOURCE).expect("university schema ingests");
+    for i in 0..history {
+        session.issue(churn(i)).expect("churn op applies");
+    }
+    let op = churn(history);
+
+    let rec = Recorder::new();
+    let guard = rec.install_thread();
+    {
+        let _span = sws_trace::span("test.issue_at_head");
+        session.issue(op).expect("churn op applies");
+    }
+    drop(guard);
+    let trace = rec.take();
+    let close = trace
+        .events
+        .iter()
+        .find(|e| {
+            e.name == "test.issue_at_head"
+                && matches!(e.kind, sws_trace::EventKind::SpanClose { .. })
+        })
+        .expect("the issue span closed under the recorder");
+    match close.fields.iter().find(|(k, _)| *k == "alloc.bytes") {
+        Some((_, FieldValue::U64(bytes))) => *bytes,
+        other => panic!("missing alloc.bytes on the issue span: {other:?}"),
+    }
+}
+
+/// Submit at head costs O(op), not O(session): issuing an op allocates no
+/// more at history 2,000 than at history 10 (within 2×). A design that
+/// snapshots state for undo grows with the log and fails here.
+#[test]
+fn issue_allocation_does_not_grow_with_history() {
+    let _serial = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let short = issue_bytes_at(10);
+    let long = issue_bytes_at(2_000);
+    assert!(short > 0, "the issue span should allocate; got 0 bytes");
+    assert!(
+        long <= 2 * short,
+        "issue at history 2000 allocated {long} bytes, at history 10 {short} bytes"
+    );
 }

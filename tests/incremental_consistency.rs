@@ -6,13 +6,16 @@
 //!   escape hatch agrees too.
 //! * After the script, `reset()` replays the undo log back to a graph
 //!   structurally identical to the shrink wrap schema.
+//! * The same holds when random scripts interleave `undo_last` and
+//!   re-applying undone ops (the designer's undo/redo): every step keeps
+//!   the incremental report equal to a from-scratch run.
 //! * A `QueryCache` interleaved with arbitrary mutations always answers
 //!   exactly like the uncached `query` traversals.
 
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
-use shrink_wrap_schemas::core::{check_consistency, ConceptKind, ModOp, Workspace};
+use shrink_wrap_schemas::core::{check_consistency, AppliedOp, ConceptKind, ModOp, Workspace};
 use shrink_wrap_schemas::corpus::university;
 use shrink_wrap_schemas::model::{diff_graphs, query, QueryCache};
 use shrink_wrap_schemas::odl::DomainType;
@@ -92,8 +95,54 @@ fn contexts() -> impl Strategy<Value = ConceptKind> {
     prop::sample::select(ConceptKind::ALL.to_vec())
 }
 
+/// One designer step: issue an op, undo the last one, or redo the last
+/// undone one.
+#[derive(Debug, Clone)]
+enum Step {
+    Apply(ConceptKind, ModOp),
+    Undo,
+    Redo,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        4 => (contexts(), random_op()).prop_map(|(context, op)| Step::Apply(context, op)),
+        2 => Just(Step::Undo),
+        1 => Just(Step::Redo),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn incremental_consistency_survives_undo_and_redo(
+        script in prop::collection::vec(step(), 1..30)
+    ) {
+        let mut ws = Workspace::new(university::graph());
+        let mut undone: Vec<AppliedOp> = Vec::new();
+        for step in script {
+            match step {
+                Step::Apply(context, op) => {
+                    if ws.apply(context, op).is_ok() {
+                        undone.clear();
+                    }
+                }
+                Step::Undo => undone.extend(ws.undo_last()),
+                Step::Redo => {
+                    if let Some(record) = undone.pop() {
+                        ws.apply(record.context, record.op.clone())
+                            .map_err(|e| TestCaseError::fail(format!("redo: {e}")))?;
+                        // Re-applied on the same state: the same impact.
+                        prop_assert_eq!(ws.log().last(), Some(&record));
+                    }
+                }
+            }
+            let incremental = ws.consistency();
+            let full = check_consistency(ws.working(), ws.shrink_wrap());
+            prop_assert_eq!(incremental, full);
+        }
+    }
 
     #[test]
     fn incremental_consistency_equals_full(

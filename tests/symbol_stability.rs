@@ -9,17 +9,37 @@
 //!   reverted graph must render the original ODL byte-for-byte,
 //! * replaying the saved op log after a reset — must land on the same
 //!   rendering as before the reset, and must not mint a single new
-//!   symbol (every name was already interned on the first pass).
+//!   symbol (every name was already interned on the first pass),
+//! * undoing the last k ops with `Workspace::undo_last` and re-applying
+//!   them (the designer's undo/redo) — must land on the same rendering
+//!   and the same arena ids for every type.
 //!
 //! [`UndoPatch`]: shrink_wrap_schemas::model::UndoPatch
 
 use shrink_wrap_schemas::core::{ConceptKind, ModOp, Workspace};
 use shrink_wrap_schemas::corpus::university;
-use shrink_wrap_schemas::model::{graph_to_schema, Symbol};
+use shrink_wrap_schemas::model::{graph_to_schema, Symbol, TypeId};
 use shrink_wrap_schemas::odl::{print_schema, DomainType};
 
 fn render(ws: &Workspace) -> String {
     print_schema(&graph_to_schema(ws.working()))
+}
+
+/// Every live type's arena id and name, in arena order.
+fn type_ids(ws: &Workspace) -> Vec<(TypeId, Symbol)> {
+    ws.working()
+        .types()
+        .map(|(id, node)| (id, node.name))
+        .collect()
+}
+
+/// Undo the last `k` ops, then redo them in order.
+fn undo_redo(ws: &mut Workspace, k: usize) {
+    let mut undone: Vec<_> = (0..k).map_while(|_| ws.undo_last()).collect();
+    while let Some(record) = undone.pop() {
+        ws.apply(record.context, record.op)
+            .expect("an undone op re-applies on the state it came from");
+    }
 }
 
 /// A deterministic edit script that touches every construct arena: new
@@ -90,6 +110,24 @@ fn reset_reverts_odl_byte_for_byte_and_interner_never_shrinks() {
     assert_eq!(Symbol::try_lookup("zz_stable_attr"), Some(novel_attr));
     assert_eq!(novel_type.as_str(), "ZzStableType");
     assert_eq!(novel_attr.as_str(), "zz_stable_attr");
+}
+
+#[test]
+fn undo_k_then_redo_k_is_byte_and_id_identical() {
+    let mut ws = Workspace::new(university::graph());
+    for (context, op) in script() {
+        ws.apply(context, op).expect("scripted edit applies");
+    }
+    let odl = render(&ws);
+    let ids = type_ids(&ws);
+    let len = Symbol::interner_len();
+    for k in 1..=script().len() {
+        undo_redo(&mut ws, k);
+        assert_eq!(render(&ws), odl, "undo {k} / redo {k}");
+        assert_eq!(type_ids(&ws), ids, "undo {k} / redo {k}");
+        assert_eq!(ws.log().len(), script().len());
+    }
+    assert_eq!(Symbol::interner_len(), len, "redo minted a symbol");
 }
 
 #[test]
@@ -181,7 +219,8 @@ mod random {
         /// without minting any new symbol.
         #[test]
         fn random_edit_reset_replay_is_symbol_stable(
-            script in prop::collection::vec((contexts(), random_op()), 1..20)
+            script in prop::collection::vec((contexts(), random_op()), 1..20),
+            k in 0usize..20
         ) {
             let mut ws = Workspace::new(university::graph());
             let odl_before = render(&ws);
@@ -194,6 +233,10 @@ mod random {
                 len_prev = len_now;
             }
             let odl_edited = render(&ws);
+            let arena_ids = type_ids(&ws);
+            undo_redo(&mut ws, k);
+            prop_assert_eq!(render(&ws), odl_edited.clone());
+            prop_assert_eq!(type_ids(&ws), arena_ids);
             let log: Vec<_> = ws.log().iter().map(|r| (r.context, r.op.clone())).collect();
             let ids: Vec<(Symbol, &'static str)> = ws
                 .working()

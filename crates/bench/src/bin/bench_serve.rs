@@ -1,6 +1,8 @@
 //! Request-path latency of the `swsd serve` service layer: one client
 //! submitting single-op batches through [`DesignService::handle`] while
-//! N−1 other sessions sit open and idle, for N ∈ {1, 4, 16, 64}.
+//! N−1 other sessions sit open and idle, for N ∈ {1, 4, 16, 64}; and a
+//! schema-size sweep, one session submitting `edit_stream` ops against
+//! synthetic schemas of 1,000 and 10,000 types.
 //!
 //! Idle sessions are the point: the service keeps per-session metadata
 //! but serializes mutations on one writer path, so an open-but-quiet
@@ -14,10 +16,15 @@
 //! * `submit_p99/sessionsN` — the exact (nearest-rank) p99, stored in
 //!   both fields since the schema carries two quantiles per row;
 //! * `submit_ns_per_op/sessionsN` — the mean, i.e. ns-per-op; ops/sec
-//!   is its reciprocal and is printed on stdout for humans.
+//!   is its reciprocal and is printed on stdout for humans;
+//! * `submit/typesN` — p50/p90 of one accepted submit at head on an
+//!   N-type synthetic schema. Every accepted submit publishes a new read
+//!   view, so these rows show whether that publish scales with the
+//!   schema (see `docs/performance.md`, "The publish path").
 //!
-//! `report.sizes` records the session-count sweep. Override the
-//! iteration count with `SWS_BENCH_ITERS` (default 200).
+//! `report.sizes` records the session-count sweep; the type counts are
+//! in the row labels. Override the iteration count with
+//! `SWS_BENCH_ITERS` (default 200).
 //!
 //! The committed baseline (`benches/baselines/BENCH_serve.json`)
 //! deliberately omits the `submit_p99/*` rows: absolute p99 across runs
@@ -27,14 +34,19 @@
 
 use std::cell::Cell;
 
+use sws_bench::edit_scripts::edit_stream;
 use sws_bench::report::BenchReport;
 use sws_bench::timing::Runner;
-use sws_core::ConceptKind;
+use sws_core::{print_op, ConceptKind};
+use sws_corpus::synthetic::SyntheticSpec;
 use sws_corpus::university;
 use sws_designer::{DesignService, OpEnvelope, Request, Response, Session};
+use sws_model::graph_to_schema;
+use sws_odl::print_schema;
 
 const SEED: u64 = 31;
 const SESSIONS: [usize; 4] = [1, 4, 16, 64];
+const TYPES: [usize; 2] = [1_000, 10_000];
 
 /// p99 may wobble on a loaded CI host even when the service is flat
 /// across session counts; the ratio check gets this much absolute grace.
@@ -76,6 +88,38 @@ fn main() {
                     ops: vec![OpEnvelope {
                         context: ConceptKind::WagonWheel,
                         statement: format!("add_type_definition(Bench{n}x{t})"),
+                    }],
+                }
+            },
+            |request| match service.handle(request) {
+                Response::Accepted { rev: head, .. } => rev.set(head),
+                other => panic!("submit at head must be accepted, got {other:?}"),
+            },
+        );
+    }
+
+    for &n in &TYPES {
+        let g = SyntheticSpec::sized(n, SEED).generate();
+        let service = DesignService::new(
+            Session::from_odl(&print_schema(&graph_to_schema(&g))).expect("schema ingests"),
+        );
+        let opened = service.handle(Request::Open {
+            session: "s0".to_string(),
+        });
+        assert!(matches!(opened, Response::Opened { .. }), "{opened:?}");
+        // Enough ops for the warm-up and the measured iterations.
+        let script = edit_stream(&g, 2 * runner.iters() as usize + 64, SEED);
+        let rev = Cell::new(0u64);
+        runner.bench_batched(
+            &format!("submit/types{n}"),
+            || {
+                let (context, op) = &script[rev.get() as usize];
+                Request::Submit {
+                    session: "s0".to_string(),
+                    base_rev: rev.get(),
+                    ops: vec![OpEnvelope {
+                        context: *context,
+                        statement: print_op(op),
                     }],
                 }
             },

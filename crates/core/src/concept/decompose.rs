@@ -3,7 +3,7 @@
 
 use super::{ConceptKind, ConceptSchema};
 use crate::parallel;
-use sws_model::{query, SchemaGraph, TypeId};
+use sws_model::{query, LinkId, SchemaGraph, TypeId};
 use sws_odl::HierKind;
 
 /// The result of decomposing a schema.
@@ -96,6 +96,53 @@ pub fn decompose(g: &SchemaGraph) -> Decomposition {
     };
     sp.record("concept_schemas", d.len());
     d
+}
+
+/// The number of concept schemas [`decompose`] would produce —
+/// `decompose(g).len()` — without building any of them: one wagon wheel
+/// per live type, one generalization hierarchy per connected component of
+/// the supertype graph (types with no supertype or subtype belong to
+/// none), and one aggregation / instance-of hierarchy per root of that
+/// hierarchy (a type with children and no parent of the kind). One
+/// union-find pass over the type arena; no per-type allocation.
+pub fn concept_count(g: &SchemaGraph) -> usize {
+    let mut sp = sws_trace::span!("core.concept_count", types = g.type_count());
+    let mut parent: Vec<usize> = (0..g.type_slots()).collect();
+    fn find(parent: &mut [usize], mut t: usize) -> usize {
+        while parent[t] != t {
+            parent[t] = parent[parent[t]];
+            t = parent[t];
+        }
+        t
+    }
+    let mut members = 0usize;
+    let mut unions = 0usize;
+    let mut hierarchy_roots = 0usize;
+    for (id, node) in g.types() {
+        if !node.supertypes.is_empty() || !node.subtypes.is_empty() {
+            members += 1;
+        }
+        for &sup in &node.supertypes {
+            let (a, b) = (
+                find(&mut parent, id.index()),
+                find(&mut parent, sup.index()),
+            );
+            if a != b {
+                parent[a] = b;
+                unions += 1;
+            }
+        }
+        for kind in [HierKind::PartOf, HierKind::InstanceOf] {
+            let has = |links: &[LinkId]| links.iter().any(|&l| g.link(l).kind == kind);
+            if has(&node.parent_links) && !has(&node.child_links) {
+                hierarchy_roots += 1;
+            }
+        }
+    }
+    // Each union merges two components of the supertype graph's members.
+    let count = g.type_count() + (members - unions) + hierarchy_roots;
+    sp.record("concept_schemas", count);
+    count
 }
 
 /// Total element count (types, members, edges) across concept schemas —
@@ -362,6 +409,15 @@ mod tests {
         let created = normalize_single_root(&mut g);
         assert_eq!(created.len(), 1);
         assert_ne!(created[0], "AbstractAOrB");
+    }
+
+    #[test]
+    fn concept_count_equals_the_decomposition_length() {
+        let mut g = uni();
+        assert_eq!(concept_count(&g), decompose(&g).len());
+        normalize_single_root(&mut g);
+        assert_eq!(concept_count(&g), decompose(&g).len());
+        assert_eq!(concept_count(&SchemaGraph::new("empty")), 0);
     }
 
     #[test]

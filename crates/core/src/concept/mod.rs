@@ -21,7 +21,7 @@
 
 mod decompose;
 
-pub use decompose::{decompose, normalize_single_root, Decomposition};
+pub use decompose::{concept_count, decompose, normalize_single_root, Decomposition};
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -304,6 +304,21 @@ struct TypeFindings {
     structure: Vec<CrossIssue>,
 }
 
+impl TypeFindings {
+    /// `(errors, warnings)` among this type's findings.
+    fn counts(&self) -> (usize, usize) {
+        let mut counts = (0, 0);
+        for f in self.wf.iter().chain(&self.relative).chain(&self.structure) {
+            match f.severity() {
+                Severity::Error => counts.0 += 1,
+                Severity::Warning => counts.1 += 1,
+                Severity::Info => {}
+            }
+        }
+        counts
+    }
+}
+
 /// Persistent, incrementally-maintained consistency findings, keyed by
 /// interned type name.
 ///
@@ -319,9 +334,16 @@ struct TypeFindings {
 /// The state owns a persistent [`WfScratch`] so the steady-state serial
 /// recheck touches no allocator at all — the `core.consistency.recheck`
 /// span is the zero-allocation window the alloc-attribution tests measure.
+///
+/// It also keeps running error and warning totals, adjusted whenever a
+/// type's findings are replaced or dropped, so [`ConsistencyState::counts`]
+/// answers "how many errors and warnings" without assembling a report.
 #[derive(Debug, Clone)]
 pub struct ConsistencyState {
     by_type: HashMap<Symbol, TypeFindings>,
+    /// Error and warning totals over `by_type`.
+    errors: usize,
+    warnings: usize,
     pending: DirtySet,
     /// Everything must be recomputed (initial state, or after a reset /
     /// rollback / explicit invalidation).
@@ -342,6 +364,8 @@ impl ConsistencyState {
     pub fn new() -> Self {
         ConsistencyState {
             by_type: HashMap::new(),
+            errors: 0,
+            warnings: 0,
             pending: DirtySet::default(),
             full_pending: true,
             scratch: WfScratch::default(),
@@ -353,6 +377,36 @@ impl ConsistencyState {
         if !self.full_pending {
             self.pending.merge(dirty);
         }
+    }
+
+    /// Store `findings` for type `name`, keeping the totals current.
+    fn put(&mut self, name: Symbol, findings: TypeFindings) {
+        let (errors, warnings) = findings.counts();
+        self.errors += errors;
+        self.warnings += warnings;
+        if let Some(old) = self.by_type.insert(name, findings) {
+            self.forget_counts(&old);
+        }
+    }
+
+    /// Drop type `name`'s findings, keeping the totals current.
+    fn drop_type(&mut self, name: Symbol) {
+        if let Some(old) = self.by_type.remove(&name) {
+            self.forget_counts(&old);
+        }
+    }
+
+    fn forget_counts(&mut self, findings: &TypeFindings) {
+        let (errors, warnings) = findings.counts();
+        self.errors -= errors;
+        self.warnings -= warnings;
+    }
+
+    /// `(errors, warnings)` in the report [`Self::report`] would assemble,
+    /// read from the running totals. Call after [`Self::sync`].
+    pub fn counts(&self) -> (usize, usize) {
+        debug_assert!(!self.full_pending, "counts() before sync()");
+        (self.errors, self.warnings)
     }
 
     /// Forget everything; the next sync recomputes from scratch.
@@ -373,11 +427,12 @@ impl ConsistencyState {
             let mut sp =
                 sws_trace::span!("core.consistency.full_sync", types = working.type_count());
             self.by_type.clear();
+            (self.errors, self.warnings) = (0, 0);
             let ids: Vec<TypeId> = working.types().map(|(id, _)| id).collect();
             let per_type = compute_findings_for(working, shrink_wrap, &mut self.scratch, &ids);
             let rechecked = ids.len();
             for (id, findings) in ids.into_iter().zip(per_type) {
-                self.by_type.insert(working.ty(id).name, findings);
+                self.put(working.ty(id).name, findings);
             }
             self.full_pending = false;
             self.pending = DirtySet::default();
@@ -435,7 +490,7 @@ impl ConsistencyState {
                     closure.extend(reach.iter().copied());
                 } else {
                     // Deleted type: drop its stored findings.
-                    self.by_type.remove(&name);
+                    self.drop_type(name);
                 }
             }
 
@@ -477,7 +532,7 @@ impl ConsistencyState {
                     check_gen_cycles,
                     id,
                 );
-                self.by_type.insert(working.ty(id).name, tf);
+                self.put(working.ty(id).name, tf);
             }
         } else {
             let _rsp = sws_trace::span!("core.consistency.recheck", types = rechecked);
@@ -487,7 +542,7 @@ impl ConsistencyState {
                 compute_type_findings(working, shrink_wrap, &index, scratch, check_gen_cycles, id)
             });
             for (&id, tf) in ids.iter().zip(per_type) {
-                self.by_type.insert(working.ty(id).name, tf);
+                self.put(working.ty(id).name, tf);
             }
         }
         sp.record("rechecked", rechecked);
@@ -501,20 +556,13 @@ impl ConsistencyState {
     pub fn report(&self, working: &SchemaGraph) -> ConsistencyReport {
         debug_assert!(!self.full_pending, "report() before sync()");
         let mut sp = sws_trace::span!("core.consistency.report", types = self.by_type.len());
-        let mut findings = Vec::new();
-        for group in 0..3 {
-            for (_, node) in working.types() {
-                if let Some(tf) = self.by_type.get(&node.name) {
-                    let src = match group {
-                        0 => &tf.wf,
-                        1 => &tf.relative,
-                        _ => &tf.structure,
-                    };
-                    findings.extend(src.iter().cloned());
-                }
-            }
-        }
-        findings.sort_by_key(|f| f.severity());
+        // One walk of the type arena, then the three check groups over
+        // the collected findings.
+        let per_type: Vec<&TypeFindings> = working
+            .types()
+            .filter_map(|(_, node)| self.by_type.get(&node.name))
+            .collect();
+        let findings = assemble_findings(per_type.iter().copied());
         sp.record("findings", findings.len());
         ConsistencyReport { findings }
     }

@@ -26,7 +26,9 @@
 //!   sharded across worker threads by [`parallel`] with a determinism
 //!   guarantee (thread count never changes a report),
 //! * [`mapping`] — the semantic correspondence between shrink wrap and
-//!   custom schema (activity 10).
+//!   custom schema (activity 10),
+//! * [`odl_blocks`] — the custom schema's ODL text, re-printed per touched
+//!   interface instead of whole.
 #![forbid(unsafe_code)]
 
 pub mod advice;
@@ -39,6 +41,7 @@ pub mod feedback;
 pub mod impact;
 pub mod interop;
 pub mod mapping;
+pub mod odl_blocks;
 pub mod oplang;
 pub mod ops;
 pub mod parallel;
@@ -47,7 +50,7 @@ pub mod workspace;
 
 pub use advice::{advise, Suggestion};
 pub use aliases::{AliasError, AliasTable};
-pub use concept::{decompose, ConceptKind, ConceptSchema, Decomposition};
+pub use concept::{concept_count, decompose, ConceptKind, ConceptSchema, Decomposition};
 pub use consistency::{
     check_consistency, ConsistencyReport, ConsistencyState, CrossIssue, Severity,
 };
@@ -60,6 +63,7 @@ pub use feedback::Feedback;
 pub use impact::{DirtySet, ImpactEntry, ImpactReport};
 pub use interop::{common_objects, CommonObject, InteropSummary};
 pub use mapping::{Construct, Disposition, MapEntry, Mapping};
+pub use odl_blocks::OdlBlocks;
 pub use oplang::{parse_script, parse_statement, print_op};
 pub use ops::{ModOp, OpError, OpKind};
 pub use report::DesignReport;

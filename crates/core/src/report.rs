@@ -11,8 +11,6 @@ use crate::advice::{advise, Suggestion};
 use crate::consistency::ConsistencyReport;
 use crate::mapping::Mapping;
 use crate::workspace::Workspace;
-use sws_model::graph_to_schema;
-use sws_odl::print_schema;
 use sws_trace::TraceSummary;
 
 /// The complete deliverable bundle for one design session.
@@ -72,7 +70,7 @@ impl DesignReport {
             shrink_wrap_constructs: ws.shrink_wrap().construct_count(),
             custom_constructs: ws.working().construct_count(),
             ops_applied: ws.log().len(),
-            custom_odl: print_schema(&graph_to_schema(ws.working())),
+            custom_odl: ws.custom_odl().to_string(),
             mapping: Mapping::derive(ws),
             consistency,
             advice,

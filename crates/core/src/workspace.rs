@@ -28,16 +28,27 @@
 //!   [`DirtySet`](crate::impact::DirtySet). Consistency maintenance is
 //!   *lazy*: [`Workspace::consistency`] syncs on demand, so a whole
 //!   [`Workspace::apply_script`] batch is verified once at the next read,
-//!   not once per operation.
+//!   not once per operation;
+//! * an [`OdlBlocks`] holding the working schema's printed interface
+//!   blocks, re-rendered lazily for the types each op's [`UndoPatch`]
+//!   touched ([`Workspace::custom_odl`]), and a concept-schema count that
+//!   is recounted only after an op changed the hierarchy shape
+//!   ([`Workspace::concept_count`]).
+//!
+//! In debug builds every incremental read is asserted equal to its
+//! from-scratch counterpart (`check_consistency`, `print_schema` of
+//! `graph_to_schema`, `decompose`).
 
-use crate::concept::{decompose, ConceptKind, Decomposition};
+use crate::concept::{concept_count, decompose, ConceptKind, Decomposition};
 use crate::consistency::{ConsistencyReport, ConsistencyState};
 use crate::constraints::check_preconditions_cached;
 use crate::feedback::{cautionary, Feedback};
 use crate::impact::{DirtySet, ImpactReport};
+use crate::odl_blocks::OdlBlocks;
 use crate::ops::apply::apply_op;
 use crate::ops::{ModOp, OpError, PermissionMatrix};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 use sws_model::{QueryCache, SchemaGraph, UndoPatch};
 
 /// One log record: an operation that was applied.
@@ -73,6 +84,11 @@ pub struct Workspace {
     /// so read paths (`consistency`, `DesignReport::generate`) can sync
     /// lazily from `&self`.
     state: RefCell<ConsistencyState>,
+    /// Printed interface blocks of `working`, synced lazily like `state`.
+    odl: RefCell<OdlBlocks>,
+    /// `decompose(working).len()`, while no op since changed the shape it
+    /// depends on.
+    concepts: Cell<Option<usize>>,
 }
 
 impl Workspace {
@@ -101,7 +117,19 @@ impl Workspace {
             qc_working: QueryCache::new(),
             qc_shrink: QueryCache::new(),
             state: RefCell::new(ConsistencyState::new()),
+            odl: RefCell::new(OdlBlocks::new()),
+            concepts: Cell::new(None),
             resumed,
+        }
+    }
+
+    /// Mark what `patch` changes in the lazily-synced read state. Called
+    /// with the graph the patch was committed on: right after an apply,
+    /// or right before an undo reverts it.
+    fn record_patch(&mut self, patch: &UndoPatch) {
+        self.odl.get_mut().record(patch, &self.working);
+        if self.concepts.get().is_some() && patch.changes_hierarchy(&self.working) {
+            self.concepts.set(None);
         }
     }
 
@@ -178,6 +206,7 @@ impl Workspace {
         };
         let patch = self.working.commit_undo();
         sws_trace::counter("ws.undo_entries", patch.touched() as u64);
+        self.record_patch(&patch);
         self.undo.push(patch);
         let impact = ImpactReport::from_cascade(&outcome.cascade, &outcome.notes);
         self.state
@@ -268,6 +297,62 @@ impl Workspace {
         report
     }
 
+    /// `(errors, warnings)` of [`Self::consistency`]'s report, from the
+    /// incremental state's running totals: syncs like `consistency` but
+    /// assembles no report.
+    pub fn consistency_counts(&self) -> (usize, usize) {
+        let counts = {
+            let mut state = self.state.borrow_mut();
+            state.sync(&self.working, &self.shrink_wrap);
+            state.counts()
+        };
+        #[cfg(debug_assertions)]
+        {
+            let full = crate::consistency::check_consistency(&self.working, &self.shrink_wrap);
+            debug_assert_eq!(
+                counts,
+                (full.errors().count(), full.warnings().count()),
+                "maintained consistency counts diverged from a full recheck"
+            );
+        }
+        counts
+    }
+
+    /// The working schema as canonical extended-ODL text, byte-identical
+    /// to `print_schema(&graph_to_schema(working))` but maintained
+    /// incrementally: only the interfaces of types touched by ops applied
+    /// or undone since the last call are re-printed (see [`OdlBlocks`]).
+    pub fn custom_odl(&self) -> Arc<str> {
+        let text = self.odl.borrow_mut().text(&self.working);
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            *text == sws_odl::print_schema(&sws_model::graph_to_schema(&self.working)),
+            "incremental ODL diverged from the full render"
+        );
+        text
+    }
+
+    /// Number of concept schemas in the working schema's decomposition
+    /// (`decompose(working).len()`), counted without building them and
+    /// recounted only after an op changed a supertype, subtype or link
+    /// list or a type's liveness.
+    pub fn concept_count(&self) -> usize {
+        let count = match self.concepts.get() {
+            Some(count) => count,
+            None => {
+                let count = concept_count(&self.working);
+                self.concepts.set(Some(count));
+                count
+            }
+        };
+        debug_assert_eq!(
+            count,
+            decompose(&self.working).len(),
+            "maintained concept count diverged from the decomposition"
+        );
+        count
+    }
+
     /// Escape hatch: discard the incremental consistency state and recheck
     /// everything from scratch.
     pub fn full_recheck(&self) -> ConsistencyReport {
@@ -288,6 +373,7 @@ impl Workspace {
     pub fn undo_last(&mut self) -> Option<AppliedOp> {
         let patch = self.undo.pop()?;
         let record = self.log.pop().expect("one log record per undo patch");
+        self.record_patch(&patch);
         self.working.revert(&patch);
         self.state
             .borrow_mut()

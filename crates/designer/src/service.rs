@@ -233,13 +233,20 @@ impl Response {
 
 /// The immutable read snapshot: refreshed under the core lock after every
 /// accepted mutation, read lock-free(ish) by any number of sessions.
+///
+/// Building one costs what the accepted batch touched, not the schema's
+/// size: the ODL comes from the workspace's per-interface blocks, the
+/// counts are maintained incrementally, and the working graph is a
+/// copy-on-write clone that shares every chunk the writer has not written
+/// since.
 #[derive(Debug)]
 pub struct ReadView {
     pub rev: u64,
     pub types: usize,
     pub concepts: usize,
-    /// `Repository::custom_schema_odl` of the head state.
-    pub odl: String,
+    /// `Repository::custom_schema_odl` of the head state, shared with the
+    /// workspace that rendered it.
+    pub odl: Arc<str>,
     /// Cross-schema consistency error / warning counts at the head.
     pub errors: usize,
     pub warnings: usize,
@@ -321,15 +328,16 @@ impl DesignService {
 
     fn snapshot(session: &Session, shrink: &Arc<SchemaGraph>) -> ReadView {
         let repo = session.repository();
-        let consistency = repo.consistency();
+        let ws = repo.workspace();
+        let (errors, warnings) = ws.consistency_counts();
         ReadView {
             rev: repo.total_ops(),
-            types: repo.workspace().working().type_count(),
-            concepts: session.concepts().all().count(),
-            odl: repo.custom_schema_odl(),
-            errors: consistency.errors().count(),
-            warnings: consistency.warnings().count(),
-            working: Arc::new(repo.workspace().working().clone()),
+            types: ws.working().type_count(),
+            concepts: ws.concept_count(),
+            odl: ws.custom_odl(),
+            errors,
+            warnings,
+            working: Arc::new(ws.working().clone()),
             shrink: Arc::clone(shrink),
         }
     }
@@ -697,7 +705,7 @@ impl DesignService {
         let view = self.view();
         Response::Exported {
             rev: view.rev,
-            odl: view.odl.clone(),
+            odl: view.odl.to_string(),
         }
     }
 
@@ -968,7 +976,7 @@ mod tests {
 
         let reloaded = Session::load_with(Box::new(io.clone()), &dir).expect("reload");
         assert!(reloaded.recovery().is_some_and(|r| r.is_clean()));
-        assert_eq!(reloaded.repository().custom_schema_odl(), before);
+        assert_eq!(reloaded.repository().custom_schema_odl(), *before);
     }
 
     #[test]

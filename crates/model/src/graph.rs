@@ -10,10 +10,12 @@
 //! turns these reports into the designer-facing *impact reports* of the
 //! paper (activity 9).
 
+use crate::arena::ChunkedVec;
 use crate::error::ModelError;
 use crate::ids::{AttrId, LinkId, OpId, RelId, TypeId};
 use crate::intern::{SymKey, Symbol};
 use std::collections::HashMap;
+use std::sync::Arc;
 use sws_odl::{Cardinality, CollectionKind, DomainType, HierKind, Key, Operation, Param};
 
 /// One object type (interface definition).
@@ -327,18 +329,91 @@ impl UndoPatch {
             + self.links.len()
             + self.by_name.len()
     }
+
+    /// Names of every type whose rendered definition this patch can
+    /// change, read against `g` — the graph the patch was committed on,
+    /// either right after the mutation or right before [`SchemaGraph::revert`]
+    /// (the two are the same state).
+    ///
+    /// That is the type of every type before-image and every created type
+    /// slot, plus the owners of every attribute, operation, relationship
+    /// end and link end the patch touched or created, both as the
+    /// before-image has them and as `g` has them now. A type's slot never
+    /// changes its name, so the names are exact. Sorted by symbol id and
+    /// deduplicated.
+    pub fn touched_types(&self, g: &SchemaGraph) -> Vec<Symbol> {
+        let mut owners: Vec<TypeId> = Vec::new();
+        let mut names: Vec<Symbol> = self.by_name.iter().map(|(name, _)| *name).collect();
+        names.extend(self.types.iter().map(|(_, node)| node.name));
+        names.extend(g.types.iter().skip(self.base_types).map(|n| n.name));
+        for (i, old) in &self.attrs {
+            owners.push(old.owner);
+            owners.extend(g.attrs.get(*i).map(|n| n.owner));
+        }
+        owners.extend(g.attrs.iter().skip(self.base_attrs).map(|n| n.owner));
+        for (i, old) in &self.ops {
+            owners.push(old.owner);
+            owners.extend(g.ops.get(*i).map(|n| n.owner));
+        }
+        owners.extend(g.ops.iter().skip(self.base_ops).map(|n| n.owner));
+        let rel_owners = |n: &RelNode| [n.ends[0].owner, n.ends[1].owner];
+        for (i, old) in &self.rels {
+            owners.extend(rel_owners(old));
+            owners.extend(g.rels.get(*i).into_iter().flat_map(rel_owners));
+        }
+        owners.extend(g.rels.iter().skip(self.base_rels).flat_map(rel_owners));
+        let link_owners = |n: &LinkNode| [n.parent, n.child];
+        for (i, old) in &self.links {
+            owners.extend(link_owners(old));
+            owners.extend(g.links.get(*i).into_iter().flat_map(link_owners));
+        }
+        owners.extend(g.links.iter().skip(self.base_links).flat_map(link_owners));
+        names.extend(
+            owners
+                .iter()
+                .filter_map(|t| g.types.get(t.index()).map(|n| n.name)),
+        );
+        names.sort_unstable_by_key(|s| s.index());
+        names.dedup();
+        names
+    }
+
+    /// Could reverting this patch (equivalently: could the mutation it
+    /// journals) change the concept-schema decomposition's *shape* — the
+    /// set of live types, generalization edges, or hierarchy links? Read
+    /// against `g` as in [`Self::touched_types`]. False means every
+    /// supertype list, subtype list, link list and `alive` flag is as it
+    /// was, so a concept count taken before still holds.
+    pub fn changes_hierarchy(&self, g: &SchemaGraph) -> bool {
+        g.types.len() != self.base_types
+            || g.links.len() != self.base_links
+            || self.types.iter().any(|(i, old)| {
+                g.types.get(*i).is_none_or(|now| {
+                    now.alive != old.alive
+                        || now.supertypes != old.supertypes
+                        || now.subtypes != old.subtypes
+                        || now.parent_links != old.parent_links
+                        || now.child_links != old.child_links
+                })
+            })
+    }
 }
 
 /// The schema graph. See the module docs.
+///
+/// Cloning is cheap: the arenas are copy-on-write chunks and the name
+/// index is shared until the next type is added or removed, so a clone
+/// costs one refcount bump per chunk (see `arena.rs`) and the first write
+/// after it copies only the chunks it lands in.
 #[derive(Debug, Clone)]
 pub struct SchemaGraph {
     name: String,
-    types: Vec<TypeNode>,
-    attrs: Vec<AttrNode>,
-    rels: Vec<RelNode>,
-    ops: Vec<OpNode>,
-    links: Vec<LinkNode>,
-    by_name: HashMap<Symbol, TypeId>,
+    types: ChunkedVec<TypeNode>,
+    attrs: ChunkedVec<AttrNode>,
+    rels: ChunkedVec<RelNode>,
+    ops: ChunkedVec<OpNode>,
+    links: ChunkedVec<LinkNode>,
+    by_name: Arc<HashMap<Symbol, TypeId>>,
     /// Count of live (non-tombstoned) type slots, maintained incrementally
     /// so `type_count` is O(1) on the checking hot paths.
     live_types: usize,
@@ -353,12 +428,12 @@ impl SchemaGraph {
     pub fn new(name: impl Into<String>) -> Self {
         SchemaGraph {
             name: name.into(),
-            types: Vec::new(),
-            attrs: Vec::new(),
-            rels: Vec::new(),
-            ops: Vec::new(),
-            links: Vec::new(),
-            by_name: HashMap::new(),
+            types: ChunkedVec::new(),
+            attrs: ChunkedVec::new(),
+            rels: ChunkedVec::new(),
+            ops: ChunkedVec::new(),
+            links: ChunkedVec::new(),
+            by_name: Arc::default(),
             live_types: 0,
             generation: 0,
             journal: None,
@@ -380,6 +455,11 @@ impl SchemaGraph {
 
     fn bump(&mut self) {
         self.generation += 1;
+    }
+
+    /// The name index, unshared first if a clone still holds it.
+    fn names_mut(&mut self) -> &mut HashMap<Symbol, TypeId> {
+        Arc::make_mut(&mut self.by_name)
     }
 
     // ------------------------------------------------------------------
@@ -425,6 +505,13 @@ impl SchemaGraph {
     /// reverse order of the mutations they journal.
     pub fn revert(&mut self, patch: &UndoPatch) {
         debug_assert!(self.journal.is_none(), "revert during an active journal");
+        // The live-type count moves only where the patch reaches: slots
+        // created after begin_undo (dropped below) and before-images whose
+        // `alive` flag differs from the slot they restore.
+        let mut live = self.live_types;
+        live -= (patch.base_types..self.types.len())
+            .filter(|&i| self.types[i].alive)
+            .count();
         // Slots created after begin_undo are at the arena tails: drop them.
         self.types.truncate(patch.base_types);
         self.attrs.truncate(patch.base_attrs);
@@ -433,6 +520,11 @@ impl SchemaGraph {
         self.links.truncate(patch.base_links);
         // Restore before-images (all indices are below the base lengths).
         for (i, node) in &patch.types {
+            match (self.types[*i].alive, node.alive) {
+                (false, true) => live += 1,
+                (true, false) => live -= 1,
+                _ => {}
+            }
             self.types[*i] = node.clone();
         }
         for (i, node) in &patch.attrs {
@@ -447,19 +539,20 @@ impl SchemaGraph {
         for (i, node) in &patch.links {
             self.links[*i] = node.clone();
         }
-        for (name, prev) in &patch.by_name {
-            match prev {
-                Some(id) => {
-                    self.by_name.insert(*name, *id);
-                }
-                None => {
-                    self.by_name.remove(name);
+        if !patch.by_name.is_empty() {
+            let names = self.names_mut();
+            for (name, prev) in &patch.by_name {
+                match prev {
+                    Some(id) => {
+                        names.insert(*name, *id);
+                    }
+                    None => {
+                        names.remove(name);
+                    }
                 }
             }
         }
-        // The truncation/restore above can both revive and re-kill slots;
-        // recount rather than track each transition.
-        self.live_types = self.types.iter().filter(|n| n.alive).count();
+        self.live_types = live;
         self.bump();
     }
 
@@ -779,7 +872,7 @@ impl SchemaGraph {
             child_links: Vec::new(),
             alive: true,
         });
-        self.by_name.insert(sym, id);
+        self.names_mut().insert(sym, id);
         self.live_types += 1;
         Ok(id)
     }
@@ -936,7 +1029,7 @@ impl SchemaGraph {
         node.child_links.clear();
         node.supertypes.clear();
         node.subtypes.clear();
-        self.by_name.remove(&name);
+        self.names_mut().remove(&name);
         self.live_types -= 1;
         Ok(report)
     }
@@ -2314,5 +2407,198 @@ mod tests {
         assert_eq!(g.op(f).owner, b);
         assert!(g.find_op(a, "f").is_none());
         assert_eq!(g.find_op(b, "f"), Some(f));
+    }
+
+    /// A small deterministic mutation source for the journal properties:
+    /// every call does one random mutation (errors are fine: a rejected
+    /// mutator leaves the graph untouched).
+    struct Mutator {
+        state: u64,
+        fresh: usize,
+    }
+
+    impl Mutator {
+        fn new(seed: u64) -> Mutator {
+            Mutator {
+                state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+                fresh: 0,
+            }
+        }
+
+        fn next(&mut self, n: usize) -> usize {
+            self.state ^= self.state << 13;
+            self.state ^= self.state >> 7;
+            self.state ^= self.state << 17;
+            (self.state % n.max(1) as u64) as usize
+        }
+
+        fn live_type(&mut self, g: &SchemaGraph) -> Option<TypeId> {
+            let live: Vec<TypeId> = g.types().map(|(id, _)| id).collect();
+            (!live.is_empty()).then(|| live[self.next(live.len())])
+        }
+
+        fn mutate(&mut self, g: &mut SchemaGraph) {
+            self.fresh += 1;
+            let (Some(a), Some(b)) = (self.live_type(g), self.live_type(g)) else {
+                let _ = g.add_type(&format!("T{}", self.fresh));
+                return;
+            };
+            let name = format!("m{}", self.fresh);
+            let _ = match self.next(9) {
+                // Reuse a small name pool so deleted names come back.
+                0 => g.add_type(&format!("T{}", self.next(12))).map(|_| ()),
+                1 => g.remove_type(a, RemoveTypeMode::default()).map(|_| ()),
+                2 => g.add_supertype(a, b),
+                3 => g
+                    .add_attribute(a, &name, DomainType::Long, None)
+                    .map(|_| ()),
+                4 => match g.ty(a).attrs.first().copied() {
+                    Some(x) => g.move_attribute(x, b).map(|_| ()),
+                    None => Ok(()),
+                },
+                5 => g
+                    .add_relationship(
+                        a,
+                        &name,
+                        Cardinality::One,
+                        Vec::new(),
+                        b,
+                        &format!("{name}_inv"),
+                        Cardinality::One,
+                        Vec::new(),
+                    )
+                    .map(|_| ()),
+                6 => match g.ty(a).rel_ends.first().copied() {
+                    Some((r, e)) => g.retarget_rel_end(r, e, b),
+                    None => Ok(()),
+                },
+                7 => g
+                    .add_link(
+                        HierKind::PartOf,
+                        a,
+                        &name,
+                        CollectionKind::Set,
+                        Vec::new(),
+                        b,
+                        &format!("{name}_of"),
+                    )
+                    .map(|_| ()),
+                _ => match g.ty(a).child_links.first().copied() {
+                    Some(l) => g.remove_link(l).map(|_| ()),
+                    None => g.remove_supertype(a, b),
+                },
+            };
+        }
+    }
+
+    fn interfaces(g: &SchemaGraph) -> HashMap<Symbol, sws_odl::Interface> {
+        g.types()
+            .map(|(id, n)| (n.name, crate::lower::type_to_interface(g, id)))
+            .collect()
+    }
+
+    type Shape = Vec<(Symbol, Vec<TypeId>, Vec<TypeId>, Vec<LinkId>, Vec<LinkId>)>;
+
+    fn shape(g: &SchemaGraph) -> Shape {
+        g.types()
+            .map(|(_, n)| {
+                let sorted = |v: &Vec<TypeId>| {
+                    let mut v = v.clone();
+                    v.sort();
+                    v
+                };
+                (
+                    n.name,
+                    sorted(&n.supertypes),
+                    sorted(&n.subtypes),
+                    n.parent_links.clone(),
+                    n.child_links.clone(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn revert_keeps_the_live_count_equal_to_a_scan() {
+        for seed in 1..=24u64 {
+            let mut mutator = Mutator::new(seed);
+            let mut g = graph();
+            let mut patches = Vec::new();
+            for _ in 0..80 {
+                if !patches.is_empty() && mutator.next(3) == 0 {
+                    g.revert(&patches.pop().unwrap());
+                } else {
+                    g.begin_undo();
+                    for _ in 0..=mutator.next(3) {
+                        mutator.mutate(&mut g);
+                    }
+                    patches.push(g.commit_undo());
+                }
+                assert_eq!(g.type_count(), g.types().count(), "seed {seed}");
+                assert_eq!(g.by_name.len(), g.type_count(), "seed {seed}");
+            }
+            while let Some(p) = patches.pop() {
+                g.revert(&p);
+                assert_eq!(g.type_count(), g.types().count(), "seed {seed}");
+            }
+            assert_eq!(g.type_slots(), 0);
+        }
+    }
+
+    #[test]
+    fn touched_types_cover_every_changed_interface() {
+        for seed in 1..=24u64 {
+            let mut mutator = Mutator::new(seed + 100);
+            let mut g = graph();
+            for _ in 0..60 {
+                let (before, before_shape) = (interfaces(&g), shape(&g));
+                g.begin_undo();
+                for _ in 0..=mutator.next(3) {
+                    mutator.mutate(&mut g);
+                }
+                let patch = g.commit_undo();
+                let (after, after_shape) = (interfaces(&g), shape(&g));
+                let touched = patch.touched_types(&g);
+                for name in before.keys().chain(after.keys()) {
+                    if before.get(name) != after.get(name) {
+                        assert!(
+                            touched.contains(name),
+                            "seed {seed}: `{name}` changed untracked"
+                        );
+                    }
+                }
+                if !patch.changes_hierarchy(&g) {
+                    assert_eq!(before_shape, after_shape, "seed {seed}");
+                }
+                // Read before reverting, the same patch names the same types.
+                let mut undone = g.clone();
+                assert_eq!(patch.touched_types(&undone), touched);
+                undone.revert(&patch);
+                assert_eq!(interfaces(&undone), before, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_clone_is_isolated_from_later_writes() {
+        let mut g = graph();
+        let mut mutator = Mutator::new(0x5EED);
+        for _ in 0..200 {
+            mutator.mutate(&mut g);
+        }
+        let snapshot = g.clone();
+        let frozen = interfaces(&snapshot);
+        assert!(g.types.shares_chunk_with(&snapshot.types, 0));
+        for _ in 0..50 {
+            mutator.mutate(&mut g);
+        }
+        assert_eq!(interfaces(&snapshot), frozen);
+        assert_eq!(snapshot.type_count(), snapshot.types().count());
+        // A write unshares the chunk it lands in, and only for the writer.
+        let id = g.types().next().map(|(id, _)| id).unwrap();
+        let fresh = g.clone();
+        g.set_abstract(id, true).unwrap();
+        assert!(!g.types.shares_chunk_with(&fresh.types, id.index()));
+        assert!(!fresh.ty(id).is_abstract);
     }
 }

@@ -10,6 +10,7 @@
 //! Modules:
 //!
 //! * [`ids`] — newtype IDs,
+//! * `arena` — the copy-on-write chunked storage behind the graph's arenas,
 //! * [`graph`] — the graph, its accessors and invariant-preserving mutators
 //!   (with cascade reporting for the propagation rules),
 //! * [`lower`] — lossless conversion between `sws_odl::Schema` ASTs and
@@ -22,6 +23,7 @@
 //! * [`error`] — mutation error type.
 #![forbid(unsafe_code)]
 
+mod arena;
 pub mod cache;
 pub mod diff;
 pub mod error;
@@ -45,6 +47,6 @@ pub use graph::{
 pub use ids::{AttrId, LinkId, OpId, RelId, TypeId};
 pub use index::{Adjacency, ClosureIndex, ClosureScratch};
 pub use intern::{SymKey, Symbol};
-pub use lower::{graph_to_schema, schema_to_graph, LowerError};
+pub use lower::{graph_to_schema, schema_to_graph, type_to_interface, LowerError};
 pub use view::{CachedView, SchemaView};
 pub use wf::{check_type_into, check_type_well_formed, check_well_formed, WfIssue, WfScratch};

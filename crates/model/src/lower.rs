@@ -10,6 +10,7 @@
 
 use crate::error::ModelError;
 use crate::graph::SchemaGraph;
+use crate::ids::TypeId;
 use std::fmt;
 use sws_odl::{Attribute, Cardinality, HierKind, HierLink, Interface, Relationship, Schema};
 
@@ -247,99 +248,105 @@ fn pair_link(
     Ok(Some(back.clone()))
 }
 
-/// Produce the canonical AST for a graph (see module docs).
+/// Produce the canonical AST for a graph (see module docs): one
+/// [`type_to_interface`] per live type, in name order.
 pub fn graph_to_schema(g: &SchemaGraph) -> Schema {
     let mut schema = Schema::new(g.name());
     let mut interfaces: Vec<Interface> = Vec::with_capacity(g.type_count());
-
-    for (_, node) in g.types() {
-        let mut iface = Interface::new(node.name.to_string());
-        iface.is_abstract = node.is_abstract;
-        iface.extent = node.extent.map(|e| e.to_string());
-        iface.keys = node.keys.iter().map(|k| k.to_key()).collect();
-        iface.keys.sort_by_key(|k| k.to_string());
-        iface.supertypes = node
-            .supertypes
-            .iter()
-            .map(|&s| g.type_name(s).to_string())
-            .collect();
-        iface.supertypes.sort();
-
-        iface.attributes = node
-            .attrs
-            .iter()
-            .map(|&a| {
-                let attr = g.attr(a);
-                Attribute {
-                    name: attr.name.to_string(),
-                    ty: attr.ty.clone(),
-                    size: attr.size,
-                }
-            })
-            .collect();
-        iface.attributes.sort_by(|a, b| a.name.cmp(&b.name));
-
-        iface.operations = node.ops.iter().map(|&o| g.op(o).op.clone()).collect();
-        iface.operations.sort_by(|a, b| a.name.cmp(&b.name));
-
-        iface.relationships = node
-            .rel_ends
-            .iter()
-            .map(|&(r, e)| {
-                let rel = g.rel(r);
-                let mine = rel.end(e);
-                let other = rel.other(e);
-                Relationship {
-                    path: mine.path.to_string(),
-                    target: g.type_name(other.owner).to_string(),
-                    cardinality: mine.cardinality,
-                    inverse_path: other.path.to_string(),
-                    order_by: mine.order_by.iter().map(|s| s.to_string()).collect(),
-                }
-            })
-            .collect();
-        iface.relationships.sort_by(|a, b| a.path.cmp(&b.path));
-
-        let hier = |kind: HierKind| -> Vec<HierLink> {
-            let mut out = Vec::new();
-            for &l in &node.parent_links {
-                let link = g.link(l);
-                if link.kind != kind {
-                    continue;
-                }
-                out.push(HierLink {
-                    path: link.parent_path.to_string(),
-                    target: g.type_name(link.child).to_string(),
-                    cardinality: Cardinality::Many(link.collection),
-                    inverse_path: link.child_path.to_string(),
-                    order_by: link.order_by.iter().map(|s| s.to_string()).collect(),
-                });
-            }
-            for &l in &node.child_links {
-                let link = g.link(l);
-                if link.kind != kind {
-                    continue;
-                }
-                out.push(HierLink {
-                    path: link.child_path.to_string(),
-                    target: g.type_name(link.parent).to_string(),
-                    cardinality: Cardinality::One,
-                    inverse_path: link.parent_path.to_string(),
-                    order_by: Vec::new(),
-                });
-            }
-            out.sort_by(|a, b| a.path.cmp(&b.path));
-            out
-        };
-        iface.part_ofs = hier(HierKind::PartOf);
-        iface.instance_ofs = hier(HierKind::InstanceOf);
-
-        interfaces.push(iface);
-    }
-
+    interfaces.extend(g.types().map(|(id, _)| type_to_interface(g, id)));
     interfaces.sort_by(|a, b| a.name.cmp(&b.name));
     schema.interfaces = interfaces;
     schema
+}
+
+/// The canonical interface definition of live type `id`: members sorted
+/// by name, keys by rendering, supertypes by name. It reads only `id`'s
+/// own node, the members it owns, and the names of the types those
+/// members point at — so it changes only when an op touches `id` or one
+/// of its members (see `UndoPatch::touched_types`).
+pub fn type_to_interface(g: &SchemaGraph, id: TypeId) -> Interface {
+    let node = g.ty(id);
+    let mut iface = Interface::new(node.name.to_string());
+    iface.is_abstract = node.is_abstract;
+    iface.extent = node.extent.map(|e| e.to_string());
+    iface.keys = node.keys.iter().map(|k| k.to_key()).collect();
+    iface.keys.sort_by_key(|k| k.to_string());
+    iface.supertypes = node
+        .supertypes
+        .iter()
+        .map(|&s| g.type_name(s).to_string())
+        .collect();
+    iface.supertypes.sort();
+
+    iface.attributes = node
+        .attrs
+        .iter()
+        .map(|&a| {
+            let attr = g.attr(a);
+            Attribute {
+                name: attr.name.to_string(),
+                ty: attr.ty.clone(),
+                size: attr.size,
+            }
+        })
+        .collect();
+    iface.attributes.sort_by(|a, b| a.name.cmp(&b.name));
+
+    iface.operations = node.ops.iter().map(|&o| g.op(o).op.clone()).collect();
+    iface.operations.sort_by(|a, b| a.name.cmp(&b.name));
+
+    iface.relationships = node
+        .rel_ends
+        .iter()
+        .map(|&(r, e)| {
+            let rel = g.rel(r);
+            let mine = rel.end(e);
+            let other = rel.other(e);
+            Relationship {
+                path: mine.path.to_string(),
+                target: g.type_name(other.owner).to_string(),
+                cardinality: mine.cardinality,
+                inverse_path: other.path.to_string(),
+                order_by: mine.order_by.iter().map(|s| s.to_string()).collect(),
+            }
+        })
+        .collect();
+    iface.relationships.sort_by(|a, b| a.path.cmp(&b.path));
+
+    let hier = |kind: HierKind| -> Vec<HierLink> {
+        let mut out = Vec::new();
+        for &l in &node.parent_links {
+            let link = g.link(l);
+            if link.kind != kind {
+                continue;
+            }
+            out.push(HierLink {
+                path: link.parent_path.to_string(),
+                target: g.type_name(link.child).to_string(),
+                cardinality: Cardinality::Many(link.collection),
+                inverse_path: link.child_path.to_string(),
+                order_by: link.order_by.iter().map(|s| s.to_string()).collect(),
+            });
+        }
+        for &l in &node.child_links {
+            let link = g.link(l);
+            if link.kind != kind {
+                continue;
+            }
+            out.push(HierLink {
+                path: link.child_path.to_string(),
+                target: g.type_name(link.parent).to_string(),
+                cardinality: Cardinality::One,
+                inverse_path: link.parent_path.to_string(),
+                order_by: Vec::new(),
+            });
+        }
+        out.sort_by(|a, b| a.path.cmp(&b.path));
+        out
+    };
+    iface.part_ofs = hier(HierKind::PartOf);
+    iface.instance_ofs = hier(HierKind::InstanceOf);
+    iface
 }
 
 #[cfg(test)]

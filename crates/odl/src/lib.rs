@@ -60,6 +60,6 @@ pub use ast::{
 };
 pub use error::{OdlError, OdlErrorKind, Span, MAX_TYPE_NESTING};
 pub use parser::{parse_interface, parse_schema};
-pub use printer::{print_interface, print_schema};
+pub use printer::{assemble_schema, print_interface, print_interface_block, print_schema};
 pub use types::{CollectionKind, DomainType};
 pub use validate::{validate_schema, ValidationIssue};

@@ -12,15 +12,48 @@ use std::fmt::Write;
 /// Print a schema with a `schema Name { ... }` wrapper.
 pub fn print_schema(schema: &Schema) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "schema {} {{", schema.name);
-    for (idx, iface) in schema.interfaces.iter().enumerate() {
+    write_schema(&mut out, &schema.name, &schema.interfaces, |out, iface| {
+        print_interface_into(iface, out, 1)
+    });
+    out
+}
+
+/// Print one interface exactly as [`print_schema`] prints it inside the
+/// schema wrapper (indented one level). Callers that keep these blocks
+/// per interface can rebuild the whole text with [`assemble_schema`]
+/// without re-printing the interfaces that did not change.
+pub fn print_interface_block(iface: &Interface) -> String {
+    let mut out = String::new();
+    print_interface_into(iface, &mut out, 1);
+    out
+}
+
+/// Write into `out` (cleared first) the schema named `name` whose
+/// interfaces, in order, printed as `blocks` ([`print_interface_block`]).
+/// Byte-identical to [`print_schema`] on the same interfaces.
+pub fn assemble_schema<'a>(
+    out: &mut String,
+    name: &str,
+    blocks: impl IntoIterator<Item = &'a str>,
+) {
+    out.clear();
+    write_schema(out, name, blocks, |out, block| out.push_str(block));
+}
+
+fn write_schema<T>(
+    out: &mut String,
+    name: &str,
+    items: impl IntoIterator<Item = T>,
+    mut print: impl FnMut(&mut String, T),
+) {
+    let _ = writeln!(out, "schema {name} {{");
+    for (idx, item) in items.into_iter().enumerate() {
         if idx > 0 {
             out.push('\n');
         }
-        print_interface_into(iface, &mut out, 1);
+        print(out, item);
     }
     out.push_str("}\n");
-    out
 }
 
 /// Print a single interface definition (no schema wrapper).
@@ -194,6 +227,21 @@ mod tests {
         let schema = parse_schema(FULL).unwrap();
         let printed = print_schema(&schema);
         assert!(printed.contains("abstract interface Person : Root {"));
+    }
+
+    #[test]
+    fn assembled_blocks_equal_the_whole_print() {
+        let schema = parse_schema(FULL).unwrap();
+        let blocks: Vec<String> = schema
+            .interfaces
+            .iter()
+            .map(print_interface_block)
+            .collect();
+        let mut out = String::from("stale");
+        assemble_schema(&mut out, &schema.name, blocks.iter().map(String::as_str));
+        assert_eq!(out, print_schema(&schema));
+        assemble_schema(&mut out, "Empty", std::iter::empty());
+        assert_eq!(out, print_schema(&Schema::new("Empty")));
     }
 
     #[test]

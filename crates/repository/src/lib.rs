@@ -46,6 +46,7 @@
 //!   shrink wrap schema is fatal.
 #![forbid(unsafe_code)]
 
+use std::cell::OnceCell;
 use std::fmt;
 use std::io as stdio;
 use std::path::Path;
@@ -230,6 +231,9 @@ pub struct Repository {
     /// Checkpoint state as committed on disk (generation + retained
     /// snapshots); default for never-checkpointed sessions.
     checkpoint: CheckpointMeta,
+    /// The shrink wrap's ODL text, rendered on first use: the shrink wrap
+    /// never changes, so every save and checkpoint writes these bytes.
+    shrink_wrap_odl: OnceCell<String>,
 }
 
 /// What [`Repository::checkpoint_with`] did.
@@ -259,6 +263,7 @@ impl Repository {
             base_seq: 0,
             seed_moves: Vec::new(),
             checkpoint: CheckpointMeta::default(),
+            shrink_wrap_odl: OnceCell::new(),
         }
     }
 
@@ -275,6 +280,7 @@ impl Repository {
             base_seq: 0,
             seed_moves: Vec::new(),
             checkpoint: CheckpointMeta::default(),
+            shrink_wrap_odl: OnceCell::new(),
         }
     }
 
@@ -302,7 +308,7 @@ impl Repository {
 
     /// The custom schema as canonical extended-ODL text (canonical names).
     pub fn custom_schema_odl(&self) -> String {
-        print_schema(&graph_to_schema(self.workspace.working()))
+        self.workspace.custom_odl().to_string()
     }
 
     /// The custom schema as extended-ODL text with the designer's local
@@ -349,7 +355,13 @@ impl Repository {
 
     /// The shrink wrap schema as canonical extended-ODL text.
     pub fn shrink_wrap_odl(&self) -> String {
-        print_schema(&graph_to_schema(self.workspace.shrink_wrap()))
+        self.shrink_wrap_text().to_string()
+    }
+
+    /// The shrink wrap's ODL text, rendered once per repository.
+    fn shrink_wrap_text(&self) -> &str {
+        self.shrink_wrap_odl
+            .get_or_init(|| print_schema(&graph_to_schema(self.workspace.shrink_wrap())))
     }
 
     /// Derive the shrink-wrap ↔ custom mapping. Move ops archived by a
@@ -500,12 +512,14 @@ impl Repository {
             files += 1;
             Ok(())
         };
-        write(CUSTOM_FILE, &self.custom_schema_odl())?;
+        // The workspace keeps the last assembled text until an op changes
+        // it, so a checkpoint's snapshot and this file share one render.
+        write(CUSTOM_FILE, &self.workspace.custom_odl())?;
         write(MAPPING_FILE, &self.mapping().render())?;
         if !self.aliases.is_empty() {
             write(ALIASES_FILE, &self.aliases.render())?;
         }
-        write(SHRINK_WRAP_FILE, &self.shrink_wrap_odl())?;
+        write(SHRINK_WRAP_FILE, self.shrink_wrap_text())?;
         io.write_atomic(&dir.join(MANIFEST_FILE), manifest.render().as_bytes())?;
         Ok(files + 1)
     }
@@ -562,7 +576,7 @@ impl Repository {
         let snap = Snapshot {
             generation,
             ops: total,
-            working_odl: self.custom_schema_odl(),
+            working_odl: self.workspace.custom_odl().to_string(),
             moves,
         };
         let snap_bytes = snap.render();

@@ -13,11 +13,23 @@
 //!
 //! A second guard pins submit at head to O(op): one `Session::issue`
 //! allocates about as much with 2,000 ops of history as with 10.
+//!
+//! A third pins the read-view publish to O(batch): one accepted
+//! `DesignService::handle(Submit)` — apply, resync, and publish of the
+//! new view — allocates about as often on a 10,000-type schema as on a
+//! 1,000-type one. It runs in release builds (`cargo test --release
+//! --features alloc-stats --test alloc_attribution`): debug builds check
+//! every incremental read against a from-scratch one inside the publish,
+//! and those oracles allocate per type by design.
 
 #![cfg(feature = "alloc-stats")]
 
 use shrink_wrap_schemas::core::{ConceptKind, ModOp, Workspace};
+use shrink_wrap_schemas::corpus::synthetic::SyntheticSpec;
 use shrink_wrap_schemas::corpus::university;
+use shrink_wrap_schemas::designer::{DesignService, OpEnvelope, Request, Response, Session};
+use shrink_wrap_schemas::model::graph_to_schema;
+use shrink_wrap_schemas::odl::print_schema;
 use std::sync::{Mutex, PoisonError};
 use sws_trace::{FieldValue, Recorder, TraceSummary};
 
@@ -157,5 +169,84 @@ fn issue_allocation_does_not_grow_with_history() {
     assert!(
         long <= 2 * short,
         "issue at history 2000 allocated {long} bytes, at history 10 {short} bytes"
+    );
+}
+
+/// `alloc.count` of one accepted single-op submit at head on a synthetic
+/// schema of `types` types, after one warm-up submit (so every lazily
+/// synced read state is current, as on a live server).
+fn publish_allocations_at(types: usize) -> u64 {
+    let g = SyntheticSpec::sized(types, 31).generate();
+    let service = DesignService::new(
+        Session::from_odl(&print_schema(&graph_to_schema(&g))).expect("synthetic schema ingests"),
+    );
+    let opened = service.handle(Request::Open {
+        session: "guard".to_string(),
+    });
+    assert!(matches!(opened, Response::Opened { .. }), "{opened:?}");
+    // A type outside every generalization hierarchy with few
+    // relationships: the consistency resync then rechecks a handful of
+    // types on the serial path at both sizes, so the guard measures the
+    // publish rather than the shape of the random hierarchy.
+    let focal = g
+        .types()
+        .filter(|(_, n)| n.supertypes.is_empty() && n.subtypes.is_empty() && n.rel_ends.len() <= 2)
+        .map(|(_, n)| n.name.to_string())
+        .last()
+        .expect("some type stands outside the hierarchies");
+    let submit = |base_rev: u64, attr: &str| Request::Submit {
+        session: "guard".to_string(),
+        base_rev,
+        ops: vec![OpEnvelope {
+            context: ConceptKind::WagonWheel,
+            statement: format!("add_attribute({focal}, long, {attr})"),
+        }],
+    };
+    let accepted = |response: Response| match response {
+        Response::Accepted { rev, .. } => rev,
+        other => panic!("submit at head must be accepted, got {other:?}"),
+    };
+    let rev = accepted(service.handle(submit(0, "zz_warm")));
+
+    let rec = Recorder::new();
+    let guard = rec.install_thread();
+    {
+        let _span = sws_trace::span("test.publish_at_head");
+        accepted(service.handle(submit(rev, "zz_guard")));
+    }
+    drop(guard);
+    let trace = rec.take();
+    let close = trace
+        .events
+        .iter()
+        .find(|e| {
+            e.name == "test.publish_at_head"
+                && matches!(e.kind, sws_trace::EventKind::SpanClose { .. })
+        })
+        .expect("the submit span closed under the recorder");
+    match close.fields.iter().find(|(k, _)| *k == "alloc.count") {
+        Some((_, FieldValue::U64(count))) => *count,
+        other => panic!("missing alloc.count on the submit span: {other:?}"),
+    }
+}
+
+/// Publishing a read view costs O(batch), not O(schema): one accepted
+/// submit allocates at most 2x as often on 10,000 types as on 1,000. A
+/// publish that re-renders the whole custom schema, decomposes it, or
+/// deep-copies the working graph allocates per type and fails here.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds run from-scratch oracles inside the publish; run with --release"
+)]
+fn publish_allocation_does_not_grow_with_schema_size() {
+    let _serial = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let small = publish_allocations_at(1_000);
+    let large = publish_allocations_at(10_000);
+    eprintln!("publish alloc.count: {small} at 1,000 types, {large} at 10,000");
+    assert!(small > 0, "the submit span should allocate; got 0");
+    assert!(
+        large <= 2 * small,
+        "submit at 10,000 types allocated {large} times, at 1,000 types {small} times"
     );
 }

@@ -8,17 +8,21 @@
 //!   structurally identical to the shrink wrap schema.
 //! * The same holds when random scripts interleave `undo_last` and
 //!   re-applying undone ops (the designer's undo/redo): every step keeps
-//!   the incremental report equal to a from-scratch run.
+//!   the incremental report equal to a from-scratch run, and likewise the
+//!   per-interface ODL (`Workspace::custom_odl`), the maintained
+//!   error/warning counts and the concept count.
 //! * A `QueryCache` interleaved with arbitrary mutations always answers
 //!   exactly like the uncached `query` traversals.
 
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
-use shrink_wrap_schemas::core::{check_consistency, AppliedOp, ConceptKind, ModOp, Workspace};
+use shrink_wrap_schemas::core::{
+    check_consistency, decompose, AppliedOp, ConceptKind, ModOp, Workspace,
+};
 use shrink_wrap_schemas::corpus::university;
-use shrink_wrap_schemas::model::{diff_graphs, query, QueryCache};
-use shrink_wrap_schemas::odl::DomainType;
+use shrink_wrap_schemas::model::{diff_graphs, graph_to_schema, query, QueryCache};
+use shrink_wrap_schemas::odl::{print_schema, DomainType};
 
 /// Names likely to exist in the university schema plus some that don't.
 fn type_name() -> impl Strategy<Value = String> {
@@ -140,7 +144,14 @@ proptest! {
             }
             let incremental = ws.consistency();
             let full = check_consistency(ws.working(), ws.shrink_wrap());
+            prop_assert_eq!(
+                ws.consistency_counts(),
+                (full.errors().count(), full.warnings().count())
+            );
             prop_assert_eq!(incremental, full);
+            let full_odl = print_schema(&graph_to_schema(ws.working()));
+            prop_assert_eq!(&*ws.custom_odl(), full_odl.as_str());
+            prop_assert_eq!(ws.concept_count(), decompose(ws.working()).len());
         }
     }
 

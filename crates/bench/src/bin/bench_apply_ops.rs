@@ -10,7 +10,7 @@ use sws_bench::edit_scripts::edit_stream;
 use sws_bench::report::BenchReport;
 use sws_bench::timing::Runner;
 use sws_core::oplang::parse_statement;
-use sws_core::{parallel, ConceptKind, Workspace};
+use sws_core::{ConceptKind, Workspace};
 use sws_corpus::{synthetic, university};
 
 fn main() {
@@ -81,32 +81,25 @@ fn main() {
         );
     }
 
-    // Threads sweep: edit + incremental verify — the inner loop of a
-    // designer session under `swsd --threads=N`. Worker counts are forced
-    // via the same thread-local override the CLI flag uses.
-    let threads = [1usize, 2, 4, 8];
+    // Edit + incremental verify: the inner loop of a designer session.
     for (n, g) in synthetic::size_sweep(42) {
         let base = Workspace::new(g.clone());
         base.consistency();
         let edits = edit_stream(&g, 64, 11);
-        for t in threads {
-            let mut next = 0usize;
-            runner.bench_batched_ref(
-                &format!("edit_verify/{n}/threads{t}"),
-                || {
-                    let ws = base.clone();
-                    let edit = edits[next % edits.len()].clone();
-                    next += 1;
-                    (ws, edit)
-                },
-                |(ws, (context, op))| {
-                    parallel::with_workers(t, || {
-                        ws.apply(*context, op.clone()).expect("applies");
-                        ws.consistency()
-                    })
-                },
-            );
-        }
+        let mut next = 0usize;
+        runner.bench_batched_ref(
+            &format!("edit_verify/{n}"),
+            || {
+                let ws = base.clone();
+                let edit = edits[next % edits.len()].clone();
+                next += 1;
+                (ws, edit)
+            },
+            |(ws, (context, op))| {
+                ws.apply(*context, op.clone()).expect("applies");
+                ws.consistency()
+            },
+        );
     }
 
     let mut report = BenchReport::from_runner("apply_op", 42, &runner);
@@ -114,7 +107,6 @@ fn main() {
         .iter()
         .map(|(n, _)| *n as u64)
         .collect();
-    report.threads = threads.iter().map(|&t| t as u64).collect();
     let out = std::env::var("SWS_BENCH_OUT")
         .unwrap_or_else(|_| format!("{}/../../BENCH_apply_ops.json", env!("CARGO_MANIFEST_DIR")));
     report.write(&out);

@@ -23,7 +23,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// One measured routine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Metric {
-    /// Routine label, e.g. `full/1000` or `edit_verify/500/threads4`.
+    /// Routine label, e.g. `full/1000` or `edit_verify/500`.
     pub name: String,
     pub p50_ns: u64,
     pub p90_ns: u64,

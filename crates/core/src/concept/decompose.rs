@@ -2,7 +2,6 @@
 //! activity 3) and single-root normalization (§3.2).
 
 use super::{ConceptKind, ConceptSchema};
-use crate::parallel;
 use sws_model::{query, LinkId, SchemaGraph, TypeId};
 use sws_odl::HierKind;
 
@@ -51,36 +50,36 @@ impl Decomposition {
 /// Decompose `g` into its concept schemas. Does not mutate the graph; see
 /// [`normalize_single_root`] for the multi-root transformation.
 ///
-/// Each kind of concept schema is discovered by independent closure walks
-/// (one per seed: type, generalization component, hierarchy root), so the
-/// walks fan out across worker threads via [`crate::parallel::map`]. The
-/// merge is deterministic — results come back in seed order — so the
-/// decomposition is identical at every thread count.
+/// Each kind of concept schema is discovered by independent closure walks,
+/// one per seed (type, generalization component, hierarchy root), in seed
+/// order.
 pub fn decompose(g: &SchemaGraph) -> Decomposition {
     let mut sp = sws_trace::span!("core.decompose", types = g.type_count());
     let mut ww_span = sws_trace::span("core.decompose.wagon_wheels");
-    let ids: Vec<TypeId> = g.types().map(|(id, _)| id).collect();
-    let wagon_wheels = parallel::map(&ids, |_, &id| wagon_wheel(g, id));
+    let wagon_wheels: Vec<ConceptSchema> = g.types().map(|(id, _)| wagon_wheel(g, id)).collect();
     ww_span.record("schemas", wagon_wheels.len());
     ww_span.record("elements", total_elements(&wagon_wheels));
     drop(ww_span);
 
     let mut gen_span = sws_trace::span("core.decompose.generalizations");
     let components = query::generalization_components(g);
-    let generalizations = parallel::map(&components, |_, component| {
-        let roots = query::component_roots(g, component);
-        // Name the hierarchy after its root; with multiple roots (a schema
-        // not yet normalized) fall back to the smallest member.
-        let focal = roots.first().copied().unwrap_or(component[0]);
-        let mut cs = ConceptSchema::new(ConceptKind::Generalization, focal, g.type_name(focal));
-        for &t in component {
-            cs.types.insert(t);
-            for &sup in &g.ty(t).supertypes {
-                cs.gen_edges.insert((t, sup));
+    let generalizations: Vec<ConceptSchema> = components
+        .iter()
+        .map(|component| {
+            let roots = query::component_roots(g, component);
+            // Name the hierarchy after its root; with multiple roots (a schema
+            // not yet normalized) fall back to the smallest member.
+            let focal = roots.first().copied().unwrap_or(component[0]);
+            let mut cs = ConceptSchema::new(ConceptKind::Generalization, focal, g.type_name(focal));
+            for &t in component {
+                cs.types.insert(t);
+                for &sup in &g.ty(t).supertypes {
+                    cs.gen_edges.insert((t, sup));
+                }
             }
-        }
-        cs
-    });
+            cs
+        })
+        .collect();
     gen_span.record("schemas", generalizations.len());
     gen_span.record("elements", total_elements(&generalizations));
     drop(gen_span);
@@ -195,13 +194,16 @@ fn wagon_wheel(g: &SchemaGraph, id: TypeId) -> ConceptSchema {
 fn hier_decompose(g: &SchemaGraph, kind: HierKind, concept: ConceptKind) -> Vec<ConceptSchema> {
     let mut sp = sws_trace::span!("core.decompose.hierarchies", kind = hier_tag(kind));
     let roots = query::hier_roots(g, kind);
-    let out = parallel::map(&roots, |_, &root| {
-        let (types, links) = query::hier_closure(g, kind, root);
-        let mut cs = ConceptSchema::new(concept, root, g.type_name(root));
-        cs.types.extend(types);
-        cs.links.extend(links);
-        cs
-    });
+    let out: Vec<ConceptSchema> = roots
+        .into_iter()
+        .map(|root| {
+            let (types, links) = query::hier_closure(g, kind, root);
+            let mut cs = ConceptSchema::new(concept, root, g.type_name(root));
+            cs.types.extend(types);
+            cs.links.extend(links);
+            cs
+        })
+        .collect();
     sp.record("schemas", out.len());
     sp.record("elements", total_elements(&out));
     out

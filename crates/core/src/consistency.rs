@@ -18,28 +18,23 @@
 //! [`DirtySet`](crate::impact::DirtySet) are re-examined and their stored
 //! findings replaced; the rest of the report is reused verbatim.
 //!
-//! The same decomposition makes the checks parallel: types are sharded
-//! across worker threads (see [`crate::parallel`]), every worker traverses
-//! one shared, frozen [`ClosureIndex`] with a worker-local [`WfScratch`],
-//! and the per-type findings are merged back in arena order before the
-//! stable severity sort — so the report is **byte identical** at every
-//! thread count. `SWS_THREADS=1` takes the exact serial path on the graph's
-//! own adjacency, reusing the engine's persistent scratch.
+//! Every check walks the live graph with one [`WfScratch`] on the calling
+//! thread. A from-scratch check and an incremental resync run the same
+//! per-type code, so their reports are **byte identical**.
 //!
-//! The serial incremental recheck is the steady-state hot path and is
+//! The incremental recheck is the steady-state hot path and is
 //! **allocation-free**: type names are interned [`Symbol`]s (equality is an
 //! integer compare), the traversal scratch is warmed before the
 //! `core.consistency.recheck` span opens, and a clean type produces three
-//! empty (never-allocated) finding vectors. `tests/alloc_attribution.rs`
-//! pins this at zero allocations.
+//! empty (never-allocated) finding vectors. The existence scan that
+//! follows an add-type or delete-type op walks the type arena in place and
+//! allocates only for the types it finds. `tests/alloc_attribution.rs`
+//! pins both at zero allocations.
 
 use crate::impact::DirtySet;
-use crate::parallel;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use sws_model::{
-    check_type_into, Adjacency, ClosureIndex, SchemaGraph, Symbol, TypeId, WfIssue, WfScratch,
-};
+use sws_model::{check_type_into, SchemaGraph, Symbol, TypeId, WfIssue, WfScratch};
 use sws_odl::HierKind;
 
 /// How serious a finding is.
@@ -173,51 +168,22 @@ impl ConsistencyReport {
 
 /// Run all consistency checks on `working` relative to `shrink_wrap`.
 ///
-/// Types are sharded across [`crate::parallel::workers`] worker threads
-/// over one shared frozen [`ClosureIndex`]; the per-type findings are
-/// merged back in arena order (check-major) before the stable severity
-/// sort, so the report does not depend on the thread count.
+/// The per-type findings are merged in arena order (check-major) before
+/// the stable severity sort.
 pub fn check_consistency(working: &SchemaGraph, shrink_wrap: &SchemaGraph) -> ConsistencyReport {
     let mut sp = sws_trace::span!("core.consistency", types = working.type_count());
 
-    let ids: Vec<TypeId> = working.types().map(|(id, _)| id).collect();
     let mut scratch = WfScratch::default();
-    let per_type = compute_findings_for(working, shrink_wrap, &mut scratch, &ids);
+    scratch.ensure_slots(working.type_slots(), working.link_slots());
+    let per_type: Vec<TypeFindings> = working
+        .types()
+        .map(|(id, _)| compute_type_findings(working, shrink_wrap, &mut scratch, id))
+        .collect();
     let findings = assemble_findings(per_type.iter());
 
     sp.record("findings", findings.len());
     sws_trace::counter("consistency.findings", findings.len() as u64);
     ConsistencyReport { findings }
-}
-
-/// All three per-type checks for every id in `ids`, in order. Serial runs
-/// (one worker, or fewer than the parallel threshold) traverse the graph's
-/// own adjacency with the caller's scratch; parallel runs freeze one
-/// [`ClosureIndex`] and share it read-only across all workers, each with a
-/// worker-local scratch. The two backends produce byte-identical
-/// traversals (pinned by tests in `sws-model`), so the findings do not
-/// depend on which path ran.
-fn compute_findings_for(
-    working: &SchemaGraph,
-    shrink_wrap: &SchemaGraph,
-    scratch: &mut WfScratch,
-    ids: &[TypeId],
-) -> Vec<TypeFindings> {
-    let check_gen_cycles = working.type_count() < 10_000;
-    if parallel::parallelism_for(ids.len()) <= 1 {
-        scratch.ensure_slots(working.type_slots(), working.link_slots());
-        ids.iter()
-            .map(|&id| {
-                compute_type_findings(working, shrink_wrap, working, scratch, check_gen_cycles, id)
-            })
-            .collect()
-    } else {
-        let index = ClosureIndex::build(working);
-        parallel::map_with(ids, WfScratch::default, |scratch, _, &id| {
-            scratch.ensure_slots(working.type_slots(), working.link_slots());
-            compute_type_findings(working, shrink_wrap, &index, scratch, check_gen_cycles, id)
-        })
-    }
 }
 
 /// Concatenate per-type findings check-major (all wf, then all
@@ -428,12 +394,13 @@ impl ConsistencyState {
                 sws_trace::span!("core.consistency.full_sync", types = working.type_count());
             self.by_type.clear();
             (self.errors, self.warnings) = (0, 0);
-            let ids: Vec<TypeId> = working.types().map(|(id, _)| id).collect();
-            let per_type = compute_findings_for(working, shrink_wrap, &mut self.scratch, &ids);
-            let rechecked = ids.len();
-            for (id, findings) in ids.into_iter().zip(per_type) {
-                self.put(working.ty(id).name, findings);
+            self.scratch
+                .ensure_slots(working.type_slots(), working.link_slots());
+            for (id, node) in working.types() {
+                let findings = compute_type_findings(working, shrink_wrap, &mut self.scratch, id);
+                self.put(node.name, findings);
             }
+            let rechecked = working.type_count();
             self.full_pending = false;
             self.pending = DirtySet::default();
             sp.record("rechecked", rechecked);
@@ -450,23 +417,23 @@ impl ConsistencyState {
         //    finding.
         let mut names: BTreeSet<Symbol> = dirty.touched;
         if !dirty.existence_changed.is_empty() {
-            let mut esp = sws_trace::span!(
-                "core.consistency.existence_scan",
-                changed = dirty.existence_changed.len()
-            );
-            // The reference scan visits every live type; on large graphs it
-            // dominates the incremental sync, so shard it too.
-            let ids: Vec<TypeId> = working.types().map(|(id, _)| id).collect();
-            let hits = parallel::map(&ids, |_, &id| {
-                type_references_any(working, working.ty(id), &dirty.existence_changed)
-            });
+            // The reference scan visits every live type in place; it
+            // allocates only to record a type that does reference one. Its
+            // count goes on the enclosing span, so the scan span itself
+            // carries no field that could allocate inside it.
             let before = names.len();
-            for (&id, hit) in ids.iter().zip(hits) {
-                if hit {
-                    names.insert(working.ty(id).name);
+            {
+                let _esp = sws_trace::span!(
+                    "core.consistency.existence_scan",
+                    changed = dirty.existence_changed.len()
+                );
+                for (_, node) in working.types() {
+                    if type_references_any(working, node, &dirty.existence_changed) {
+                        names.insert(node.name);
+                    }
                 }
             }
-            esp.record("referencing", names.len() - before);
+            sp.record("referencing", names.len() - before);
         }
 
         let closure = {
@@ -514,34 +481,13 @@ impl ConsistencyState {
             closure
         };
 
-        let ids: Vec<TypeId> = closure.into_iter().collect();
-        let rechecked = ids.len();
-        let check_gen_cycles = working.type_count() < 10_000;
-        if parallel::parallelism_for(rechecked) <= 1 {
-            // Warm the scratch *before* the span opens: everything inside
-            // the recheck span is steady-state and allocation-free.
-            self.scratch
-                .ensure_slots(working.type_slots(), working.link_slots());
+        let rechecked = closure.len();
+        {
+            // The scratch was warmed before the closure span: everything
+            // inside the recheck span is steady-state and allocation-free.
             let _rsp = sws_trace::span!("core.consistency.recheck", types = rechecked);
-            for &id in &ids {
-                let tf = compute_type_findings(
-                    working,
-                    shrink_wrap,
-                    working,
-                    &mut self.scratch,
-                    check_gen_cycles,
-                    id,
-                );
-                self.put(working.ty(id).name, tf);
-            }
-        } else {
-            let _rsp = sws_trace::span!("core.consistency.recheck", types = rechecked);
-            let index = ClosureIndex::build(working);
-            let per_type = parallel::map_with(&ids, WfScratch::default, |scratch, _, &id| {
-                scratch.ensure_slots(working.type_slots(), working.link_slots());
-                compute_type_findings(working, shrink_wrap, &index, scratch, check_gen_cycles, id)
-            });
-            for (&id, tf) in ids.iter().zip(per_type) {
+            for id in closure {
+                let tf = compute_type_findings(working, shrink_wrap, &mut self.scratch, id);
                 self.put(working.ty(id).name, tf);
             }
         }
@@ -568,20 +514,20 @@ impl ConsistencyState {
     }
 }
 
-/// All three per-type checks for one type, traversing `adj` (the graph
-/// itself on the serial path, a shared frozen [`ClosureIndex`] on the
-/// parallel path). Allocation-free when the type is clean and the scratch
-/// is warm: the three finding vectors stay at capacity zero.
-fn compute_type_findings<A: Adjacency>(
+/// All three per-type checks for one type; `scratch` must be sized for
+/// `working`. Allocation-free when the type is clean and the scratch is
+/// warm: the three finding vectors stay at capacity zero.
+fn compute_type_findings(
     working: &SchemaGraph,
     shrink_wrap: &SchemaGraph,
-    adj: &A,
     scratch: &mut WfScratch,
-    check_gen_cycles: bool,
     id: TypeId,
 ) -> TypeFindings {
+    // Generalization-cycle probes are skipped on very large schemas, as in
+    // `sws_model::check_well_formed`.
+    let check_gen_cycles = working.type_count() < 10_000;
     let mut issues = Vec::new();
-    check_type_into(working, adj, scratch, id, check_gen_cycles, &mut issues);
+    check_type_into(working, scratch, id, check_gen_cycles, &mut issues);
     let mut tf = TypeFindings {
         wf: issues.into_iter().map(CrossIssue::Wf).collect(),
         ..TypeFindings::default()
@@ -592,28 +538,30 @@ fn compute_type_findings<A: Adjacency>(
 }
 
 /// Does any attribute domain or operation signature of `node` mention one
-/// of `names`? The referenced names come back as `&str`; the non-inserting
-/// [`Symbol::try_lookup`] makes the membership probe allocation-free, and a
-/// miss is a sound negative — a name that was never interned cannot name
-/// any graph construct.
+/// of `names`? The referenced names are visited as `&str` in place; the
+/// non-inserting [`Symbol::try_lookup`] makes the membership probe
+/// allocation-free, and a miss is a sound negative — a name that was never
+/// interned cannot name any graph construct.
 fn type_references_any(
     g: &SchemaGraph,
     node: &sws_model::TypeNode,
     names: &BTreeSet<Symbol>,
 ) -> bool {
-    let mut refs: Vec<&str> = Vec::new();
+    let mut hit = false;
+    let mut probe = |r: &str| {
+        hit = hit || Symbol::try_lookup(r).is_some_and(|s| names.contains(&s));
+    };
     for &a in &node.attrs {
-        g.attr(a).ty.referenced_types(&mut refs);
+        g.attr(a).ty.for_each_named_ref(&mut probe);
     }
     for &o in &node.ops {
         let op = &g.op(o).op;
-        op.return_type.referenced_types(&mut refs);
+        op.return_type.for_each_named_ref(&mut probe);
         for p in &op.args {
-            p.ty.referenced_types(&mut refs);
+            p.ty.for_each_named_ref(&mut probe);
         }
     }
-    refs.iter()
-        .any(|r| Symbol::try_lookup(r).is_some_and(|s| names.contains(&s)))
+    hit
 }
 
 #[cfg(test)]

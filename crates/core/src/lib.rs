@@ -23,8 +23,7 @@
 //! * [`impact`] and [`feedback`] — impact reports and cautionary feedback
 //!   (activities 9–11),
 //! * [`consistency`] — consistency checks over the customized schema,
-//!   sharded across worker threads by [`parallel`] with a determinism
-//!   guarantee (thread count never changes a report),
+//!   rechecked incrementally per dirty type after each operation,
 //! * [`mapping`] — the semantic correspondence between shrink wrap and
 //!   custom schema (activity 10),
 //! * [`odl_blocks`] — the custom schema's ODL text, re-printed per touched
@@ -44,7 +43,6 @@ pub mod mapping;
 pub mod odl_blocks;
 pub mod oplang;
 pub mod ops;
-pub mod parallel;
 pub mod report;
 pub mod workspace;
 

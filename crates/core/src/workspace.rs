@@ -274,10 +274,8 @@ impl Workspace {
     /// incrementally: only the types affected by operations applied since
     /// the last call are rechecked.
     ///
-    /// Large dirty closures fan out across worker threads sharing one
-    /// frozen closure index (see [`crate::parallel`]); small ones stay on
-    /// the serial, allocation-free path using the state's persistent
-    /// scratch. Either way the report is identical — in debug builds the
+    /// The recheck runs on the calling thread with the state's persistent
+    /// scratch and is allocation-free in steady state. In debug builds the
     /// incremental result is asserted identical to a from-scratch
     /// [`check_consistency`] run.
     pub fn consistency(&self) -> ConsistencyReport {

@@ -164,42 +164,3 @@ fn consistency_check_traces_span_and_findings_counter() {
         report.findings.len() as u64
     );
 }
-
-#[test]
-fn parallel_consistency_traces_worker_activity() {
-    // A graph big enough to clear PAR_MIN_ITEMS, checked with a forced
-    // multi-worker fan-out: the per-worker spans and counters from inside
-    // the scoped threads must land in the parent's recorder.
-    let src: String = (0..32)
-        .map(|i| format!("interface T{i} {{ attribute long x; }} "))
-        .collect();
-    let graph = schema_to_graph(&parse_schema(&src).unwrap()).unwrap();
-
-    let rec = Recorder::new();
-    let serial = {
-        let _guard = rec.install_thread();
-        sws_core::parallel::with_workers(1, || sws_core::check_consistency(&graph, &graph))
-    };
-    let serial_session = rec.take();
-    assert_eq!(
-        serial_session.counter("core.parallel.workers"),
-        0,
-        "one worker = exact serial path, no fan-out"
-    );
-
-    let rec = Recorder::new();
-    let parallel = {
-        let _guard = rec.install_thread();
-        sws_core::parallel::with_workers(4, || sws_core::check_consistency(&graph, &graph))
-    };
-    assert_eq!(parallel, serial, "thread count changed the report");
-
-    let session = rec.take();
-    assert!(session.counter("core.parallel.workers") >= 1);
-    assert!(session.counter("core.parallel.chunks") >= 1);
-    assert!(session.closed_spans("core.parallel.worker").count() >= 1);
-    let shard = session
-        .histogram("core.parallel.shard_items")
-        .expect("shard-size histogram");
-    assert_eq!(shard.count(), session.counter("core.parallel.chunks"));
-}

@@ -32,14 +32,14 @@
 //! fixed-size ring of the most recent span/point events (capacity via
 //! `SWS_FLIGHT_CAPACITY`, default 256). If the process panics or exits
 //! with an error, a checksummed `crash-report.json` (recent events, live
-//! counters, active span stack, `SWS_THREADS`, repo path, any recovery
-//! report) is written to the session directory — or `SWS_CRASH_DIR`, or
-//! the current directory.
+//! counters, active span stack, repo path, any recovery report) is
+//! written to the session directory — or `SWS_CRASH_DIR`, or the current
+//! directory.
 //!
-//! `--threads=N` pins the worker count for consistency checks and
-//! decomposition (default: the `SWS_THREADS` environment variable, else
-//! available parallelism; `1` = the exact serial path). Thread count never
-//! changes a report.
+//! `--threads=N` sets the number of acceptor threads `serve` runs
+//! (default: available parallelism). It is accepted and validated in every
+//! mode but only `serve` uses it; consistency checks and decomposition
+//! always run on the calling thread.
 //!
 //! Exit codes (also via `--help`):
 //!
@@ -107,10 +107,10 @@ options:
                        mode (damage repaired and reported) unless --strict
   --strict             fail on the first checksum/parse/replay
                        inconsistency instead of salvaging
-  --threads=N          worker threads for consistency checks and
-                       decomposition (1 = serial; overrides SWS_THREADS;
-                       default: SWS_THREADS, else available parallelism).
-                       Reports are identical at every thread count.
+  --threads=N          with the serve subcommand: acceptor threads, each
+                       owning one connection at a time (default: available
+                       parallelism). Accepted in every mode; output never
+                       depends on it.
   --checkpoint-interval=K
                        auto-checkpoint the session directory every K
                        committed ops: snapshot the working schema, archive
@@ -180,6 +180,7 @@ fn main() -> ExitCode {
     let mut lint_json = false;
     let mut lint_context = sws_core::ConceptKind::WagonWheel;
     let mut addr = None;
+    let mut threads = None;
     let mut args = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
@@ -208,7 +209,7 @@ fn main() -> ExitCode {
             _ if arg.starts_with("--threads=") => {
                 let value = &arg["--threads=".len()..];
                 match value.parse::<usize>() {
-                    Ok(n) if n >= 1 => sws_core::parallel::set_override(Some(n)),
+                    Ok(n) if n >= 1 => threads = Some(n),
                     _ => {
                         eprintln!("swsd: --threads wants a positive integer, got `{value}`");
                         return ExitCode::from(EXIT_USAGE);
@@ -261,7 +262,7 @@ fn main() -> ExitCode {
                 eprintln!("swsd: serve needs --addr=HOST:PORT\n{USAGE}");
                 return ExitCode::from(EXIT_USAGE);
             };
-            return run_serve(flag, value, &addr, strict, checkpoint_interval);
+            return run_serve(flag, value, &addr, strict, checkpoint_interval, threads);
         }
     }
     if args.iter().any(|a| a == "serve") {
@@ -421,6 +422,7 @@ fn run_serve(
     addr: &str,
     strict: bool,
     checkpoint_interval: Option<u64>,
+    threads: Option<usize>,
 ) -> ExitCode {
     let addr: SocketAddr = match addr.parse() {
         Ok(a) => a,
@@ -469,7 +471,9 @@ fn run_serve(
         }
     }
 
-    let threads = sws_core::parallel::workers();
+    let threads = threads.unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
     let listener = match TcpListener::bind(addr) {
         Ok(l) => l,
         Err(e) => {

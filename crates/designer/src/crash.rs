@@ -6,8 +6,8 @@
 //! order** (golden-tested):
 //!
 //! ```text
-//! schema_version, reason, message, location, exit_code, sws_threads,
-//! repo_path, recovery, active_spans, counters, events, dropped, checksum
+//! schema_version, reason, message, location, exit_code, repo_path,
+//! recovery, active_spans, counters, events, dropped, checksum
 //! ```
 //!
 //! `checksum` is the SplitMix64 repository checksum
@@ -25,8 +25,9 @@ use sws_repository::checksum;
 use sws_trace::export::{escape_json, event_json};
 use sws_trace::flight;
 
-/// Version of the crash-report JSON schema.
-pub const SCHEMA_VERSION: u64 = 1;
+/// Version of the crash-report JSON schema. Version 2 dropped the
+/// `sws_threads` key.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The dump file name, created inside the crash directory.
 pub const FILE_NAME: &str = "crash-report.json";
@@ -101,10 +102,6 @@ fn render(reason: &str, message: &str, location: Option<&str>, exit_code: Option
         Some(code) => out.push_str(&format!(",\"exit_code\":{code}")),
         None => out.push_str(",\"exit_code\":null"),
     }
-    out.push_str(&format!(
-        ",\"sws_threads\":{}",
-        json_opt_str(&std::env::var("SWS_THREADS").ok())
-    ));
     out.push_str(&format!(",\"repo_path\":{}", json_opt_str(&ctx.0)));
     out.push_str(&format!(",\"recovery\":{}", json_opt_str(&ctx.1)));
     out.push_str(",\"active_spans\":[");
@@ -201,7 +198,6 @@ mod tests {
             "message",
             "location",
             "exit_code",
-            "sws_threads",
             "repo_path",
             "recovery",
             "active_spans",

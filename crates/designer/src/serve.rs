@@ -30,13 +30,7 @@ pub fn serve(service: &DesignService, listener: TcpListener, threads: usize) -> 
     let threads = threads.max(1);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| {
-                // `--threads=` is a thread-local override; replicate the
-                // caller's effective count so consistency fan-outs inside
-                // request handling see the same parallelism.
-                sws_core::parallel::set_override(Some(threads));
-                acceptor(service, &listener, addr, threads);
-            });
+            scope.spawn(|| acceptor(service, &listener, addr, threads));
         }
     });
     Ok(())

@@ -139,8 +139,8 @@ fn trace_json_flag_dumps_checker_valid_jsonl_to_stderr() {
     }
 }
 
-/// A schema wide enough (16 types) to clear the parallel checker's
-/// `PAR_MIN_ITEMS` threshold, so `--threads=N` actually fans out.
+/// A schema of 16 independent types, so a consistency check and a
+/// decomposition have many per-type walks to run.
 fn wide_schema_file(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("swsd_cli_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -153,35 +153,17 @@ fn wide_schema_file(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn threads_flag_fans_out_and_output_matches_serial() {
+fn threads_flag_leaves_output_unchanged() {
     let schema = wide_schema_file("threads");
-    let script = "concepts\ncheck\nquit\n";
-    let (serial_out, _, ok) = run_swsd(
-        &["--threads=1", "--schema", schema.to_str().unwrap()],
-        script,
-    );
-    assert!(ok);
-    let (parallel_out, stderr, ok) = run_swsd(
-        &[
-            "--threads=4",
-            "--trace=json",
-            "--schema",
-            schema.to_str().unwrap(),
-        ],
-        script,
-    );
-    assert!(ok, "stderr: {stderr}");
-    // Determinism end to end: the user-visible transcript is identical.
-    assert_eq!(parallel_out, serial_out);
-    // The fan-out really happened and is observable in the trace.
-    for needle in [
-        "\"name\":\"core.parallel\"",
-        "\"name\":\"core.parallel.worker\"",
-        "\"name\":\"core.parallel.workers\"",
-        "\"name\":\"core.parallel.chunks\"",
-    ] {
-        assert!(stderr.contains(needle), "missing {needle} in:\n{stderr}");
-    }
+    let script = "concepts\ncheck\nadd_type_definition(Extra)\ncheck\nreport\nquit\n";
+    let run = |threads: &str| {
+        let (out, stderr, ok) = run_swsd(&[threads, "--schema", schema.to_str().unwrap()], script);
+        assert!(ok, "{threads}: {stderr}");
+        out
+    };
+    // `--threads` sizes only the serve acceptor pool: the REPL transcript
+    // is byte-identical whatever it says.
+    assert_eq!(run("--threads=1"), run("--threads=4"));
 }
 
 #[test]
@@ -198,7 +180,7 @@ fn help_documents_threads_flag() {
     let (stdout, _, code) = run_swsd_code(&["--help"], "");
     assert_eq!(code, 0);
     assert!(stdout.contains("--threads=N"), "{stdout}");
-    assert!(stdout.contains("SWS_THREADS"), "{stdout}");
+    assert!(stdout.contains("acceptor threads"), "{stdout}");
 }
 
 /// The top-level keys of one flat-ish JSON object, in order. Nested
@@ -242,19 +224,13 @@ fn top_level_keys(line: &str) -> Vec<String> {
 
 /// Golden pin of the `--trace=json` JSONL schema: the exact top-level key
 /// sequence of every line type. Downstream consumers key on these names;
-/// the `core.parallel.*` additions must not change the shape, and any
-/// future field rename must show up here as a deliberate diff.
+/// any future field rename must show up here as a deliberate diff.
 #[test]
 fn trace_json_schema_is_pinned() {
     let schema = wide_schema_file("golden");
     let script = "concepts\nadd_type_definition(Project)\ncheck\nquit\n";
     let (_, stderr, ok) = run_swsd(
-        &[
-            "--threads=4",
-            "--trace=json",
-            "--schema",
-            schema.to_str().unwrap(),
-        ],
+        &["--trace=json", "--schema", schema.to_str().unwrap()],
         script,
     );
     assert!(ok, "stderr: {stderr}");
@@ -291,17 +267,17 @@ fn trace_json_schema_is_pinned() {
     }
     // Every line type the pipeline emits occurred, so every shape above
     // was actually checked ("event" lines exist in the format but no
-    // pipeline stage emits Point events today), and the parallel counters
-    // ride the pinned `counter` shape.
+    // pipeline stage emits Point events today), and the op counter and
+    // the apply span's latency histogram ride the pinned shapes.
     for ty in ["span_open", "span_close", "counter", "histogram"] {
         assert!(seen.contains(ty), "no `{ty}` line in:\n{stderr}");
     }
     assert!(
-        stderr.contains("\"type\":\"counter\",\"name\":\"core.parallel.workers\",\"value\":"),
+        stderr.contains("\"type\":\"counter\",\"name\":\"ws.ops_applied\",\"value\":"),
         "{stderr}"
     );
     assert!(
-        stderr.contains("\"type\":\"histogram\",\"name\":\"core.parallel.shard_items\","),
+        stderr.contains("\"type\":\"histogram\",\"name\":\"ws.apply\","),
         "{stderr}"
     );
 }
@@ -501,7 +477,6 @@ fn crash_report_key_order_is_pinned() {
             "message",
             "location",
             "exit_code",
-            "sws_threads",
             "repo_path",
             "recovery",
             "active_spans",
@@ -511,7 +486,7 @@ fn crash_report_key_order_is_pinned() {
             "checksum",
         ]
     );
-    assert!(line.contains("\"schema_version\":1"), "{line}");
+    assert!(line.contains("\"schema_version\":2"), "{line}");
     assert!(line.contains("\"reason\":\"error_exit\""), "{line}");
     assert!(line.contains("\"exit_code\":5"), "{line}");
     assert!(sws_designer::crash::checksum_valid(line));

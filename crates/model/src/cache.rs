@@ -18,11 +18,10 @@
 //! generation. It *is* `Send` (memo entries are `Arc`, so a whole
 //! `Workspace` can move between threads or live inside a `Mutex` — the
 //! design service serializes on exactly that), but a `&QueryCache` never
-//! crosses a thread boundary. The parallel consistency checker therefore
-//! does not use `QueryCache` at all: it builds one frozen, `Send + Sync`
-//! [`ClosureIndex`](crate::ClosureIndex) per sync and shares it by
-//! reference across all workers, each paired with a worker-local
-//! [`WfScratch`](crate::WfScratch).
+//! crosses a thread boundary. The consistency checker does not use
+//! `QueryCache`: it walks the graph directly with one persistent
+//! [`WfScratch`](crate::WfScratch), which stays allocation-free without a
+//! memo.
 //!
 //! **Pair one cache with one graph.** A cloned graph starts at its parent's
 //! generation but diverges independently, so a cache shared across two
@@ -245,11 +244,11 @@ mod tests {
 
     #[test]
     fn concurrent_readers_never_observe_stale_generation() {
-        // The parallel checker's sharing pattern: the graph is shared
-        // read-only across scoped threads, each worker builds its own
-        // cache. Mutate the graph between fan-outs; every worker's cache
-        // must stamp itself with the *current* generation on first lookup
-        // and serve results identical to an uncached traversal.
+        // A shared read view's pattern: the graph is shared read-only
+        // across threads, each thread builds its own cache. Mutate the
+        // graph between rounds; every thread's cache must stamp itself
+        // with the *current* generation on first lookup and serve results
+        // identical to an uncached traversal.
         let (mut g, a, b, c) = chain();
         for round in 0..3u64 {
             if round == 1 {

@@ -1,242 +1,19 @@
-//! Frozen CSR adjacency index and allocation-free traversal scratch.
+//! Allocation-free hierarchy traversal scratch.
 //!
 //! The hierarchy traversals (ancestors, descendants, part-of / instance-of
 //! closures, cycle probes) used to allocate a fresh `Vec` + `BTreeSet` per
-//! call. This module removes both costs:
+//! call. [`ClosureScratch`] removes both costs: it holds epoch-stamped
+//! visited marks and reusable queue/stack storage, walks the live
+//! [`SchemaGraph`] directly, and writes into caller-provided buffers. After
+//! warm-up (`ensure_slots`), every traversal is allocation-free.
 //!
-//! * [`Adjacency`] abstracts edge iteration so one set of traversal routines
-//!   serves two backends: the live [`SchemaGraph`] (serial incremental path —
-//!   no index build needed) and a frozen [`ClosureIndex`] (parallel path —
-//!   built once per sync and shared by every worker).
-//! * [`ClosureIndex`] is a compact CSR (compressed sparse row) snapshot of
-//!   the supertype / subtype / part-of / instance-of edges. It is a plain
-//!   bundle of `Vec`s — `Send + Sync` — so `parallel.rs` workers can share
-//!   one snapshot by reference instead of each rebuilding a cold
-//!   `QueryCache`. It is generation-stamped; a stale index must not be used
-//!   against a mutated graph.
-//! * [`ClosureScratch`] holds epoch-stamped visited marks and reusable
-//!   queue/stack storage. After warm-up (`ensure_slots`), every traversal is
-//!   allocation-free; outputs go into caller-provided buffers.
-//!
-//! Both backends present edges in identical order (CSR rows are filled in
-//! arena-vec order), so traversal output is byte-identical regardless of
-//! which backend ran — the parallel differential suite relies on this.
+//! Edges are visited in the graph's arena-vec order (the order mutators
+//! appended them), so every traversal returns exactly what the eager
+//! [`crate::query`] routine returns.
 
 use crate::graph::SchemaGraph;
 use crate::ids::{LinkId, TypeId};
 use sws_odl::HierKind;
-
-/// Edge iteration over a schema graph snapshot. All callbacks must present
-/// edges in the graph's arena-vec order (the order mutators appended them).
-pub trait Adjacency {
-    /// Total type arena slots, live and tombstoned.
-    fn num_type_slots(&self) -> usize;
-    /// Total link arena slots, live and tombstoned.
-    fn num_link_slots(&self) -> usize;
-    /// True if the slot holds a live type.
-    fn is_live(&self, t: TypeId) -> bool;
-    /// Direct supertypes of `t`, in declaration order.
-    fn for_each_supertype(&self, t: TypeId, f: &mut impl FnMut(TypeId));
-    /// Direct subtypes of `t`, in insertion order.
-    fn for_each_subtype(&self, t: TypeId, f: &mut impl FnMut(TypeId));
-    /// Hierarchy links of `kind` in which `t` is the child, as
-    /// `(link, parent)`, in insertion order.
-    fn for_each_hier_parent(&self, kind: HierKind, t: TypeId, f: &mut impl FnMut(LinkId, TypeId));
-    /// Hierarchy links of `kind` in which `t` is the parent, as
-    /// `(link, child)`, in insertion order.
-    fn for_each_hier_child(&self, kind: HierKind, t: TypeId, f: &mut impl FnMut(LinkId, TypeId));
-}
-
-impl Adjacency for SchemaGraph {
-    fn num_type_slots(&self) -> usize {
-        self.type_slots()
-    }
-
-    fn num_link_slots(&self) -> usize {
-        self.link_slots()
-    }
-
-    fn is_live(&self, t: TypeId) -> bool {
-        self.try_ty(t).is_some()
-    }
-
-    fn for_each_supertype(&self, t: TypeId, f: &mut impl FnMut(TypeId)) {
-        for &s in &self.ty(t).supertypes {
-            f(s);
-        }
-    }
-
-    fn for_each_subtype(&self, t: TypeId, f: &mut impl FnMut(TypeId)) {
-        for &s in &self.ty(t).subtypes {
-            f(s);
-        }
-    }
-
-    fn for_each_hier_parent(&self, kind: HierKind, t: TypeId, f: &mut impl FnMut(LinkId, TypeId)) {
-        for &l in &self.ty(t).child_links {
-            let link = self.link(l);
-            if link.kind == kind {
-                f(l, link.parent);
-            }
-        }
-    }
-
-    fn for_each_hier_child(&self, kind: HierKind, t: TypeId, f: &mut impl FnMut(LinkId, TypeId)) {
-        for &l in &self.ty(t).parent_links {
-            let link = self.link(l);
-            if link.kind == kind {
-                f(l, link.child);
-            }
-        }
-    }
-}
-
-fn kind_idx(kind: HierKind) -> usize {
-    match kind {
-        HierKind::PartOf => 0,
-        HierKind::InstanceOf => 1,
-    }
-}
-
-/// One CSR table: `off[i]..off[i + 1]` indexes `edges` for slot `i`.
-#[derive(Debug, Clone, Default)]
-struct Csr<E> {
-    off: Vec<u32>,
-    edges: Vec<E>,
-}
-
-impl<E: Copy> Csr<E> {
-    fn build(slots: usize, mut fill: impl FnMut(usize, &mut Vec<E>)) -> Csr<E> {
-        let mut off = Vec::with_capacity(slots + 1);
-        let mut edges = Vec::new();
-        off.push(0);
-        for i in 0..slots {
-            fill(i, &mut edges);
-            off.push(u32::try_from(edges.len()).expect("CSR edge overflow"));
-        }
-        Csr { off, edges }
-    }
-
-    fn row(&self, i: usize) -> &[E] {
-        &self.edges[self.off[i] as usize..self.off[i + 1] as usize]
-    }
-}
-
-/// A frozen CSR snapshot of the hierarchy edges of one [`SchemaGraph`]
-/// generation. See the module docs.
-#[derive(Debug, Clone)]
-pub struct ClosureIndex {
-    generation: u64,
-    live: Vec<bool>,
-    num_links: usize,
-    sup: Csr<TypeId>,
-    sub: Csr<TypeId>,
-    /// Indexed by [`kind_idx`]: links upward (child → parent).
-    up: [Csr<(LinkId, TypeId)>; 2],
-    /// Indexed by [`kind_idx`]: links downward (parent → child).
-    down: [Csr<(LinkId, TypeId)>; 2],
-}
-
-impl ClosureIndex {
-    /// Snapshot `g`'s edges. O(types + edges); emits the
-    /// `model.closure_index.builds` trace counter.
-    pub fn build(g: &SchemaGraph) -> ClosureIndex {
-        let slots = g.type_slots();
-        let live: Vec<bool> = (0..slots)
-            .map(|i| g.try_ty(TypeId(i as u32)).is_some())
-            .collect();
-        let node = |i: usize| g.try_ty(TypeId(i as u32));
-        let sup = Csr::build(slots, |i, edges| {
-            if let Some(n) = node(i) {
-                edges.extend_from_slice(&n.supertypes);
-            }
-        });
-        let sub = Csr::build(slots, |i, edges| {
-            if let Some(n) = node(i) {
-                edges.extend_from_slice(&n.subtypes);
-            }
-        });
-        let hier = |kind: HierKind| {
-            let up = Csr::build(slots, |i, edges| {
-                if let Some(n) = node(i) {
-                    for &l in &n.child_links {
-                        let link = g.link(l);
-                        if link.kind == kind {
-                            edges.push((l, link.parent));
-                        }
-                    }
-                }
-            });
-            let down = Csr::build(slots, |i, edges| {
-                if let Some(n) = node(i) {
-                    for &l in &n.parent_links {
-                        let link = g.link(l);
-                        if link.kind == kind {
-                            edges.push((l, link.child));
-                        }
-                    }
-                }
-            });
-            (up, down)
-        };
-        let (up_part, down_part) = hier(HierKind::PartOf);
-        let (up_inst, down_inst) = hier(HierKind::InstanceOf);
-        sws_trace::counter("model.closure_index.builds", 1);
-        ClosureIndex {
-            generation: g.generation(),
-            live,
-            num_links: g.link_slots(),
-            sup,
-            sub,
-            up: [up_part, up_inst],
-            down: [down_part, down_inst],
-        }
-    }
-
-    /// The graph generation this index snapshots. Callers must check it
-    /// against `g.generation()` before reusing a cached index.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-}
-
-impl Adjacency for ClosureIndex {
-    fn num_type_slots(&self) -> usize {
-        self.live.len()
-    }
-
-    fn num_link_slots(&self) -> usize {
-        self.num_links
-    }
-
-    fn is_live(&self, t: TypeId) -> bool {
-        self.live.get(t.index()).copied().unwrap_or(false)
-    }
-
-    fn for_each_supertype(&self, t: TypeId, f: &mut impl FnMut(TypeId)) {
-        for &s in self.sup.row(t.index()) {
-            f(s);
-        }
-    }
-
-    fn for_each_subtype(&self, t: TypeId, f: &mut impl FnMut(TypeId)) {
-        for &s in self.sub.row(t.index()) {
-            f(s);
-        }
-    }
-
-    fn for_each_hier_parent(&self, kind: HierKind, t: TypeId, f: &mut impl FnMut(LinkId, TypeId)) {
-        for &(l, p) in self.up[kind_idx(kind)].row(t.index()) {
-            f(l, p);
-        }
-    }
-
-    fn for_each_hier_child(&self, kind: HierKind, t: TypeId, f: &mut impl FnMut(LinkId, TypeId)) {
-        for &(l, c) in self.down[kind_idx(kind)].row(t.index()) {
-            f(l, c);
-        }
-    }
-}
 
 /// Reusable traversal state: epoch-stamped visited marks (no clearing
 /// between traversals — bumping the epoch invalidates all marks in O(1))
@@ -285,13 +62,23 @@ impl ClosureScratch {
         }
     }
 
+    /// Queue the parents of `t` in the `kind` hierarchy, in insertion order.
+    fn push_hier_parents(&mut self, g: &SchemaGraph, kind: HierKind, t: TypeId) {
+        for &l in &g.ty(t).child_links {
+            let link = g.link(l);
+            if link.kind == kind {
+                self.queue.push(link.parent);
+            }
+        }
+    }
+
     /// Strict ancestors of `t` via supertype edges, BFS order, into `out`.
     /// Mirrors the eager query exactly, including the cycle convention that
     /// a type on a supertype cycle is its own ancestor.
-    pub fn ancestors_into<A: Adjacency>(&mut self, adj: &A, t: TypeId, out: &mut Vec<TypeId>) {
+    pub fn ancestors_into(&mut self, g: &SchemaGraph, t: TypeId, out: &mut Vec<TypeId>) {
         out.clear();
         self.begin();
-        adj.for_each_supertype(t, &mut |s| self.queue.push(s));
+        self.queue.extend_from_slice(&g.ty(t).supertypes);
         while self.head < self.queue.len() {
             let cur = self.queue[self.head];
             self.head += 1;
@@ -299,15 +86,15 @@ impl ClosureScratch {
                 continue;
             }
             out.push(cur);
-            adj.for_each_supertype(cur, &mut |s| self.queue.push(s));
+            self.queue.extend_from_slice(&g.ty(cur).supertypes);
         }
     }
 
     /// Strict descendants of `t` via subtype edges, BFS order, into `out`.
-    pub fn descendants_into<A: Adjacency>(&mut self, adj: &A, t: TypeId, out: &mut Vec<TypeId>) {
+    pub fn descendants_into(&mut self, g: &SchemaGraph, t: TypeId, out: &mut Vec<TypeId>) {
         out.clear();
         self.begin();
-        adj.for_each_subtype(t, &mut |s| self.queue.push(s));
+        self.queue.extend_from_slice(&g.ty(t).subtypes);
         while self.head < self.queue.len() {
             let cur = self.queue[self.head];
             self.head += 1;
@@ -315,15 +102,15 @@ impl ClosureScratch {
                 continue;
             }
             out.push(cur);
-            adj.for_each_subtype(cur, &mut |s| self.queue.push(s));
+            self.queue.extend_from_slice(&g.ty(cur).subtypes);
         }
     }
 
     /// Downward closure of the `kind` hierarchy from `root` (inclusive),
     /// BFS order; traversed links (first sighting) into `out_links`.
-    pub fn hier_closure_into<A: Adjacency>(
+    pub fn hier_closure_into(
         &mut self,
-        adj: &A,
+        g: &SchemaGraph,
         kind: HierKind,
         root: TypeId,
         out_types: &mut Vec<TypeId>,
@@ -340,27 +127,31 @@ impl ClosureScratch {
                 continue;
             }
             out_types.push(t);
-            adj.for_each_hier_child(kind, t, &mut |l, child| {
+            for &l in &g.ty(t).parent_links {
+                let link = g.link(l);
+                if link.kind != kind {
+                    continue;
+                }
                 if self.link_mark[l.index()] != self.epoch {
                     self.link_mark[l.index()] = self.epoch;
                     out_links.push(l);
                 }
-                self.queue.push(child);
-            });
+                self.queue.push(link.child);
+            }
         }
     }
 
     /// True if `start` reaches itself via supertype edges (a generalization
     /// cycle through `start`).
-    pub fn has_gen_cycle<A: Adjacency>(&mut self, adj: &A, start: TypeId) -> bool {
+    pub fn has_gen_cycle(&mut self, g: &SchemaGraph, start: TypeId) -> bool {
         self.begin();
-        adj.for_each_supertype(start, &mut |s| self.queue.push(s));
+        self.queue.extend_from_slice(&g.ty(start).supertypes);
         while let Some(t) = self.queue.pop() {
             if t == start {
                 return true;
             }
             if self.mark_type(t) {
-                adj.for_each_supertype(t, &mut |s| self.queue.push(s));
+                self.queue.extend_from_slice(&g.ty(t).supertypes);
             }
         }
         false
@@ -368,15 +159,15 @@ impl ClosureScratch {
 
     /// True if `start` reaches itself walking upward (child → parent) in
     /// the `kind` hierarchy.
-    pub fn has_hier_cycle<A: Adjacency>(&mut self, adj: &A, kind: HierKind, start: TypeId) -> bool {
+    pub fn has_hier_cycle(&mut self, g: &SchemaGraph, kind: HierKind, start: TypeId) -> bool {
         self.begin();
-        adj.for_each_hier_parent(kind, start, &mut |_, p| self.queue.push(p));
+        self.push_hier_parents(g, kind, start);
         while let Some(t) = self.queue.pop() {
             if t == start {
                 return true;
             }
             if self.mark_type(t) {
-                adj.for_each_hier_parent(kind, t, &mut |_, p| self.queue.push(p));
+                self.push_hier_parents(g, kind, t);
             }
         }
         false
@@ -388,13 +179,6 @@ mod tests {
     use super::*;
     use crate::query;
     use sws_odl::CollectionKind;
-
-    fn assert_send_sync<T: Send + Sync>() {}
-
-    #[test]
-    fn closure_index_is_send_sync() {
-        assert_send_sync::<ClosureIndex>();
-    }
 
     fn diamond() -> (SchemaGraph, Vec<TypeId>) {
         let mut g = SchemaGraph::new("t");
@@ -426,24 +210,18 @@ mod tests {
         let dead = g.add_type("Doomed").unwrap();
         g.remove_type(dead, Default::default()).unwrap();
 
-        let idx = ClosureIndex::build(&g);
-        assert_eq!(idx.generation(), g.generation());
         let mut scratch = ClosureScratch::default();
         scratch.ensure_slots(g.type_slots(), g.link_slots());
         let mut out = Vec::new();
         for (id, _) in g.types() {
-            // Index backend vs eager query.
-            scratch.ancestors_into(&idx, id, &mut out);
-            assert_eq!(out, query::ancestors(&g, id), "ancestors of {id}");
-            // Graph backend vs eager query.
             scratch.ancestors_into(&g, id, &mut out);
-            assert_eq!(out, query::ancestors(&g, id));
-            scratch.descendants_into(&idx, id, &mut out);
+            assert_eq!(out, query::ancestors(&g, id), "ancestors of {id}");
+            scratch.descendants_into(&g, id, &mut out);
             assert_eq!(out, query::descendants(&g, id), "descendants of {id}");
             for kind in [HierKind::PartOf, HierKind::InstanceOf] {
                 let (types, links) = query::hier_closure(&g, kind, id);
                 let (mut it, mut il) = (Vec::new(), Vec::new());
-                scratch.hier_closure_into(&idx, kind, id, &mut it, &mut il);
+                scratch.hier_closure_into(&g, kind, id, &mut it, &mut il);
                 assert_eq!(it, types);
                 assert_eq!(il, links);
             }
@@ -457,13 +235,16 @@ mod tests {
         let b = g.add_type("B").unwrap();
         g.add_supertype(a, b).unwrap();
         g.force_supertype_edge(b, a);
-        let idx = ClosureIndex::build(&g);
         let mut scratch = ClosureScratch::default();
         scratch.ensure_slots(g.type_slots(), g.link_slots());
+        let mut out = Vec::new();
         for t in [a, b] {
-            assert!(scratch.has_gen_cycle(&idx, t));
             assert!(scratch.has_gen_cycle(&g, t));
+            // On a cycle a type is its own ancestor, as in the eager query.
+            scratch.ancestors_into(&g, t, &mut out);
+            assert_eq!(out, query::ancestors(&g, t), "ancestors of {t}");
+            assert!(query::is_ancestor(&g, t, t));
         }
-        assert!(!scratch.has_hier_cycle(&idx, HierKind::PartOf, a));
+        assert!(!scratch.has_hier_cycle(&g, HierKind::PartOf, a));
     }
 }

@@ -45,7 +45,7 @@ pub use graph::{
     SchemaGraph, TypeNode, UndoPatch,
 };
 pub use ids::{AttrId, LinkId, OpId, RelId, TypeId};
-pub use index::{Adjacency, ClosureIndex, ClosureScratch};
+pub use index::ClosureScratch;
 pub use intern::{SymKey, Symbol};
 pub use lower::{graph_to_schema, schema_to_graph, type_to_interface, LowerError};
 pub use view::{CachedView, SchemaView};

@@ -5,20 +5,16 @@
 //! — the ones expressible on the graph alone. Cross-concept-schema
 //! interaction checks live in `sws-core::consistency` on top of these.
 //!
-//! The checks are written against the [`Adjacency`] abstraction and a
-//! caller-owned [`WfScratch`], so the same code serves both execution modes:
-//!
-//! * the serial incremental path walks the live [`SchemaGraph`] directly with
-//!   a persistent scratch — zero allocations in steady state;
-//! * the parallel path hands every worker a shared frozen
-//!   [`ClosureIndex`](crate::ClosureIndex) plus a worker-local scratch.
+//! The checks walk the live [`SchemaGraph`] with a caller-owned
+//! [`WfScratch`]; the consistency engine keeps one persistent scratch, so
+//! its incremental rechecks make zero allocations in steady state.
 //!
 //! All member-name comparisons are [`Symbol`] integer compares; strings are
 //! only touched when a finding is *rendered*.
 
 use crate::graph::SchemaGraph;
 use crate::ids::TypeId;
-use crate::index::{Adjacency, ClosureScratch};
+use crate::index::ClosureScratch;
 use crate::intern::{SymKey, Symbol};
 use std::fmt;
 use sws_odl::HierKind;
@@ -99,8 +95,7 @@ impl fmt::Display for WfIssue {
 }
 
 /// Reusable per-checker state: traversal scratch plus the ancestor buffers
-/// the checks fill. One per worker on the parallel path; persistent inside
-/// the consistency engine on the serial path.
+/// the checks fill. Persistent inside the consistency engine.
 #[derive(Debug, Clone, Default)]
 pub struct WfScratch {
     /// Epoch-marked traversal state, reusable for any closure walk over
@@ -135,7 +130,7 @@ pub fn check_well_formed(g: &SchemaGraph) -> Vec<WfIssue> {
     scratch.ensure_slots(g.type_slots(), g.link_slots());
     let mut issues = Vec::new();
     for (id, _) in g.types() {
-        check_type_into(g, g, &mut scratch, id, check_gen_cycles, &mut issues);
+        check_type_into(g, &mut scratch, id, check_gen_cycles, &mut issues);
     }
     sp.record("issues", issues.len());
     issues
@@ -148,7 +143,7 @@ pub fn check_type_well_formed(g: &SchemaGraph, id: TypeId) -> Vec<WfIssue> {
     let mut scratch = WfScratch::default();
     scratch.ensure_slots(g.type_slots(), g.link_slots());
     let mut issues = Vec::new();
-    check_type_into(g, g, &mut scratch, id, g.type_count() < 10_000, &mut issues);
+    check_type_into(g, &mut scratch, id, g.type_count() < 10_000, &mut issues);
     issues
 }
 
@@ -157,13 +152,10 @@ pub fn check_type_well_formed(g: &SchemaGraph, id: TypeId) -> Vec<WfIssue> {
 /// order-by lists of relationship ends owned by `id` and of links parented
 /// by `id`.
 ///
-/// `adj` supplies hierarchy edges — pass `g` itself (serial) or a frozen
-/// [`ClosureIndex`](crate::ClosureIndex) snapshot of the same generation
-/// (parallel). Findings are appended to `issues`; in steady state (warm
-/// scratch, no findings) the call performs zero heap allocations.
-pub fn check_type_into<A: Adjacency>(
+/// Findings are appended to `issues`; in steady state (warm scratch, no
+/// findings) the call performs zero heap allocations.
+pub fn check_type_into(
     g: &SchemaGraph,
-    adj: &A,
     scratch: &mut WfScratch,
     id: TypeId,
     check_gen_cycles: bool,
@@ -175,22 +167,22 @@ pub fn check_type_into<A: Adjacency>(
         ancestors,
         target_ancestors,
     } = scratch;
-    closure.ancestors_into(adj, id, ancestors);
+    closure.ancestors_into(g, id, ancestors);
     check_inherited_conflicts(g, ancestors, id, issues);
     check_keys(g, ancestors, id, issues);
     check_dangling(g, id, issues);
-    if check_gen_cycles && closure.has_gen_cycle(adj, id) {
+    if check_gen_cycles && closure.has_gen_cycle(g, id) {
         issues.push(WfIssue::GeneralizationCycle { ty: node.name });
     }
     for kind in [HierKind::PartOf, HierKind::InstanceOf] {
-        if closure.has_hier_cycle(adj, kind, id) {
+        if closure.has_hier_cycle(g, kind, id) {
             issues.push(WfIssue::HierarchyCycle {
                 kind,
                 ty: node.name,
             });
         }
     }
-    check_order_bys(g, adj, closure, target_ancestors, id, issues);
+    check_order_bys(g, closure, target_ancestors, id, issues);
 }
 
 /// True if `owner` itself defines attribute `attr`.
@@ -287,9 +279,8 @@ fn check_keys(g: &SchemaGraph, ancestors: &[TypeId], id: TypeId, issues: &mut Ve
 /// Order-by findings attributed to `id`: relationship ends owned by `id`
 /// (checked against the opposite end's owner) and links parented by `id`
 /// (checked against the child type).
-fn check_order_bys<A: Adjacency>(
+fn check_order_bys(
     g: &SchemaGraph,
-    adj: &A,
     closure: &mut ClosureScratch,
     target_ancestors: &mut Vec<TypeId>,
     id: TypeId,
@@ -303,7 +294,7 @@ fn check_order_bys<A: Adjacency>(
             continue;
         }
         let target = rel.other(e).owner;
-        closure.ancestors_into(adj, target, target_ancestors);
+        closure.ancestors_into(g, target, target_ancestors);
         for &attr in &end.order_by {
             if !attr_visible(g, target_ancestors, target, attr) {
                 issues.push(WfIssue::OrderByAttributeMissing {
@@ -320,7 +311,7 @@ fn check_order_bys<A: Adjacency>(
         if link.order_by.is_empty() {
             continue;
         }
-        closure.ancestors_into(adj, link.child, target_ancestors);
+        closure.ancestors_into(g, link.child, target_ancestors);
         for &attr in &link.order_by {
             if !attr_visible(g, target_ancestors, link.child, attr) {
                 issues.push(WfIssue::OrderByAttributeMissing {
@@ -508,27 +499,6 @@ mod tests {
         assert!(issues
             .iter()
             .any(|i| matches!(i, WfIssue::OrderByAttributeMissing { .. })));
-    }
-
-    #[test]
-    fn shared_index_backend_matches_graph_backend() {
-        let mut g = SchemaGraph::new("t");
-        let a = g.add_type("A").unwrap();
-        let b = g.add_type("B").unwrap();
-        g.add_supertype(b, a).unwrap();
-        g.add_attribute(a, "x", DomainType::Long, None).unwrap();
-        g.add_attribute(b, "x", DomainType::String, None).unwrap();
-        g.add_key(b, Key::single("ghost")).unwrap();
-        let idx = crate::ClosureIndex::build(&g);
-        let mut scratch = WfScratch::default();
-        scratch.ensure_slots(g.type_slots(), g.link_slots());
-        let (mut via_graph, mut via_index) = (Vec::new(), Vec::new());
-        for (id, _) in g.types() {
-            check_type_into(&g, &g, &mut scratch, id, true, &mut via_graph);
-            check_type_into(&g, &idx, &mut scratch, id, true, &mut via_index);
-        }
-        assert_eq!(via_graph, via_index);
-        assert_eq!(via_graph, check_well_formed(&g));
     }
 
     #[test]

@@ -11,10 +11,14 @@
 //! runs this test so a regression that re-introduces allocation on the hot
 //! path fails the build.
 //!
-//! A second guard pins submit at head to O(op): one `Session::issue`
+//! The existence scan that follows an add-type op walks the type arena
+//! in place: when no type references the new name, its
+//! `core.consistency.existence_scan` span allocates nothing either.
+//!
+//! A further guard pins submit at head to O(op): one `Session::issue`
 //! allocates about as much with 2,000 ops of history as with 10.
 //!
-//! A third pins the read-view publish to O(batch): one accepted
+//! Another pins the read-view publish to O(batch): one accepted
 //! `DesignService::handle(Submit)` — apply, resync, and publish of the
 //! new view — allocates about as often on a 10,000-type schema as on a
 //! 1,000-type one. It runs in release builds (`cargo test --release
@@ -111,6 +115,42 @@ fn incremental_recheck_span_is_allocation_free() {
     assert!(row.spans >= 1);
     let rendered = summary.render();
     assert!(rendered.contains("allocations"), "{rendered}");
+}
+
+#[test]
+fn existence_scan_of_an_unreferenced_new_type_is_allocation_free() {
+    let _serial = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let rec = Recorder::new();
+    let _guard = rec.install_thread();
+
+    let mut ws = Workspace::new(university::graph());
+    ws.consistency(); // warm state: the next sync is incremental
+    ws.apply(
+        ConceptKind::WagonWheel,
+        ModOp::AddTypeDefinition { ty: "Annex".into() },
+    )
+    .expect("applies");
+    ws.consistency();
+
+    let trace = rec.take();
+    let scan = trace
+        .events
+        .iter()
+        .find(|e| {
+            e.name == "core.consistency.existence_scan"
+                && matches!(e.kind, sws_trace::EventKind::SpanClose { .. })
+        })
+        .expect("an add-type op runs the existence scan");
+    let count = scan.fields.iter().find(|(k, _)| *k == "alloc.count");
+    let Some((_, FieldValue::U64(count))) = count else {
+        panic!("missing alloc.count on existence_scan close: {scan:?}");
+    };
+    assert_eq!(
+        *count,
+        0,
+        "the existence scan over {} types allocated",
+        ws.working().type_count()
+    );
 }
 
 /// `alloc.bytes` of one `Session::issue` of the same churn op, after

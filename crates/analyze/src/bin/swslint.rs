@@ -6,9 +6,12 @@
 //! - **unwrap**: no bare `.unwrap()` outside test code (`#[cfg(test)]`
 //!   modules, `#[test]` fns, `tests/`, `benches/`, the bench and
 //!   proptest-shim crates). `.expect("message")` is allowed everywhere.
-//! - **trace-names**: every `span!("…")` / `span("…")` / `counter("…")`
-//!   name must appear in the `docs/observability.md` table (rows ending in
-//!   `*` are prefix wildcards).
+//! - **trace-names**, both ways: every `span!("…")` / `span("…")` /
+//!   `counter("…")` name outside test code must appear in a
+//!   `docs/observability.md` table (rows ending in `*` are prefix
+//!   wildcards), and every dotted name in a table's first cell must be
+//!   emitted by some such site in `crates/`, `src/` or `tests/`, test code
+//!   included (a `*` row by at least one), so rows for deleted names go.
 //! - **string-keys**: no `…Map<String, …>` in `sws-model`/`sws-core` —
 //!   schema names must cross as interned `Symbol`s. A deliberate exception
 //!   carries a `// swslint: allow(string-keys): reason` comment.
@@ -59,8 +62,8 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(EXIT_IO);
     }
-    let trace_names = match load_trace_table(&root.join("docs/observability.md")) {
-        Ok(t) => t,
+    let trace_names = match fs::read_to_string(root.join("docs/observability.md")) {
+        Ok(doc) => parse_trace_table(&doc),
         Err(e) => {
             eprintln!("swslint: cannot read docs/observability.md: {e}");
             return ExitCode::from(EXIT_IO);
@@ -74,6 +77,7 @@ fn main() -> ExitCode {
     files.sort();
 
     let mut lints = Vec::new();
+    let mut emitted = Vec::new();
     for path in &files {
         let src = match fs::read_to_string(path) {
             Ok(s) => s,
@@ -87,8 +91,11 @@ fn main() -> ExitCode {
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        check_file(&rel, &src, &trace_names, &mut lints);
+        let m = mask(&src);
+        check_file(&rel, &src, &m, &trace_names, &mut lints);
+        emitted.extend(emitted_names(&m));
     }
+    check_documented_names(&trace_names, &emitted, &mut lints);
     check_forbid_unsafe(&root, &mut lints);
 
     if lints.is_empty() {
@@ -133,8 +140,7 @@ fn is_test_path(rel: &str) -> bool {
         || rel.starts_with("crates/proptest-shim/")
 }
 
-fn check_file(rel: &str, src: &str, trace_names: &[String], lints: &mut Vec<Lint>) {
-    let m = mask(src);
+fn check_file(rel: &str, src: &str, m: &Masked, trace_names: &[TraceRow], lints: &mut Vec<Lint>) {
     let line_of = |off: usize| {
         src.as_bytes()[..off]
             .iter()
@@ -173,10 +179,7 @@ fn check_file(rel: &str, src: &str, trace_names: &[String], lints: &mut Vec<Lint
             if !is_trace_name_site(&m.code, off) || in_ranges(&m.test_ranges, off) {
                 continue;
             }
-            let known = trace_names.iter().any(|t| {
-                t.strip_suffix('*')
-                    .map_or(t == s, |prefix| s.starts_with(prefix))
-            });
+            let known = trace_names.iter().any(|t| t.matches(s));
             if !known {
                 lint(
                     lints,
@@ -310,13 +313,57 @@ fn in_ranges(ranges: &[(usize, usize)], off: usize) -> bool {
     ranges.iter().any(|&(s, e)| off >= s && off < e)
 }
 
+/// One documented trace name: a backticked token from the first cell of
+/// a `docs/observability.md` table row, with its 1-based line.
+struct TraceRow {
+    line: usize,
+    name: String,
+}
+
+impl TraceRow {
+    /// Does the emitted name `s` fall under this row (`*` = prefix)?
+    fn matches(&self, s: &str) -> bool {
+        self.name
+            .strip_suffix('*')
+            .map_or(self.name == s, |prefix| s.starts_with(prefix))
+    }
+}
+
+/// The names every `span!(` / `span(` / `counter(` string-literal site in
+/// one file emits, test code included.
+fn emitted_names(m: &Masked) -> impl Iterator<Item = String> + '_ {
+    m.strings
+        .iter()
+        .filter(|(off, _)| is_trace_name_site(&m.code, *off))
+        .map(|(_, s)| s.clone())
+}
+
+/// The reverse of the per-site rule: every dotted documented name (or
+/// `*` prefix) must be emitted by at least one site, so a row outlives
+/// neither its emitter nor a rename.
+fn check_documented_names(trace_names: &[TraceRow], emitted: &[String], lints: &mut Vec<Lint>) {
+    for row in trace_names {
+        if !row.name.contains('.') || emitted.iter().any(|s| row.matches(s)) {
+            continue;
+        }
+        lints.push(Lint {
+            file: "docs/observability.md".into(),
+            line: row.line,
+            rule: "trace-names",
+            message: format!(
+                "documented trace name `{}` has no span!/span/counter site in crates/, src/ or tests/",
+                row.name
+            ),
+        });
+    }
+}
+
 /// Read the `docs/observability.md` tables: every backticked token in the
 /// first cell of a table row is a documented span/counter name (a cell may
 /// document several, e.g. `` `ws.ops_applied`, `ws.ops_rejected` ``).
-fn load_trace_table(path: &Path) -> Result<Vec<String>, std::io::Error> {
-    let doc = fs::read_to_string(path)?;
+fn parse_trace_table(doc: &str) -> Vec<TraceRow> {
     let mut names = Vec::new();
-    for line in doc.lines() {
+    for (i, line) in doc.lines().enumerate() {
         let line = line.trim();
         if !line.starts_with('|') {
             continue;
@@ -329,11 +376,14 @@ fn load_trace_table(path: &Path) -> Result<Vec<String>, std::io::Error> {
             let Some(len) = rest[open + 1..].find('`') else {
                 break;
             };
-            names.push(rest[open + 1..open + 1 + len].to_string());
+            names.push(TraceRow {
+                line: i + 1,
+                name: rest[open + 1..open + 1 + len].to_string(),
+            });
             rest = &rest[open + len + 2..];
         }
     }
-    Ok(names)
+    names
 }
 
 /// Blank out comments and string/char literal bodies, preserving offsets,
@@ -513,4 +563,70 @@ fn find_test_ranges(code: &[u8]) -> Vec<(usize, usize)> {
         ranges.push((start, end));
     }
     ranges
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const DOC: &str = "| Name | Kind |\n\
+                       |---|---|\n\
+                       | `ws.apply` | span |\n\
+                       | `serve.*` | span |\n\
+                       | `gone.name`, `ws.ops_applied` | counter |\n\
+                       | `plain` | note |\n";
+
+    fn trace_lints(lints: &[Lint]) -> Vec<(usize, String)> {
+        lints
+            .iter()
+            .filter(|l| l.rule == "trace-names")
+            .map(|l| (l.line, l.message.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn emitted_names_must_be_documented() {
+        let rows = parse_trace_table(DOC);
+        let src = "fn f() {\n\
+                   let _s = sws_trace::span!(\"ws.apply\", op = 1);\n\
+                   sws_trace::counter(\"serve.conns\", 1);\n\
+                   let _u = sws_trace::span(\"ws.undocumented\");\n\
+                   }\n\
+                   #[cfg(test)]\n\
+                   mod tests { fn g() { sws_trace::span(\"test.only\"); } }\n";
+        let mut lints = Vec::new();
+        check_file("crates/x/src/lib.rs", src, &mask(src), &rows, &mut lints);
+        assert_eq!(
+            trace_lints(&lints),
+            [(
+                4,
+                "trace name `ws.undocumented` is not documented in docs/observability.md".into()
+            )]
+        );
+    }
+
+    #[test]
+    fn documented_names_must_be_emitted() {
+        let rows = parse_trace_table(DOC);
+        let mut emitted = vec!["ws.apply".to_string(), "ws.ops_applied".to_string()];
+        let mut lints = Vec::new();
+        check_documented_names(&rows, &emitted, &mut lints);
+        // The unmatched `*` row and the stale name; `plain` is not dotted.
+        let flagged: Vec<(usize, &str)> = lints
+            .iter()
+            .map(|l| (l.line, l.message.split('`').nth(1).unwrap()))
+            .collect();
+        assert_eq!(flagged, [(4, "serve.*"), (5, "gone.name")]);
+
+        // Test code is an emitter too, and one site satisfies a `*` row.
+        let src = "#[cfg(test)]\n\
+                   mod tests { fn g() {\n\
+                   let _s = sws_trace::span(\"serve.conn\");\n\
+                   sws_trace::counter(\"gone.name\", 1);\n\
+                   } }\n";
+        emitted.extend(emitted_names(&mask(src)));
+        let mut lints = Vec::new();
+        check_documented_names(&rows, &emitted, &mut lints);
+        assert!(trace_lints(&lints).is_empty());
+    }
 }

@@ -4,7 +4,7 @@
 //! the symbolic state a script builds ([`AbsState`], a copy-on-write
 //! overlay over the starting [`SchemaGraph`]) without ever mutating a
 //! graph, and runs the *executor's own* permission matrix and precondition
-//! checker (`sws_core::check_preconditions_view`, generic over
+//! checker (`sws_core::check_preconditions`, generic over
 //! `SchemaView`) at every step. That construction makes it **sound against
 //! the apply pipeline by design**: the first error the analyzer predicts is
 //! the first error `Workspace::apply`/`replay` produces — a property the
@@ -33,10 +33,8 @@ pub mod diag;
 pub mod state;
 
 use std::collections::{HashMap, HashSet};
-use sws_core::{
-    check_preconditions_view, print_op, ConceptKind, ConstraintViolation, ModOp, OpError,
-};
-use sws_model::{QueryCache, SchemaGraph, SchemaView};
+use sws_core::{check_preconditions, print_op, ConceptKind, ConstraintViolation, ModOp, OpError};
+use sws_model::{SchemaGraph, SchemaView};
 use sws_odl::OdlError;
 
 pub use commute::{commutes, footprint, Footprint};
@@ -54,7 +52,6 @@ pub fn analyze_ops(
     let mut sp = sws_trace::span!("core.analyze", ops = script.len());
     sws_trace::counter("core.analyze.scripts", 1);
     let matrix = sws_core::ops::PermissionMatrix::new();
-    let qc_shrink = QueryCache::new();
     let mut state = AbsState::new(base);
     let mut report = LintReport {
         ops: script.len(),
@@ -91,7 +88,7 @@ pub fn analyze_ops(
             });
             break;
         }
-        let violations = check_preconditions_view(op, &state, shrink_wrap, &qc_shrink);
+        let violations = check_preconditions(op, &state, shrink_wrap);
         if !violations.is_empty() {
             for v in &violations {
                 let deleted_earlier = match v {

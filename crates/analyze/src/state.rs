@@ -2,13 +2,13 @@
 //! overlay over a base [`SchemaGraph`] that is never mutated.
 //!
 //! The state implements [`SchemaView`], so the *identical* precondition
-//! checker the executor runs (`sws_core::check_preconditions_view`) runs
+//! checker the executor runs (`sws_core::check_preconditions`) runs
 //! over it unchanged — the analyzer cannot drift from the executor on what
 //! a script may do. What remains to mirror is the *transfer function*: the
 //! effect of one accepted operation on the state, which follows
 //! `sws_core::ops::apply::apply_op` and the `SchemaGraph` mutators
-//! statement by statement (minus undo journaling, generation bumps, and
-//! cascade reporting, none of which are observable through the view).
+//! statement by statement (minus undo journaling and cascade reporting,
+//! neither of which is observable through the view).
 //!
 //! Two properties the mirror preserves exactly:
 //!

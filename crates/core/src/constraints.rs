@@ -20,7 +20,7 @@
 
 use crate::ops::ModOp;
 use std::fmt;
-use sws_model::{CachedView, QueryCache, SchemaGraph, SchemaView, Symbol, TypeId};
+use sws_model::{SchemaGraph, SchemaView, Symbol, TypeId};
 use sws_odl::{DomainType, HierKind, Key};
 
 /// Render an order-by list of interned symbols for a violation message.
@@ -238,66 +238,35 @@ impl fmt::Display for ConstraintViolation {
 /// Check every precondition of `op` against `working`, using `shrink_wrap`
 /// for the semantic-stability reference hierarchy. Returns all violations
 /// (empty = the operation may be applied).
-pub fn check_preconditions(
-    op: &ModOp,
-    working: &SchemaGraph,
-    shrink_wrap: &SchemaGraph,
-) -> Vec<ConstraintViolation> {
-    let qc = QueryCache::new();
-    let qc_sw = QueryCache::new();
-    check_preconditions_cached(op, working, shrink_wrap, &qc, &qc_sw)
-}
-
-/// As [`check_preconditions`], but answering hierarchy traversals from the
-/// caller's [`QueryCache`]s (one paired with `working`, one with
-/// `shrink_wrap`). `Workspace` threads its long-lived caches through here so
-/// repeated checks against an unchanged schema skip the graph walks.
-pub fn check_preconditions_cached(
-    op: &ModOp,
-    working: &SchemaGraph,
-    shrink_wrap: &SchemaGraph,
-    qc_working: &QueryCache,
-    qc_shrink: &QueryCache,
-) -> Vec<ConstraintViolation> {
-    let view = CachedView {
-        g: working,
-        qc: qc_working,
-    };
-    check_preconditions_view(op, &view, shrink_wrap, qc_shrink)
-}
-
-/// The generic core of the checker: every precondition of `op` judged
-/// against an arbitrary [`SchemaView`] of the working state. The executor
-/// calls it through [`check_preconditions_cached`] with a
-/// [`CachedView`]; `sws-analyze` calls it with its abstract overlay state,
-/// so the static analyzer runs the *same* checks the apply pipeline does —
-/// soundness by construction, not by reimplementation.
+///
+/// The one precondition entry point. `working` is any [`SchemaView`]: the
+/// executor passes its working [`SchemaGraph`], `sws-analyze` its abstract
+/// overlay state, so the static analyzer runs the *same* checks the apply
+/// pipeline does — soundness by construction, not by reimplementation.
+/// Every hierarchy query walks the view fresh; there is no memo.
 ///
 /// The shrink-wrap side stays concrete: it is immutable during both real
 /// application and analysis, so it never needs the abstraction.
-pub fn check_preconditions_view<V: SchemaView>(
+pub fn check_preconditions<V: SchemaView + ?Sized>(
     op: &ModOp,
     working: &V,
     shrink_wrap: &SchemaGraph,
-    qc_shrink: &QueryCache,
 ) -> Vec<ConstraintViolation> {
     let mut v = Vec::new();
     let ctx = Ctx {
         g: working,
         sw: shrink_wrap,
-        qc_sw: qc_shrink,
     };
     ctx.check(op, &mut v);
     v
 }
 
-struct Ctx<'a, V: SchemaView> {
+struct Ctx<'a, V: SchemaView + ?Sized> {
     g: &'a V,
     sw: &'a SchemaGraph,
-    qc_sw: &'a QueryCache,
 }
 
-impl<'a, V: SchemaView> Ctx<'a, V> {
+impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
     fn require(&self, name: &str, v: &mut Vec<ConstraintViolation>) -> Option<TypeId> {
         match self.g.type_id(name) {
             Some(id) => Some(id),
@@ -317,7 +286,7 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
             return;
         }
         let ok = match (self.sw.type_id(from), self.sw.type_id(to)) {
-            (Some(a), Some(b)) => self.qc_sw.on_same_generalization_path(self.sw, a, b),
+            (Some(a), Some(b)) => self.sw.on_same_generalization_path(a, b),
             _ => match (self.g.type_id(from), self.g.type_id(to)) {
                 (Some(a), Some(b)) => self.g.on_same_generalization_path(a, b),
                 _ => return, // unknown types reported elsewhere
@@ -1293,7 +1262,7 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
 }
 
 /// Does `t` define a member named `name`? Returns `Some(is_operation)`.
-fn member_is_op<V: SchemaView>(g: &V, t: TypeId, name: &str) -> Option<bool> {
+fn member_is_op<V: SchemaView + ?Sized>(g: &V, t: TypeId, name: &str) -> Option<bool> {
     if g.find_op(t, name).is_some() {
         return Some(true);
     }
@@ -1308,7 +1277,7 @@ fn member_is_op<V: SchemaView>(g: &V, t: TypeId, name: &str) -> Option<bool> {
 }
 
 /// The member names `t` itself defines, with an is-operation flag.
-fn own_members<V: SchemaView>(g: &V, t: TypeId) -> Vec<(Symbol, bool)> {
+fn own_members<V: SchemaView + ?Sized>(g: &V, t: TypeId) -> Vec<(Symbol, bool)> {
     let node = g.ty(t);
     let mut out = Vec::new();
     for &a in &node.attrs {
@@ -1330,7 +1299,12 @@ fn own_members<V: SchemaView>(g: &V, t: TypeId) -> Vec<(Symbol, bool)> {
 }
 
 /// Is `above` an ancestor of (or equal to) `start` in the `kind` hierarchy?
-fn hier_is_ancestor<V: SchemaView>(g: &V, kind: HierKind, above: TypeId, start: TypeId) -> bool {
+fn hier_is_ancestor<V: SchemaView + ?Sized>(
+    g: &V,
+    kind: HierKind,
+    above: TypeId,
+    start: TypeId,
+) -> bool {
     if above == start {
         return true;
     }
@@ -1351,7 +1325,7 @@ fn hier_is_ancestor<V: SchemaView>(g: &V, kind: HierKind, above: TypeId, start: 
 }
 
 /// As [`hier_is_ancestor`], ignoring one link.
-fn hier_is_ancestor_excluding<V: SchemaView>(
+fn hier_is_ancestor_excluding<V: SchemaView + ?Sized>(
     g: &V,
     kind: HierKind,
     skip: sws_model::LinkId,

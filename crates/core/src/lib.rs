@@ -52,10 +52,7 @@ pub use concept::{concept_count, decompose, ConceptKind, ConceptSchema, Decompos
 pub use consistency::{
     check_consistency, ConsistencyReport, ConsistencyState, CrossIssue, Severity,
 };
-pub use constraints::{
-    check_preconditions, check_preconditions_cached, check_preconditions_view, ConstraintCategory,
-    ConstraintViolation,
-};
+pub use constraints::{check_preconditions, ConstraintCategory, ConstraintViolation};
 pub use explain::explain;
 pub use feedback::Feedback;
 pub use impact::{DirtySet, ImpactEntry, ImpactReport};

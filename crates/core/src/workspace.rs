@@ -13,11 +13,10 @@
 //! Applying an operation runs the pipeline: permission check (Table 1) →
 //! precondition constraints → mutation + propagation → cautionary feedback.
 //!
-//! Three incremental structures ride along (see `docs/performance.md`):
+//! Preconditions walk the working and shrink wrap schemas fresh on every
+//! apply; nothing memoizes hierarchy traversals. Three incremental
+//! structures ride along (see `docs/performance.md`):
 //!
-//! * two [`QueryCache`]s memoize hierarchy traversals — one paired with the
-//!   working schema (invalidated by its generation counter), one with the
-//!   immutable shrink wrap schema (never invalidated);
 //! * an **undo log** of [`UndoPatch`]es, one per applied operation, so
 //!   rejection cleanup, [`Workspace::undo_last`] and [`Workspace::reset`]
 //!   replay inverse images instead of cloning the whole graph — the only
@@ -41,7 +40,7 @@
 
 use crate::concept::{concept_count, decompose, ConceptKind, Decomposition};
 use crate::consistency::{ConsistencyReport, ConsistencyState};
-use crate::constraints::check_preconditions_cached;
+use crate::constraints::check_preconditions;
 use crate::feedback::{cautionary, Feedback};
 use crate::impact::{DirtySet, ImpactReport};
 use crate::odl_blocks::OdlBlocks;
@@ -49,7 +48,7 @@ use crate::ops::apply::apply_op;
 use crate::ops::{ModOp, OpError, PermissionMatrix};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
-use sws_model::{QueryCache, SchemaGraph, UndoPatch};
+use sws_model::{SchemaGraph, UndoPatch};
 
 /// One log record: an operation that was applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,11 +70,6 @@ pub struct Workspace {
     /// One undo patch per log entry, in application order.
     undo: Vec<UndoPatch>,
     matrix: PermissionMatrix,
-    /// Memoized traversals over `working` (generation-invalidated).
-    qc_working: QueryCache,
-    /// Memoized traversals over `shrink_wrap` (it never mutates, so this
-    /// cache never invalidates).
-    qc_shrink: QueryCache,
     /// True when the working schema was seeded from a checkpoint snapshot
     /// instead of replaying ops from the shrink wrap — the log then only
     /// covers the tail, so undo cannot reach back to the shrink wrap.
@@ -114,8 +108,6 @@ impl Workspace {
             log: Vec::new(),
             undo: Vec::new(),
             matrix: PermissionMatrix::new(),
-            qc_working: QueryCache::new(),
-            qc_shrink: QueryCache::new(),
             state: RefCell::new(ConsistencyState::new()),
             odl: RefCell::new(OdlBlocks::new()),
             concepts: Cell::new(None),
@@ -176,13 +168,7 @@ impl Workspace {
         }
         let violations = {
             let mut pre = sws_trace::span("core.preconditions");
-            let violations = check_preconditions_cached(
-                &op,
-                &self.working,
-                &self.shrink_wrap,
-                &self.qc_working,
-                &self.qc_shrink,
-            );
+            let violations = check_preconditions(&op, &self.working, &self.shrink_wrap);
             pre.record("violations", violations.len());
             violations
         };
@@ -358,11 +344,6 @@ impl Workspace {
         self.consistency()
     }
 
-    /// The query cache paired with the working schema.
-    pub fn query_cache(&self) -> &QueryCache {
-        &self.qc_working
-    }
-
     /// Take back the last applied operation: revert its undo patch, pop
     /// its log record, and reseed the incremental consistency state with
     /// the same dirty names the forward apply recorded (the inverse touches
@@ -382,9 +363,8 @@ impl Workspace {
     /// Reset the working schema back to the shrink wrap schema by undoing
     /// every logged operation, last first.
     pub fn reset(&mut self) {
-        let mut sp = sws_trace::span!("ws.reset", patches = self.undo.len());
+        let _sp = sws_trace::span!("ws.reset", patches = self.undo.len());
         while self.undo_last().is_some() {}
-        sp.record("generation", self.working.generation() as usize);
         // Oracle: undo replay must land on a graph structurally identical
         // to the graph the session started from — the shrink wrap copy,
         // unless the workspace was resumed from a checkpoint snapshot (the

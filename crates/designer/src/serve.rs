@@ -142,6 +142,16 @@ pub fn http_status(response: &Response) -> (u16, &'static str) {
     }
 }
 
+/// Largest HTTP request body the daemon reads; a longer `Content-Length`
+/// is answered with `malformed_frame` before any body byte is read.
+const MAX_HTTP_BODY: usize = 8 << 20;
+
+fn error_response(code: ErrorCode, message: String) -> (Response, String) {
+    let response = Response::Error { code, message };
+    let rendered = crate::protocol::render_response(&response);
+    (response, rendered)
+}
+
 fn serve_http(
     service: &DesignService,
     reader: &mut BufReader<TcpStream>,
@@ -155,8 +165,9 @@ fn serve_http(
         let method = parts.next().unwrap_or("").to_string();
         let path = parts.next().unwrap_or("/").to_string();
 
-        // Headers.
-        let mut content_length = 0usize;
+        // Headers. `Content-Length` is client-supplied: check it before
+        // sizing a buffer from it.
+        let mut content_length = Ok(0usize);
         let mut close = false;
         loop {
             let mut header = String::new();
@@ -170,7 +181,13 @@ fn serve_http(
             if let Some((name, value)) = header.split_once(':') {
                 let value = value.trim();
                 if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.parse().unwrap_or(0);
+                    content_length = match value.parse::<usize>() {
+                        Ok(n) if n <= MAX_HTTP_BODY => Ok(n),
+                        Ok(n) => Err(format!(
+                            "content-length {n} exceeds the {MAX_HTTP_BODY}-byte body limit"
+                        )),
+                        Err(_) => Err(format!("malformed content-length `{value}`")),
+                    };
                 } else if name.eq_ignore_ascii_case("connection")
                     && value.eq_ignore_ascii_case("close")
                 {
@@ -178,24 +195,32 @@ fn serve_http(
                 }
             }
         }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body)?;
 
         *requests += 1;
-        let frame = match method.as_str() {
-            "POST" => String::from_utf8_lossy(&body).into_owned(),
-            "GET" | "HEAD" if path == "/ping" || path == "/" => "{\"type\":\"ping\"}".to_string(),
-            _ => String::new(),
-        };
-        let (response, rendered) = if frame.is_empty() {
-            let response = Response::Error {
-                code: ErrorCode::BadRequest,
-                message: format!("no route for {method} {path}"),
-            };
-            let rendered = crate::protocol::render_response(&response);
-            (response, rendered)
-        } else {
-            respond(service, frame.trim())
+        let (response, rendered) = match content_length {
+            // The body's extent is unknown, so the connection cannot be
+            // resynchronised: answer and close it.
+            Err(message) => {
+                close = true;
+                error_response(ErrorCode::MalformedFrame, message)
+            }
+            Ok(len) => {
+                let mut body = vec![0u8; len];
+                reader.read_exact(&mut body)?;
+                let frame = match method.as_str() {
+                    "POST" => String::from_utf8_lossy(&body).into_owned(),
+                    "GET" | "HEAD" if path == "/ping" || path == "/" => {
+                        "{\"type\":\"ping\"}".to_string()
+                    }
+                    _ => String::new(),
+                };
+                if frame.is_empty() {
+                    let message = format!("no route for {method} {path}");
+                    error_response(ErrorCode::BadRequest, message)
+                } else {
+                    respond(service, frame.trim())
+                }
+            }
         };
 
         let (status, reason) = http_status(&response);

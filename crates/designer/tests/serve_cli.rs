@@ -300,3 +300,86 @@ fn naive_clients_get_each_response_in_one_segment() {
     assert!(bye.contains("\"type\":\"bye\""), "{bye}");
     assert_eq!(server.0.wait().expect("server exits").code(), Some(0));
 }
+
+/// An HTTP `Content-Length` the daemon cannot honour — larger than its
+/// body limit, or not a number — is answered with a 400 `malformed_frame`
+/// and the connection is closed, before any buffer is sized from it. The
+/// single acceptor survives and serves the next connection.
+#[test]
+fn http_bodies_with_unusable_content_length_get_400_and_close() {
+    use std::io::{ErrorKind, Read};
+
+    /// Kills the server if an assertion fails before the clean shutdown.
+    struct Reap(Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let schema = schema_file("body_limit");
+    let (child, _stdout, addr) = spawn_serve(&[
+        "--schema",
+        schema.to_str().unwrap(),
+        "--threads=1",
+        "--addr=127.0.0.1:0",
+        "serve",
+    ]);
+    let mut server = Reap(child);
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    };
+
+    for request in [
+        "POST / HTTP/1.1\r\ncontent-length: 18446744073709551615\r\n\r\n",
+        "POST / HTTP/1.1\r\ncontent-length: 15 bytes\r\n\r\n{\"type\":\"ping\"}",
+    ] {
+        let (mut stream, mut reader) = connect();
+        stream.write_all(request.as_bytes()).expect("send");
+        let mut status = String::new();
+        reader.read_line(&mut status).expect("recv status");
+        assert!(
+            status.starts_with("HTTP/1.1 400 "),
+            "{request:?}: {status:?}"
+        );
+        let (mut length, mut connection) = (0usize, String::new());
+        loop {
+            let mut header = String::new();
+            reader.read_line(&mut header).expect("recv head");
+            let header = header.trim_end();
+            if header.is_empty() {
+                break;
+            }
+            if let Some(value) = header.strip_prefix("content-length: ") {
+                length = value.parse().expect("content-length");
+            } else if let Some(value) = header.strip_prefix("connection: ") {
+                connection = value.to_string();
+            }
+        }
+        assert_eq!(connection, "close", "{request:?}");
+        let mut body = vec![0u8; length];
+        reader.read_exact(&mut body).expect("recv body");
+        let body = String::from_utf8_lossy(&body);
+        assert!(body.contains("\"code\":\"malformed_frame\""), "{body}");
+        // Closed by the server: end of stream, or a reset when unread body
+        // bytes were still queued — never a further response or a stall.
+        let mut rest = Vec::new();
+        match reader.read_to_end(&mut rest) {
+            Ok(_) => assert!(rest.is_empty(), "{:?}", String::from_utf8_lossy(&rest)),
+            Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset, "{e}"),
+        }
+    }
+
+    let (mut stream, mut reader) = connect();
+    let pong = rpc(&mut stream, &mut reader, "{\"type\":\"ping\"}");
+    assert!(pong.contains("\"type\":\"pong\""), "{pong}");
+    let bye = rpc(&mut stream, &mut reader, "{\"type\":\"shutdown\"}");
+    assert!(bye.contains("\"type\":\"bye\""), "{bye}");
+    assert_eq!(server.0.wait().expect("server exits").code(), Some(0));
+}

@@ -417,9 +417,6 @@ pub struct SchemaGraph {
     /// Count of live (non-tombstoned) type slots, maintained incrementally
     /// so `type_count` is O(1) on the checking hot paths.
     live_types: usize,
-    /// Monotonic mutation counter; bumped by every mutating method. Query
-    /// caches key their entries on it and invalidate wholesale when it moves.
-    generation: u64,
     journal: Option<UndoPatch>,
 }
 
@@ -435,7 +432,6 @@ impl SchemaGraph {
             links: ChunkedVec::new(),
             by_name: Arc::default(),
             live_types: 0,
-            generation: 0,
             journal: None,
         }
     }
@@ -443,18 +439,6 @@ impl SchemaGraph {
     /// The schema name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The current mutation generation. Every mutating method bumps this,
-    /// so equal generations on the *same* graph value imply identical
-    /// structure (a clone starts at the parent's generation but diverges
-    /// independently — never share one cache across two graphs).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    fn bump(&mut self) {
-        self.generation += 1;
     }
 
     /// The name index, unshared first if a clone still holds it.
@@ -553,7 +537,6 @@ impl SchemaGraph {
             }
         }
         self.live_types = live;
-        self.bump();
     }
 
     fn touch_type(&mut self, id: TypeId) {
@@ -855,7 +838,6 @@ impl SchemaGraph {
         if self.by_name.contains_key(&sym) {
             return Err(ModelError::DuplicateTypeName(name.to_string()));
         }
-        self.bump();
         self.touch_name(sym);
         let id = TypeId(self.types.len() as u32);
         self.types.push(TypeNode {
@@ -880,7 +862,6 @@ impl SchemaGraph {
     /// Mark a type abstract (or concrete).
     pub fn set_abstract(&mut self, id: TypeId, is_abstract: bool) -> Result<(), ModelError> {
         self.check_live(id)?;
-        self.bump();
         self.touch_type(id);
         self.type_mut(id)?.is_abstract = is_abstract;
         Ok(())
@@ -898,7 +879,6 @@ impl SchemaGraph {
             }
         }
         self.check_live(id)?;
-        self.bump();
         self.touch_type(id);
         self.type_mut(id)?.extent = extent_sym;
         Ok(())
@@ -914,7 +894,6 @@ impl SchemaGraph {
             });
         }
         self.check_live(id)?;
-        self.bump();
         self.touch_type(id);
         self.type_mut(id)?.keys.push(skey);
         Ok(())
@@ -929,7 +908,6 @@ impl SchemaGraph {
                 key: key.to_string(),
             });
         }
-        self.bump();
         self.touch_type(id);
         self.type_mut(id)?.keys.retain(|k| k != key);
         Ok(())
@@ -943,7 +921,6 @@ impl SchemaGraph {
         mode: RemoveTypeMode,
     ) -> Result<CascadeReport, ModelError> {
         self.check_live(id)?;
-        self.bump();
         let mut report = CascadeReport::default();
         let name = self.ty(id).name;
 
@@ -1052,7 +1029,6 @@ impl SchemaGraph {
             // `sub` is already an ancestor of `sup`: adding the edge closes a cycle.
             return Err(ModelError::SupertypeCycle { sub, sup });
         }
-        self.bump();
         self.touch_type(sub);
         self.touch_type(sup);
         self.types[sub.index()].supertypes.push(sup);
@@ -1067,7 +1043,6 @@ impl SchemaGraph {
         if !self.ty(sub).supertypes.contains(&sup) {
             return Err(ModelError::NoSuchSupertype { sub, sup });
         }
-        self.bump();
         self.touch_type(sub);
         self.touch_type(sup);
         self.types[sub.index()].supertypes.retain(|&s| s != sup);
@@ -1109,7 +1084,6 @@ impl SchemaGraph {
     ) -> Result<AttrId, ModelError> {
         self.check_live(owner)?;
         self.check_member_free(owner, name)?;
-        self.bump();
         self.touch_type(owner);
         let id = AttrId(self.attrs.len() as u32);
         self.attrs.push(AttrNode {
@@ -1132,7 +1106,6 @@ impl SchemaGraph {
             .ok_or(ModelError::DeadAttr(id))?;
         let owner = node.owner;
         let name = node.name;
-        self.bump();
         let mut report = CascadeReport::default();
         self.prune_attr_references(owner, name, &mut report);
         self.touch_attr(id);
@@ -1162,7 +1135,6 @@ impl SchemaGraph {
             return Ok(CascadeReport::default());
         }
         self.check_member_free(new_owner, name.as_str())?;
-        self.bump();
         let mut report = CascadeReport::default();
         self.prune_attr_references(old_owner, name, &mut report);
         self.touch_type(old_owner);
@@ -1179,7 +1151,6 @@ impl SchemaGraph {
         if self.try_attr(id).is_none() {
             return Err(ModelError::DeadAttr(id));
         }
-        self.bump();
         self.touch_attr(id);
         self.attrs[id.index()].ty = ty;
         Ok(())
@@ -1190,7 +1161,6 @@ impl SchemaGraph {
         if self.try_attr(id).is_none() {
             return Err(ModelError::DeadAttr(id));
         }
-        self.bump();
         self.touch_attr(id);
         self.attrs[id.index()].size = size;
         Ok(())
@@ -1276,7 +1246,6 @@ impl SchemaGraph {
             });
         }
         self.check_member_free(b_owner, b_path)?;
-        self.bump();
         self.touch_type(a_owner);
         self.touch_type(b_owner);
         let id = RelId(self.rels.len() as u32);
@@ -1311,7 +1280,6 @@ impl SchemaGraph {
             .ok_or(ModelError::DeadRel(id))?;
         let a = node.ends[0].clone();
         let b = node.ends[1].clone();
-        self.bump();
         let mut report = CascadeReport::default();
         report
             .removed_rels
@@ -1350,7 +1318,6 @@ impl SchemaGraph {
             return Ok(());
         }
         self.check_member_free(new_owner, path.as_str())?;
-        self.bump();
         self.touch_type(old_owner);
         self.touch_type(new_owner);
         self.touch_rel(id);
@@ -1372,7 +1339,6 @@ impl SchemaGraph {
         if self.try_rel(id).is_none() {
             return Err(ModelError::DeadRel(id));
         }
-        self.bump();
         self.touch_rel(id);
         self.rels[id.index()].ends[end as usize].cardinality = cardinality;
         Ok(())
@@ -1388,7 +1354,6 @@ impl SchemaGraph {
         if self.try_rel(id).is_none() {
             return Err(ModelError::DeadRel(id));
         }
-        self.bump();
         self.touch_rel(id);
         self.rels[id.index()].ends[end as usize].order_by =
             order_by.iter().map(|s| Symbol::intern(s)).collect();
@@ -1404,7 +1369,6 @@ impl SchemaGraph {
     pub fn add_operation(&mut self, owner: TypeId, op: Operation) -> Result<OpId, ModelError> {
         self.check_live(owner)?;
         self.check_member_free(owner, &op.name)?;
-        self.bump();
         self.touch_type(owner);
         let id = OpId(self.ops.len() as u32);
         let name = Symbol::intern(&op.name);
@@ -1427,7 +1391,6 @@ impl SchemaGraph {
             .ok_or(ModelError::DeadOp(id))?;
         let owner = node.owner;
         let op_name = node.name;
-        self.bump();
         let mut report = CascadeReport::default();
         report.removed_ops.push((self.ty(owner).name, op_name));
         self.touch_type(owner);
@@ -1452,7 +1415,6 @@ impl SchemaGraph {
             return Ok(());
         }
         self.check_member_free(new_owner, name.as_str())?;
-        self.bump();
         self.touch_type(old_owner);
         self.touch_type(new_owner);
         self.touch_op(id);
@@ -1467,7 +1429,6 @@ impl SchemaGraph {
         if self.try_op(id).is_none() {
             return Err(ModelError::DeadOp(id));
         }
-        self.bump();
         self.touch_op(id);
         self.ops[id.index()].op.return_type = return_type;
         Ok(())
@@ -1478,7 +1439,6 @@ impl SchemaGraph {
         if self.try_op(id).is_none() {
             return Err(ModelError::DeadOp(id));
         }
-        self.bump();
         self.touch_op(id);
         self.ops[id.index()].op.args = args;
         Ok(())
@@ -1489,7 +1449,6 @@ impl SchemaGraph {
         if self.try_op(id).is_none() {
             return Err(ModelError::DeadOp(id));
         }
-        self.bump();
         self.touch_op(id);
         self.ops[id.index()].op.raises = raises;
         Ok(())
@@ -1523,7 +1482,6 @@ impl SchemaGraph {
         }
         self.check_member_free(parent, parent_path)?;
         self.check_member_free(child, child_path)?;
-        self.bump();
         self.touch_type(parent);
         self.touch_type(child);
         let id = LinkId(self.links.len() as u32);
@@ -1578,7 +1536,6 @@ impl SchemaGraph {
             .ok_or(ModelError::DeadLink(id))?;
         let (kind, parent, child) = (node.kind, node.parent, node.child);
         let (ppath, cpath) = (node.parent_path, node.child_path);
-        self.bump();
         let mut report = CascadeReport::default();
         report.removed_links.push((
             kind,
@@ -1635,7 +1592,6 @@ impl SchemaGraph {
                 child: c,
             });
         }
-        self.bump();
         self.touch_type(old_type);
         self.touch_type(new_type);
         self.touch_link(id);
@@ -1704,7 +1660,6 @@ impl SchemaGraph {
         if self.try_link(id).is_none() {
             return Err(ModelError::DeadLink(id));
         }
-        self.bump();
         self.touch_link(id);
         self.links[id.index()].collection = collection;
         Ok(())
@@ -1719,7 +1674,6 @@ impl SchemaGraph {
         if self.try_link(id).is_none() {
             return Err(ModelError::DeadLink(id));
         }
-        self.bump();
         self.touch_link(id);
         self.links[id.index()].order_by = order_by.iter().map(|s| Symbol::intern(s)).collect();
         Ok(())
@@ -1734,7 +1688,6 @@ impl SchemaGraph {
     /// (mid-edit states can be arbitrarily ill-formed).
     #[cfg(test)]
     pub(crate) fn force_supertype_edge(&mut self, sub: TypeId, sup: TypeId) {
-        self.bump();
         self.touch_type(sub);
         self.touch_type(sup);
         self.types[sub.index()].supertypes.push(sup);
@@ -1752,7 +1705,6 @@ impl SchemaGraph {
         child: TypeId,
         child_path: &str,
     ) -> LinkId {
-        self.bump();
         self.touch_type(parent);
         self.touch_type(child);
         let id = LinkId(self.links.len() as u32);
@@ -2320,23 +2272,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_bumps_on_every_mutation() {
-        let mut g = graph();
-        let g0 = g.generation();
-        let a = g.add_type("A").unwrap();
-        assert!(g.generation() > g0);
-        let g1 = g.generation();
-        g.add_attribute(a, "x", DomainType::Long, None).unwrap();
-        assert!(g.generation() > g1);
-        let g2 = g.generation();
-        // Failed mutations do not bump.
-        assert!(g.add_type("A").is_err());
-        assert_eq!(g.generation(), g2);
-        g.remove_type(a, RemoveTypeMode::default()).unwrap();
-        assert!(g.generation() > g2);
-    }
-
-    #[test]
     fn undo_rollback_restores_exact_state() {
         let mut g = graph();
         let a = g.add_type("A").unwrap();
@@ -2383,16 +2318,6 @@ mod tests {
         g.revert(&p1);
         assert!(g.find_attr(a, "x").is_none());
         assert!(crate::diff::diff_graphs(&oracle, &g).is_empty());
-    }
-
-    #[test]
-    fn undo_revert_bumps_generation() {
-        let mut g = graph();
-        g.begin_undo();
-        g.add_type("A").unwrap();
-        let before = g.generation();
-        g.rollback_undo();
-        assert!(g.generation() > before);
     }
 
     #[test]

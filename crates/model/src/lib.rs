@@ -17,14 +17,12 @@
 //!   graphs,
 //! * [`query`] — generalization/aggregation/instance-of hierarchy queries
 //!   (ancestors, descendants, roots, paths, components),
-//! * [`cache`] — generation-stamped memoization of the hot queries,
 //! * [`wf`] — graph-level well-formedness checking,
 //! * [`diff`] — structural diff between two graphs,
 //! * [`error`] — mutation error type.
 #![forbid(unsafe_code)]
 
 mod arena;
-pub mod cache;
 pub mod diff;
 pub mod error;
 pub mod graph;
@@ -36,7 +34,6 @@ pub mod query;
 pub mod view;
 pub mod wf;
 
-pub use cache::QueryCache;
 pub use diff::{diff_graphs, MemberChange, SchemaDiff, TypeDiff};
 pub use error::ModelError;
 pub use graph::LinkSide;
@@ -48,5 +45,5 @@ pub use ids::{AttrId, LinkId, OpId, RelId, TypeId};
 pub use index::ClosureScratch;
 pub use intern::{SymKey, Symbol};
 pub use lower::{graph_to_schema, schema_to_graph, type_to_interface, LowerError};
-pub use view::{CachedView, SchemaView};
+pub use view::SchemaView;
 pub use wf::{check_type_into, check_type_well_formed, check_well_formed, WfIssue, WfScratch};

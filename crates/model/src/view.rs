@@ -8,22 +8,22 @@
 //! the checker over a second state representation (and letting the two
 //! drift), the checker is generic over this trait. Implementations:
 //!
-//! * [`SchemaGraph`] itself — every query computed fresh,
-//! * [`CachedView`] — a graph paired with its [`QueryCache`], preserving
-//!   the executor's memoized hot path unchanged,
+//! * [`SchemaGraph`] itself — the executor's working and shrink wrap
+//!   schemas,
 //! * `sws_analyze::AbsState` — a copy-on-write overlay over a base graph.
 //!
 //! The traversal algorithms (`ancestors`, `descendants`, visible members,
 //! hierarchy parents) live here as generic functions; `crate::query`'s
 //! concrete functions delegate to them, so there is exactly one BFS to get
-//! right.
+//! right. Every query is computed fresh: there is no memo to invalidate.
+//! The only other walk is [`ClosureScratch`](crate::ClosureScratch), the
+//! allocation-free copy the consistency recheck uses; tests pin the two to
+//! each other.
 
-use crate::cache::QueryCache;
 use crate::graph::{AttrNode, LinkNode, LinkSide, OpNode, RelNode, SchemaGraph, TypeNode};
 use crate::ids::{AttrId, LinkId, OpId, RelId, TypeId};
 use crate::intern::Symbol;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
 use sws_odl::HierKind;
 
 /// Read-only access to a schema state: node accessors plus the derived
@@ -123,20 +123,19 @@ pub trait SchemaView {
     }
 
     /// All strict ancestors of `t` via supertype edges, in BFS order.
-    /// `Arc` so a caching implementation can hand out a shared memo entry.
-    fn ancestors(&self, t: TypeId) -> Arc<Vec<TypeId>> {
-        Arc::new(ancestors_of(self, t))
+    fn ancestors(&self, t: TypeId) -> Vec<TypeId> {
+        ancestors_of(self, t)
     }
 
     /// All strict descendants of `t` via subtype edges, in BFS order.
-    fn descendants(&self, t: TypeId) -> Arc<Vec<TypeId>> {
-        Arc::new(descendants_of(self, t))
+    fn descendants(&self, t: TypeId) -> Vec<TypeId> {
+        descendants_of(self, t)
     }
 
     /// The member names visible on `t` (own plus inherited), as
     /// `(name, defining type)` pairs; nearest definition wins.
-    fn visible_members(&self, t: TypeId) -> Arc<Vec<(Symbol, TypeId)>> {
-        Arc::new(visible_members_of(self, t))
+    fn visible_members(&self, t: TypeId) -> Vec<(Symbol, TypeId)> {
+        visible_members_of(self, t)
     }
 
     /// True if `a` is a strict ancestor of `b`.
@@ -254,60 +253,6 @@ impl SchemaView for SchemaGraph {
     }
 }
 
-/// A [`SchemaGraph`] paired with its [`QueryCache`]: the hierarchy queries
-/// are answered from the memo tables, everything else goes straight to the
-/// graph. This is the executor's hot path — `check_preconditions_cached`
-/// wraps the workspace's long-lived cache in one of these, so making the
-/// checker generic did not cost it the memoization.
-pub struct CachedView<'a> {
-    /// The underlying graph.
-    pub g: &'a SchemaGraph,
-    /// The cache paired with `g` (one cache per graph — see [`QueryCache`]).
-    pub qc: &'a QueryCache,
-}
-
-impl SchemaView for CachedView<'_> {
-    fn type_id(&self, name: &str) -> Option<TypeId> {
-        self.g.type_id(name)
-    }
-
-    fn ty(&self, id: TypeId) -> &TypeNode {
-        self.g.ty(id)
-    }
-
-    fn attr(&self, id: AttrId) -> &AttrNode {
-        self.g.attr(id)
-    }
-
-    fn rel(&self, id: RelId) -> &RelNode {
-        self.g.rel(id)
-    }
-
-    fn op(&self, id: OpId) -> &OpNode {
-        self.g.op(id)
-    }
-
-    fn link(&self, id: LinkId) -> &LinkNode {
-        self.g.link(id)
-    }
-
-    fn types_iter(&self) -> Box<dyn Iterator<Item = (TypeId, &TypeNode)> + '_> {
-        Box::new(self.g.types())
-    }
-
-    fn ancestors(&self, t: TypeId) -> Arc<Vec<TypeId>> {
-        self.qc.ancestors(self.g, t)
-    }
-
-    fn descendants(&self, t: TypeId) -> Arc<Vec<TypeId>> {
-        self.qc.descendants(self.g, t)
-    }
-
-    fn visible_members(&self, t: TypeId) -> Arc<Vec<(Symbol, TypeId)>> {
-        self.qc.visible_members(self.g, t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,35 +276,16 @@ mod tests {
         let g = fixture();
         let mgr = g.type_id("Manager").expect("Manager");
         let person = g.type_id("Person").expect("Person");
-        assert_eq!(*SchemaView::ancestors(&g, mgr), query::ancestors(&g, mgr));
+        assert_eq!(SchemaView::ancestors(&g, mgr), query::ancestors(&g, mgr));
         assert_eq!(
-            *SchemaView::descendants(&g, person),
+            SchemaView::descendants(&g, person),
             query::descendants(&g, person)
         );
         assert_eq!(
-            *SchemaView::visible_members(&g, mgr),
+            SchemaView::visible_members(&g, mgr),
             query::visible_members(&g, mgr)
         );
         assert!(SchemaView::is_ancestor(&g, person, mgr));
         assert!(SchemaView::on_same_generalization_path(&g, mgr, person));
-    }
-
-    #[test]
-    fn cached_view_matches_uncached() {
-        let g = fixture();
-        let qc = QueryCache::new();
-        let cv = CachedView { g: &g, qc: &qc };
-        let mgr = g.type_id("Manager").expect("Manager");
-        let person = g.type_id("Person").expect("Person");
-        assert_eq!(*cv.ancestors(mgr), query::ancestors(&g, mgr));
-        assert_eq!(*cv.ancestors(mgr), query::ancestors(&g, mgr));
-        assert!(qc.hits() >= 1, "second lookup must hit the memo");
-        assert_eq!(*cv.visible_members(mgr), query::visible_members(&g, mgr));
-        assert_eq!(
-            cv.find_attr(person, "name"),
-            SchemaGraph::find_attr(&g, person, "name")
-        );
-        assert!(cv.member_exists(person, "name"));
-        assert_eq!(cv.types_iter().count(), 3);
     }
 }

@@ -11,18 +11,19 @@
 //!   the incremental report equal to a from-scratch run, and likewise the
 //!   per-interface ODL (`Workspace::custom_odl`), the maintained
 //!   error/warning counts and the concept count.
-//! * A `QueryCache` interleaved with arbitrary mutations always answers
-//!   exactly like the uncached `query` traversals.
+//! * One persistent `ClosureScratch` (the consistency recheck's
+//!   allocation-free traversal) interleaved with arbitrary mutations always
+//!   answers exactly like the reference `query` traversals.
 
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
 use shrink_wrap_schemas::core::{
-    check_consistency, decompose, AppliedOp, ConceptKind, ModOp, Workspace,
+    check_consistency, decompose, parse_statement, AppliedOp, ConceptKind, ModOp, Workspace,
 };
 use shrink_wrap_schemas::corpus::university;
-use shrink_wrap_schemas::model::{diff_graphs, graph_to_schema, query, QueryCache};
-use shrink_wrap_schemas::odl::{print_schema, DomainType};
+use shrink_wrap_schemas::model::{diff_graphs, graph_to_schema, query, ClosureScratch};
+use shrink_wrap_schemas::odl::{print_schema, DomainType, HierKind};
 
 /// Names likely to exist in the university schema plus some that don't.
 fn type_name() -> impl Strategy<Value = String> {
@@ -182,26 +183,45 @@ proptest! {
     }
 
     #[test]
-    fn cached_queries_equal_uncached_under_mutation(
+    fn closure_scratch_equals_query_under_mutation(
         script in prop::collection::vec((contexts(), random_op()), 1..15)
     ) {
         let mut ws = Workspace::new(university::graph());
-        let qc = QueryCache::new();
+        // University has one instance-of link and no part-of links: seed a
+        // part-of diamond (Syllabus under Course and Department) and a
+        // two-level instance-of chain so the closures have depth and a type
+        // reached twice.
+        for (context, stmt) in [
+            (ConceptKind::Aggregation, "add_part_of_relationship(Department, set<Course>, pc_courses, Course::pc_dept)"),
+            (ConceptKind::Aggregation, "add_part_of_relationship(Course, set<Syllabus>, pc_syllabi, Syllabus::pc_course)"),
+            (ConceptKind::Aggregation, "add_part_of_relationship(Department, set<Syllabus>, pc_dept_syllabi, Syllabus::pc_dept)"),
+            (ConceptKind::Aggregation, "add_part_of_relationship(Syllabus, set<Book>, pc_books, Book::pc_syllabus)"),
+            (ConceptKind::InstanceOf, "add_instance_of_relationship(CourseOffering, set<TimeSlot>, io_slots, TimeSlot::io_offering)"),
+        ] {
+            let op = parse_statement(stmt).expect("seed statement parses");
+            ws.apply(context, op).expect("seed link applies");
+        }
+        // One scratch for the whole script, as the consistency engine keeps
+        // it: epochs, marks and queue carry over across mutations, type
+        // removals and arena growth.
+        let mut scratch = ClosureScratch::default();
+        let (mut types, mut links) = (Vec::new(), Vec::new());
         for (context, op) in script {
             let _ = ws.apply(context, op);
             let g = ws.working();
+            scratch.ensure_slots(g.type_slots(), g.link_slots());
             for (t, _) in g.types() {
-                prop_assert_eq!(&*qc.ancestors(g, t), &query::ancestors(g, t));
-                prop_assert_eq!(&*qc.descendants(g, t), &query::descendants(g, t));
-                prop_assert_eq!(&*qc.visible_members(g, t), &query::visible_members(g, t));
-                // Second lookup exercises the hit path; same answer.
-                prop_assert_eq!(&*qc.ancestors(g, t), &query::ancestors(g, t));
+                scratch.ancestors_into(g, t, &mut types);
+                prop_assert_eq!(&types, &query::ancestors(g, t));
+                scratch.descendants_into(g, t, &mut types);
+                prop_assert_eq!(&types, &query::descendants(g, t));
+                for kind in [HierKind::PartOf, HierKind::InstanceOf] {
+                    scratch.hier_closure_into(g, kind, t, &mut types, &mut links);
+                    let (want_types, want_links) = query::hier_closure(g, kind, t);
+                    prop_assert_eq!(&types, &want_types);
+                    prop_assert_eq!(&links, &want_links);
+                }
             }
-            prop_assert_eq!(
-                &*qc.generalization_components(g),
-                &query::generalization_components(g)
-            );
         }
-        prop_assert!(qc.hits() > 0);
     }
 }

@@ -20,6 +20,15 @@ use shrink_wrap_schemas::core::{ConceptKind, ModOp, Workspace};
 use shrink_wrap_schemas::corpus::university;
 use shrink_wrap_schemas::model::{graph_to_schema, Symbol, TypeId};
 use shrink_wrap_schemas::odl::{print_schema, DomainType};
+use std::sync::{Mutex, MutexGuard};
+
+/// The interner is process-global and the test harness runs tests on
+/// parallel threads: each test that counts symbols holds this lock, so
+/// no other test mints a name between its two `interner_len` reads.
+fn interner_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn render(ws: &Workspace) -> String {
     print_schema(&graph_to_schema(ws.working()))
@@ -77,6 +86,7 @@ fn script() -> Vec<(ConceptKind, ModOp)> {
 
 #[test]
 fn reset_reverts_odl_byte_for_byte_and_interner_never_shrinks() {
+    let _interner = interner_lock();
     let mut ws = Workspace::new(university::graph());
     let odl_before = render(&ws);
     let len_start = Symbol::interner_len();
@@ -114,6 +124,7 @@ fn reset_reverts_odl_byte_for_byte_and_interner_never_shrinks() {
 
 #[test]
 fn undo_k_then_redo_k_is_byte_and_id_identical() {
+    let _interner = interner_lock();
     let mut ws = Workspace::new(university::graph());
     for (context, op) in script() {
         ws.apply(context, op).expect("scripted edit applies");
@@ -132,6 +143,7 @@ fn undo_k_then_redo_k_is_byte_and_id_identical() {
 
 #[test]
 fn replay_after_reset_reuses_every_symbol() {
+    let _interner = interner_lock();
     let mut ws = Workspace::new(university::graph());
     ws.apply_script(
         ConceptKind::WagonWheel,
@@ -222,6 +234,7 @@ mod random {
             script in prop::collection::vec((contexts(), random_op()), 1..20),
             k in 0usize..20
         ) {
+            let _interner = interner_lock();
             let mut ws = Workspace::new(university::graph());
             let odl_before = render(&ws);
 

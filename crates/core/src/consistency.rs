@@ -15,7 +15,7 @@
 //! concatenation (in arena order, check-major) of each live type's own
 //! findings, severity-sorted. [`ConsistencyState`] exploits that to recheck
 //! incrementally — after an operation, only the types in the expanded
-//! [`DirtySet`](crate::impact::DirtySet) are re-examined and their stored
+//! [`DirtySet`] are re-examined and their stored
 //! findings replaced; the rest of the report is reused verbatim.
 //!
 //! Every check walks the live graph with one [`WfScratch`] on the calling

@@ -75,7 +75,9 @@ impl DesignReport {
             consistency,
             advice,
             log_lines,
+            // A ring (swsd's always-on crash recorder) is not a trace.
             instrumentation: sws_trace::current()
+                .filter(|rec| rec.capacity().is_none())
                 .map(|rec| TraceSummary::of(&rec.snapshot()))
                 .filter(|s| !s.is_empty()),
         }
@@ -216,6 +218,11 @@ mod tests {
         let report = DesignReport::generate(&ws);
         assert!(report.instrumentation.is_none());
         assert!(!report.render().contains("## Instrumentation"));
+        // The always-on ring recorder is not a trace either.
+        let ring = sws_trace::Recorder::ring(16);
+        let _guard = ring.install_thread();
+        assert!(DesignReport::generate(&ws).instrumentation.is_none());
+        assert!(ring.snapshot().counter("model.graph.attrs.live") > 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   batch rollback both go through it);
 //! * a [`ConsistencyState`] holding per-type consistency findings, kept
 //!   current incrementally from each operation's
-//!   [`DirtySet`](crate::impact::DirtySet). Consistency maintenance is
+//!   [`DirtySet`]. Consistency maintenance is
 //!   *lazy*: [`Workspace::consistency`] syncs on demand, so a whole
 //!   [`Workspace::apply_script`] batch is verified once at the next read,
 //!   not once per operation;
@@ -263,7 +263,7 @@ impl Workspace {
     /// The recheck runs on the calling thread with the state's persistent
     /// scratch and is allocation-free in steady state. In debug builds the
     /// incremental result is asserted identical to a from-scratch
-    /// [`check_consistency`] run.
+    /// [`check_consistency`](crate::check_consistency) run.
     pub fn consistency(&self) -> ConsistencyReport {
         let report = {
             let mut state = self.state.borrow_mut();

@@ -28,11 +28,11 @@
 //! `--profile=collapsed` emits flamegraph collapsed stacks — pipe stderr
 //! into `flamegraph.pl` / `inferno-flamegraph`).
 //!
-//! Independent of the flags, a small **flight recorder** is always on: a
-//! fixed-size ring of the most recent span/point events (capacity via
-//! `SWS_FLIGHT_CAPACITY`, default 256). If the process panics or exits
-//! with an error, a checksummed `crash-report.json` (recent events, live
-//! counters, active span stack, repo path, any recovery report) is
+//! Every run installs exactly one global recorder: the unbounded one
+//! under `--trace`/`--profile`, otherwise a ring of the last 256
+//! span/point events. If the process panics or exits with an error, a
+//! checksummed `crash-report.json` (that recorder's last 256 events, its
+//! counters, the active span stack, repo path, any recovery report) is
 //! written to the session directory — or `SWS_CRASH_DIR`, or the current
 //! directory.
 //!
@@ -79,7 +79,7 @@ use std::process::ExitCode;
 
 use sws_designer::{crash, execute, CommandOutcome, DesignService, Session, SessionError};
 use sws_repository::RepoError;
-use sws_trace::{render_tree, to_jsonl, FlightRecorder, Profile, Recorder, TraceSummary};
+use sws_trace::{render_tree, to_jsonl, Profile, Recorder, TraceSummary};
 
 const EXIT_USAGE: u8 = 2;
 const EXIT_PARSE: u8 = 3;
@@ -135,10 +135,11 @@ options:
   --help               show this help
 
 crash reports:
-  a flight recorder retains the last SWS_FLIGHT_CAPACITY (default 256)
-  span/point events at all times; on panic or error exit a checksummed
-  crash-report.json lands in the session directory (override with
-  SWS_CRASH_DIR, fallback: current directory)
+  one recorder runs at all times (unbounded under --trace/--profile,
+  otherwise a ring of the last 256 span/point events); on panic or error
+  exit a checksummed crash-report.json with its last 256 events lands in
+  the session directory (override with SWS_CRASH_DIR, fallback: current
+  directory)
 
 exit codes:
   0  clean run
@@ -163,13 +164,6 @@ fn exit_code_for(e: &SessionError) -> u8 {
         SessionError::Repo(_) => EXIT_CORRUPT,
         _ => EXIT_CORRUPT,
     }
-}
-
-fn flight_capacity() -> usize {
-    std::env::var("SWS_FLIGHT_CAPACITY")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(sws_trace::flight::DEFAULT_CAPACITY)
 }
 
 fn main() -> ExitCode {
@@ -236,16 +230,15 @@ fn main() -> ExitCode {
         }
     }
 
-    // The always-on diagnostics: flight recorder + panic-hook dumper.
-    FlightRecorder::with_capacity(flight_capacity()).install_global();
+    // One global recorder, read by the panic-hook dumper: unbounded for
+    // --trace and --profile, otherwise the ring a crash dump needs.
+    let recorder = (trace_mode.is_some() || profile_mode.is_some()).then(Recorder::new);
+    sws_trace::set_global(
+        recorder
+            .clone()
+            .unwrap_or_else(|| Recorder::ring(crash::MAX_EVENTS)),
+    );
     crash::install_panic_hook();
-
-    // One full recorder serves both --trace and --profile.
-    let recorder = (trace_mode.is_some() || profile_mode.is_some()).then(|| {
-        let rec = Recorder::new();
-        sws_trace::set_global(rec.clone());
-        rec
-    });
 
     // Lint mode: analyze a script against the schema and exit — no REPL,
     // no session directory, nothing is applied.

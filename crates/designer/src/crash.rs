@@ -1,5 +1,5 @@
-//! Crash dumps: turn the flight recorder's last-N events into a
-//! checksummed `crash-report.json` when `swsd` panics or exits with an
+//! Crash dumps: turn the global recorder's last [`MAX_EVENTS`] events into
+//! a checksummed `crash-report.json` when `swsd` panics or exits with an
 //! error.
 //!
 //! The dump is one JSON object on a single line, with a **pinned key
@@ -23,7 +23,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use sws_repository::checksum;
 use sws_trace::export::{escape_json, event_json};
-use sws_trace::flight;
 
 /// Version of the crash-report JSON schema. Version 2 dropped the
 /// `sws_threads` key.
@@ -31,6 +30,11 @@ pub const SCHEMA_VERSION: u64 = 2;
 
 /// The dump file name, created inside the crash directory.
 pub const FILE_NAME: &str = "crash-report.json";
+
+/// Most events a report carries: the tail of an unbounded `--trace`
+/// recorder is cut to this, and it is the capacity of the ring `swsd`
+/// installs otherwise.
+pub const MAX_EVENTS: usize = 256;
 
 struct Context {
     repo_path: Option<String>,
@@ -53,8 +57,9 @@ pub fn set_repo_path(path: &str) {
     context().repo_path = Some(path.to_string());
 }
 
-/// Record the rendered salvage [`RecoveryReport`]
-/// (sws_repository::RecoveryReport) of the loaded session, if any.
+/// Record the rendered salvage
+/// [`RecoveryReport`](sws_repository::RecoveryReport) of the loaded
+/// session, if any.
 pub fn set_recovery(rendered: String) {
     context().recovery = Some(rendered);
 }
@@ -83,7 +88,12 @@ fn json_opt_str(value: &Option<String>) -> String {
 
 /// Serialize the report. `reason` is `"panic"` or `"error_exit"`.
 fn render(reason: &str, message: &str, location: Option<&str>, exit_code: Option<u8>) -> String {
-    let snapshot = flight::active().map(|f| f.snapshot()).unwrap_or_default();
+    let mut snapshot = sws_trace::global()
+        .map(|rec| rec.snapshot())
+        .unwrap_or_default();
+    let excess = snapshot.events.len().saturating_sub(MAX_EVENTS);
+    snapshot.events.drain(..excess);
+    snapshot.dropped += excess as u64;
     let stack = snapshot.stack_from(sws_trace::current_span_id());
     let ctx = {
         let guard = context();

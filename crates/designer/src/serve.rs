@@ -67,19 +67,58 @@ fn handle_conn(service: &DesignService, stream: TcpStream) -> io::Result<bool> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut requests = 0u64;
-    let mut first = String::new();
-    if reader.read_line(&mut first)? == 0 {
-        return Ok(false);
-    }
-    let http = is_http_request_line(&first);
-    sp.record("mode", if http { "http" } else { "jsonl" });
-    let saw_shutdown = if http {
-        serve_http(service, &mut reader, &mut writer, first, &mut requests)?
-    } else {
-        serve_jsonl(service, &mut reader, &mut writer, first, &mut requests)?
+    let saw_shutdown = match read_frame_line(&mut reader)? {
+        Frame::Eof => return Ok(false),
+        Frame::Line(first) if is_http_request_line(&first) => {
+            sp.record("mode", "http");
+            serve_http(service, &mut reader, &mut writer, first, &mut requests)?
+        }
+        first => {
+            sp.record("mode", "jsonl");
+            serve_jsonl(service, &mut reader, &mut writer, first, &mut requests)?
+        }
     };
     sp.record("requests", requests);
     Ok(saw_shutdown)
+}
+
+/// Largest frame the daemon reads: a JSONL line, an HTTP request line or
+/// header, or an HTTP body. Anything longer is answered with
+/// `malformed_frame` and the connection is closed, since the frame's end
+/// is unknown.
+const MAX_FRAME: usize = 8 << 20;
+
+/// One line read by [`read_frame_line`].
+enum Frame {
+    /// The peer closed the stream.
+    Eof,
+    /// A line, with its terminator.
+    Line(String),
+    /// A line longer than [`MAX_FRAME`] bytes; only its first
+    /// `MAX_FRAME + 1` bytes were read.
+    TooLong,
+}
+
+/// Read one line, buffering at most `MAX_FRAME + 1` bytes of it.
+fn read_frame_line(reader: &mut BufReader<TcpStream>) -> io::Result<Frame> {
+    let mut bytes = Vec::new();
+    let n = reader
+        .take(MAX_FRAME as u64 + 1)
+        .read_until(b'\n', &mut bytes)?;
+    if n == 0 {
+        return Ok(Frame::Eof);
+    }
+    if n > MAX_FRAME {
+        return Ok(Frame::TooLong);
+    }
+    String::from_utf8(bytes)
+        .map(Frame::Line)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+fn too_long() -> (Response, String) {
+    let message = format!("line exceeds the {MAX_FRAME}-byte frame limit");
+    error_response(ErrorCode::MalformedFrame, message)
 }
 
 fn is_http_request_line(line: &str) -> bool {
@@ -97,30 +136,36 @@ fn serve_jsonl(
     service: &DesignService,
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
-    first: String,
+    first: Frame,
     requests: &mut u64,
 ) -> io::Result<bool> {
-    let mut line = first;
+    let mut next = first;
     loop {
-        let frame = line.trim();
-        if !frame.is_empty() {
-            *requests += 1;
-            let (response, mut rendered) = respond(service, frame);
-            // One write per response: a line split across two segments
-            // stalls on Nagle's algorithm until a delayed-ACK client
-            // acknowledges the first.
-            rendered.push('\n');
-            writer.write_all(rendered.as_bytes())?;
-            writer.flush()?;
-            service.maintain();
-            if matches!(response, Response::Bye) {
-                return Ok(true);
+        let close = matches!(next, Frame::TooLong);
+        let (response, mut rendered) = match next {
+            Frame::Eof => return Ok(false),
+            Frame::TooLong => too_long(),
+            Frame::Line(line) if line.trim().is_empty() => {
+                next = read_frame_line(reader)?;
+                continue;
             }
+            Frame::Line(line) => respond(service, line.trim()),
+        };
+        *requests += 1;
+        // One write per response: a line split across two segments
+        // stalls on Nagle's algorithm until a delayed-ACK client
+        // acknowledges the first.
+        rendered.push('\n');
+        writer.write_all(rendered.as_bytes())?;
+        writer.flush()?;
+        service.maintain();
+        if matches!(response, Response::Bye) {
+            return Ok(true);
         }
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        if close {
             return Ok(false);
         }
+        next = read_frame_line(reader)?;
     }
 }
 
@@ -142,10 +187,6 @@ pub fn http_status(response: &Response) -> (u16, &'static str) {
     }
 }
 
-/// Largest HTTP request body the daemon reads; a longer `Content-Length`
-/// is answered with `malformed_frame` before any body byte is read.
-const MAX_HTTP_BODY: usize = 8 << 20;
-
 fn error_response(code: ErrorCode, message: String) -> (Response, String) {
     let response = Response::Error { code, message };
     let rendered = crate::protocol::render_response(&response);
@@ -159,21 +200,34 @@ fn serve_http(
     first: String,
     requests: &mut u64,
 ) -> io::Result<bool> {
-    let mut request_line = first;
+    let mut next = Frame::Line(first);
     loop {
-        let mut parts = request_line.split_whitespace();
+        let request_line = match next {
+            Frame::Eof => return Ok(false),
+            Frame::TooLong => None,
+            Frame::Line(line) => Some(line),
+        };
+        let mut parts = request_line.as_deref().unwrap_or("").split_whitespace();
         let method = parts.next().unwrap_or("").to_string();
         let path = parts.next().unwrap_or("/").to_string();
 
         // Headers. `Content-Length` is client-supplied: check it before
-        // sizing a buffer from it.
-        let mut content_length = Ok(0usize);
+        // sizing a buffer from it. An over-long request line or header
+        // ends the request where it stands.
+        let mut content_length = match request_line {
+            Some(_) => Ok(0usize),
+            None => Err(too_long()),
+        };
         let mut close = false;
-        loop {
-            let mut header = String::new();
-            if reader.read_line(&mut header)? == 0 {
-                return Ok(false);
-            }
+        while request_line.is_some() {
+            let header = match read_frame_line(reader)? {
+                Frame::Eof => return Ok(false),
+                Frame::TooLong => {
+                    content_length = Err(too_long());
+                    break;
+                }
+                Frame::Line(header) => header,
+            };
             let header = header.trim();
             if header.is_empty() {
                 break;
@@ -182,12 +236,13 @@ fn serve_http(
                 let value = value.trim();
                 if name.eq_ignore_ascii_case("content-length") {
                     content_length = match value.parse::<usize>() {
-                        Ok(n) if n <= MAX_HTTP_BODY => Ok(n),
+                        Ok(n) if n <= MAX_FRAME => Ok(n),
                         Ok(n) => Err(format!(
-                            "content-length {n} exceeds the {MAX_HTTP_BODY}-byte body limit"
+                            "content-length {n} exceeds the {MAX_FRAME}-byte body limit"
                         )),
                         Err(_) => Err(format!("malformed content-length `{value}`")),
-                    };
+                    }
+                    .map_err(|message| error_response(ErrorCode::MalformedFrame, message));
                 } else if name.eq_ignore_ascii_case("connection")
                     && value.eq_ignore_ascii_case("close")
                 {
@@ -198,11 +253,11 @@ fn serve_http(
 
         *requests += 1;
         let (response, rendered) = match content_length {
-            // The body's extent is unknown, so the connection cannot be
+            // The request's extent is unknown, so the connection cannot be
             // resynchronised: answer and close it.
-            Err(message) => {
+            Err(rejection) => {
                 close = true;
-                error_response(ErrorCode::MalformedFrame, message)
+                rejection
             }
             Ok(len) => {
                 let mut body = vec![0u8; len];
@@ -243,9 +298,6 @@ fn serve_http(
         if close {
             return Ok(false);
         }
-        request_line.clear();
-        if reader.read_line(&mut request_line)? == 0 {
-            return Ok(false);
-        }
+        next = read_frame_line(reader)?;
     }
 }

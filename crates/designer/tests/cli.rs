@@ -408,7 +408,7 @@ fn errors_in_session_do_not_kill_the_repl() {
     assert!(stdout.contains("applied: add_type_definition(Fresh)"));
 }
 
-// --- flight recorder / crash dumps / profiler ------------------------------
+// --- crash dumps / profiler ------------------------------
 
 /// Fresh per-test crash directory under the system temp dir.
 fn crash_dir(tag: &str) -> std::path::PathBuf {
@@ -444,7 +444,7 @@ fn injected_panic_writes_a_checksummed_crash_report() {
     );
     assert!(line.contains("\"reason\":\"panic\""), "{line}");
     assert!(line.contains("injected panic (SWS_INJECT_PANIC)"), "{line}");
-    // The panic fired inside a live span; the flight recorder names it.
+    // The panic fired inside a live span; the ring recorder names it.
     assert!(
         line.contains("\"active_spans\":[\"swsd.injected_panic\"]"),
         "active span stack missing: {line}"
@@ -454,6 +454,54 @@ fn injected_panic_writes_a_checksummed_crash_report() {
         "{line}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn traced_panic_dumps_the_tail_of_the_one_recorder() {
+    // Under --trace the crash dump reads the unbounded trace recorder;
+    // replaying a long session overflows the dump's event budget.
+    let schema = schema_file();
+    let session_dir = std::env::temp_dir().join(format!("swsd_crash_long_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&session_dir);
+    let mut script: String = (0..120)
+        .map(|i| format!("add_type_definition(T{i})\n"))
+        .collect();
+    script.push_str(&format!("save {}\nquit\n", session_dir.display()));
+    let (_, _, code) = run_swsd_code(&["--schema", schema.to_str().unwrap()], &script);
+    assert_eq!(code, 0);
+
+    let dir = crash_dir("traced");
+    let (_, stderr, code) = run_swsd_env(
+        &["--trace", "--session", session_dir.to_str().unwrap()],
+        "",
+        &[
+            ("SWS_INJECT_PANIC", "1"),
+            ("SWS_CRASH_DIR", dir.to_str().unwrap()),
+        ],
+    );
+    assert_ne!(code, 0, "a panic must not exit 0");
+    let report = std::fs::read_to_string(dir.join("crash-report.json")).expect("dump exists");
+    let line = report.trim_end();
+    sws_trace::export::jsonl::check_value(line).expect("dump is one valid JSON object");
+    assert!(sws_designer::crash::checksum_valid(line), "{line}");
+    let events = line.matches("{\"type\":\"").count();
+    assert!(
+        (1..=sws_designer::crash::MAX_EVENTS).contains(&events),
+        "{events} events: {stderr}"
+    );
+    let dropped: u64 = line
+        .split("\"dropped\":")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.parse().ok())
+        .expect("dropped is a number");
+    assert!(dropped > 0, "{line}");
+    assert!(
+        line.contains("\"active_spans\":[\"swsd.injected_panic\"]"),
+        "active span stack missing: {line}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&session_dir).unwrap();
 }
 
 #[test]

@@ -383,3 +383,112 @@ fn http_bodies_with_unusable_content_length_get_400_and_close() {
     assert!(bye.contains("\"type\":\"bye\""), "{bye}");
     assert_eq!(server.0.wait().expect("server exits").code(), Some(0));
 }
+
+/// A line longer than the daemon's frame limit — a JSONL frame or an HTTP
+/// header — is answered with `malformed_frame` and the connection is
+/// closed after at most the limit plus one byte has been buffered. The
+/// single acceptor survives and serves the next connection.
+#[test]
+fn over_long_lines_get_malformed_frame_and_close() {
+    use std::io::{ErrorKind, Read};
+
+    /// Kills the server if an assertion fails before the clean shutdown.
+    struct Reap(Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    /// Send `payload` from a second thread: the server stops reading
+    /// mid-line, so the tail of the write may fail with a reset.
+    fn send(stream: &TcpStream, payload: Vec<u8>) -> std::thread::JoinHandle<()> {
+        let mut stream = stream.try_clone().expect("clone");
+        std::thread::spawn(move || {
+            let _ = stream.write_all(&payload);
+        })
+    }
+
+    /// The server closes the connection: end of stream, or a reset when
+    /// unread bytes were still queued — never a further response.
+    fn assert_closed(reader: &mut BufReader<TcpStream>) {
+        let mut rest = Vec::new();
+        match reader.read_to_end(&mut rest) {
+            Ok(_) => assert!(rest.is_empty(), "{:?}", String::from_utf8_lossy(&rest)),
+            Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset, "{e}"),
+        }
+    }
+
+    const NINE_MIB: usize = 9 << 20;
+    let schema = schema_file("frame_limit");
+    let (child, _stdout, addr) = spawn_serve(&[
+        "--schema",
+        schema.to_str().unwrap(),
+        "--threads=1",
+        "--addr=127.0.0.1:0",
+        "serve",
+    ]);
+    let mut server = Reap(child);
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    };
+
+    // JSONL: a ping, then one 9 MiB line.
+    let (stream, mut reader) = connect();
+    let mut payload = b"{\"type\":\"ping\"}\n".to_vec();
+    payload.resize(payload.len() + NINE_MIB, b' ');
+    payload.push(b'\n');
+    let writer = send(&stream, payload);
+    let mut pong = String::new();
+    reader.read_line(&mut pong).expect("recv pong");
+    assert!(pong.contains("\"type\":\"pong\""), "{pong}");
+    let mut error = String::new();
+    reader.read_line(&mut error).expect("recv error");
+    assert!(error.contains("\"code\":\"malformed_frame\""), "{error}");
+    assert_closed(&mut reader);
+    writer.join().expect("writer thread");
+
+    // HTTP: a 9 MiB header.
+    let (stream, mut reader) = connect();
+    let mut payload = b"POST / HTTP/1.1\r\nx-padding: ".to_vec();
+    payload.resize(payload.len() + NINE_MIB, b'a');
+    payload.extend_from_slice(b"\r\ncontent-length: 15\r\n\r\n{\"type\":\"ping\"}");
+    let writer = send(&stream, payload);
+    let mut status = String::new();
+    reader.read_line(&mut status).expect("recv status");
+    assert!(status.starts_with("HTTP/1.1 400 "), "{status:?}");
+    let (mut length, mut connection) = (0usize, String::new());
+    loop {
+        let mut header = String::new();
+        reader.read_line(&mut header).expect("recv head");
+        let header = header.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if let Some(value) = header.strip_prefix("content-length: ") {
+            length = value.parse().expect("content-length");
+        } else if let Some(value) = header.strip_prefix("connection: ") {
+            connection = value.to_string();
+        }
+    }
+    assert_eq!(connection, "close");
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).expect("recv body");
+    let body = String::from_utf8_lossy(&body);
+    assert!(body.contains("\"code\":\"malformed_frame\""), "{body}");
+    assert_closed(&mut reader);
+    writer.join().expect("writer thread");
+
+    let (mut stream, mut reader) = connect();
+    let pong = rpc(&mut stream, &mut reader, "{\"type\":\"ping\"}");
+    assert!(pong.contains("\"type\":\"pong\""), "{pong}");
+    let bye = rpc(&mut stream, &mut reader, "{\"type\":\"shutdown\"}");
+    assert!(bye.contains("\"type\":\"bye\""), "{bye}");
+    assert_eq!(server.0.wait().expect("server exits").code(), Some(0));
+}

@@ -144,7 +144,7 @@ tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5);
 tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5, G.6);
 tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5, G.6, H.7);
 
-/// Result of [`vec`].
+/// Result of [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     len: std::ops::Range<usize>,

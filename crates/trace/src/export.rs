@@ -236,8 +236,7 @@ pub struct TraceSummary {
     pub histograms: Vec<HistStats>,
     /// Number of events captured.
     pub events: usize,
-    /// The hottest call-tree nodes by exclusive time (top
-    /// [`HOT_PATHS_TOP_N`]).
+    /// The hottest call-tree nodes by exclusive time (the top 8).
     pub hot_paths: Vec<crate::profile::HotPath>,
     /// Per-span-name allocation totals (empty unless spans carried
     /// `alloc.count`/`alloc.bytes` fields, i.e. the `alloc-stats`

@@ -21,11 +21,15 @@
 //! # Cost model
 //!
 //! Instrumented code calls [`span!`] / [`counter`] unconditionally. When no
-//! recorder is installed (the default), each call is one relaxed atomic
-//! load and a branch; field expressions are not even evaluated. Recording
-//! is opt-in per process ([`set_global`]) or per thread
-//! ([`Recorder::install_thread`]), and an installed recorder can be muted
-//! with [`Recorder::set_enabled`].
+//! recorder is installed, each call is one relaxed atomic load and a
+//! branch; field expressions are not even evaluated. A recorder is
+//! installed per process ([`set_global`]) or per thread
+//! ([`Recorder::install_thread`], which takes precedence). With one
+//! installed, each span open/close or point event takes the recorder's
+//! uncontended mutex and appends one event; a span close also feeds one
+//! histogram. [`Recorder::new`] keeps every event; [`Recorder::ring`]
+//! keeps the last few and counts the evicted ones, which is how `swsd`
+//! runs when it is not tracing: its crash dumps read that ring.
 //!
 //! # Example
 //!
@@ -51,18 +55,16 @@
 pub mod alloc_stats;
 pub mod clock;
 pub mod export;
-pub mod flight;
 pub mod histogram;
 pub mod profile;
 mod recorder;
 
 pub use clock::{Clock, MockClock, MonotonicClock};
 pub use export::{fmt_ns, render_tree, to_jsonl, AllocStats, HistStats, TraceSummary};
-pub use flight::{FlightRecorder, FlightSnapshot};
 pub use histogram::Histogram;
 pub use profile::{HotPath, Profile};
 pub use recorder::{
-    clear_global, counter, current, current_span_id, enabled, event_with, global, next_span_id,
-    record_value, set_global, span, span_with, Event, EventKind, Field, FieldValue, IntoField,
-    Recorder, Span, SpanHandle, ThreadGuard, TraceSession,
+    clear_global, counter, current, current_span_id, enabled, event_with, global, record_value,
+    set_global, span, span_with, Event, EventKind, Field, FieldValue, IntoField, OpenSpan,
+    Recorder, Span, ThreadGuard, TraceSession,
 };

@@ -9,19 +9,18 @@
 //! 1. a thread-local recorder installed with [`Recorder::install_thread`]
 //!    (tests and embedded use — no cross-test interference), else
 //! 2. the process-global recorder installed with [`set_global`]
-//!    (binaries: `swsd --trace`, the bench harness).
+//!    (`swsd` installs one in every run: a [`Recorder::ring`] by default,
+//!    an unbounded [`Recorder::new`] under `--trace`/`--profile`).
 //!
-//! When neither is installed — the common production case — every
-//! instrumentation point is a single relaxed atomic load and a branch.
-//! An installed recorder can additionally be muted with
-//! [`Recorder::set_enabled`], which keeps the same ~free fast path.
+//! When neither is installed, every instrumentation point is a single
+//! relaxed atomic load and a branch.
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::histogram::Histogram;
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A typed field value on a span or event.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,40 +149,63 @@ pub struct Event {
     pub fields: Vec<Field>,
 }
 
+/// A span that has opened but not yet closed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OpenSpan {
+    /// Span id.
+    pub id: u64,
+    /// Enclosing span id (0 = root).
+    pub parent: u64,
+    /// Span name.
+    pub name: &'static str,
+}
+
 #[derive(Default)]
 struct State {
-    events: Vec<Event>,
+    events: VecDeque<Event>,
+    /// Events evicted from a ring since the last [`Recorder::take`].
+    dropped: u64,
     counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
+    open: BTreeMap<u64, OpenSpan>,
     seq: u64,
 }
 
 struct Inner {
-    enabled: AtomicBool,
+    /// Events retained: the last `n` for a ring, all of them for `None`.
+    capacity: Option<usize>,
     clock: Arc<dyn Clock>,
     state: Mutex<State>,
 }
 
-/// Process-wide span-id allocator, shared by every [`Recorder`] and the
-/// flight recorder so that one logical span carries the same id in every
-/// sink it reaches.
+/// Process-wide span-id allocator, shared by every [`Recorder`] so that a
+/// thread-local and the global recorder never hand out the same id.
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Allocate a fresh process-unique span id (never 0).
-pub fn next_span_id() -> u64 {
-    NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
+/// Every lock in this module survives poisoning: the global recorder is
+/// read by the panic hook, so a panic elsewhere must never cascade into a
+/// second panic inside the crash dump. Recovering the guard is sound
+/// because each update leaves the state valid at every step.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Everything a recorder captured: the event stream plus the metric
-/// registries. Produced by [`Recorder::snapshot`] / [`Recorder::take`].
+/// registries and the spans still open. Produced by [`Recorder::snapshot`]
+/// / [`Recorder::take`]; the one type `--trace`, `--profile` and crash
+/// dumps read.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSession {
-    /// Events in emission order.
+    /// Events in emission order (for a ring, the retained tail).
     pub events: Vec<Event>,
     /// Counters, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Histograms, sorted by name.
     pub histograms: Vec<(String, Histogram)>,
+    /// Events a ring evicted before this snapshot (0 when unbounded).
+    pub dropped: u64,
+    /// Spans open at snapshot time, sorted by id (open order).
+    pub open_spans: Vec<OpenSpan>,
 }
 
 impl TraceSession {
@@ -215,9 +237,30 @@ impl TraceSession {
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
     }
+
+    /// The open span stack ending at `leaf` (a span id, usually
+    /// [`current_span_id`] of the crashing thread), root first. Unknown
+    /// ids end the walk, so a stack whose outer spans opened before the
+    /// snapshot's recorder was installed still yields the suffix it knows.
+    pub fn stack_from(&self, leaf: u64) -> Vec<&'static str> {
+        let mut stack = Vec::new();
+        let mut id = leaf;
+        while let Ok(at) = self.open_spans.binary_search_by_key(&id, |s| s.id) {
+            let span = &self.open_spans[at];
+            stack.push(span.name);
+            id = span.parent;
+        }
+        stack.reverse();
+        stack
+    }
 }
 
 /// The event/metric sink. Cheap to clone (shared interior).
+///
+/// [`Recorder::new`] keeps every event (`--trace`, `--profile`, tests);
+/// [`Recorder::ring`] keeps only the last `capacity` and counts the rest
+/// as dropped (`swsd`'s always-on recorder, read by crash dumps). Both
+/// keep the same counters, span histograms and open-span map.
 #[derive(Clone)]
 pub struct Recorder {
     inner: Arc<Inner>,
@@ -226,7 +269,7 @@ pub struct Recorder {
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
-            .field("enabled", &self.is_enabled())
+            .field("capacity", &self.inner.capacity)
             .finish()
     }
 }
@@ -238,50 +281,53 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// A recorder on the real monotonic clock.
+    /// An unbounded recorder on the real monotonic clock.
     pub fn new() -> Self {
         Recorder::with_clock(Arc::new(MonotonicClock::new()))
     }
 
-    /// A recorder on an injected clock (see [`crate::clock::MockClock`]).
+    /// An unbounded recorder on an injected clock (see
+    /// [`crate::clock::MockClock`]).
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
+        Recorder::build(None, clock)
+    }
+
+    /// A recorder that retains only the last `capacity` events.
+    pub fn ring(capacity: usize) -> Self {
+        Recorder::build(Some(capacity), Arc::new(MonotonicClock::new()))
+    }
+
+    fn build(capacity: Option<usize>, clock: Arc<dyn Clock>) -> Self {
         Recorder {
             inner: Arc::new(Inner {
-                enabled: AtomicBool::new(true),
+                capacity,
                 clock,
                 state: Mutex::new(State::default()),
             }),
         }
     }
 
-    /// Mute / unmute this recorder without uninstalling it.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.inner.enabled.store(enabled, Ordering::Relaxed);
+    /// The ring capacity, or `None` for an unbounded recorder.
+    pub fn capacity(&self) -> Option<usize> {
+        self.inner.capacity
     }
 
-    /// Is this recorder currently recording?
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Current time on this recorder's clock.
-    pub fn now_ns(&self) -> u64 {
-        self.inner.clock.now_ns()
-    }
-
-    fn emit(
+    /// Append one event, evicting the oldest past a ring's capacity.
+    /// Callers read the clock under the lock, so timestamps follow `seq`.
+    #[allow(clippy::too_many_arguments)]
+    fn push(
         &self,
+        state: &mut State,
+        ts_ns: u64,
         kind: EventKind,
         name: &'static str,
         span_id: u64,
         parent: u64,
         fields: Vec<Field>,
     ) {
-        let ts_ns = self.now_ns();
-        let mut state = self.inner.state.lock().expect("trace state poisoned");
         let seq = state.seq;
         state.seq += 1;
-        state.events.push(Event {
+        state.events.push_back(Event {
             seq,
             ts_ns,
             kind,
@@ -290,84 +336,80 @@ impl Recorder {
             parent,
             fields,
         });
-    }
-
-    /// Open a span by hand. Prefer [`crate::span!`] / [`span`].
-    pub fn open_span(&self, name: &'static str, fields: Vec<Field>) -> SpanHandle {
-        let id = next_span_id();
-        let parent = CURRENT_SPAN.with(|c| c.replace(id));
-        let open_ts = self.now_ns();
-        self.emit(EventKind::SpanOpen, name, id, parent, fields);
-        SpanHandle {
-            id,
-            parent,
-            name,
-            open_ts,
+        if self
+            .inner
+            .capacity
+            .is_some_and(|cap| state.events.len() > cap)
+        {
+            state.events.pop_front();
+            state.dropped += 1;
         }
     }
 
-    /// Emit a span-open event without touching the thread's span stack
-    /// (the [`Span`] guard manages that once for all sinks).
-    fn emit_open(&self, name: &'static str, id: u64, parent: u64, fields: Vec<Field>) {
-        self.emit(EventKind::SpanOpen, name, id, parent, fields);
-    }
-
-    /// Emit a span-close event (duration precomputed on this recorder's
-    /// clock) and feed the histogram named after the span.
-    fn emit_close(
-        &self,
-        name: &'static str,
-        id: u64,
-        parent: u64,
-        dur_ns: u64,
-        fields: Vec<Field>,
-    ) {
-        self.emit(EventKind::SpanClose { dur_ns }, name, id, parent, fields);
-        let mut state = self.inner.state.lock().expect("trace state poisoned");
-        state.histograms.entry(name).or_default().record(dur_ns);
-    }
-
-    /// Close a span opened with [`Recorder::open_span`]. Records the
-    /// duration in the histogram named after the span.
-    pub fn close_span(&self, handle: SpanHandle, fields: Vec<Field>) {
-        let dur_ns = self.now_ns().saturating_sub(handle.open_ts);
-        CURRENT_SPAN.with(|c| c.set(handle.parent));
-        self.emit(
-            EventKind::SpanClose { dur_ns },
-            handle.name,
-            handle.id,
-            handle.parent,
+    /// Record a span open; returns its open timestamp.
+    fn open(&self, name: &'static str, id: u64, parent: u64, fields: Vec<Field>) -> u64 {
+        let mut state = lock(&self.inner.state);
+        let ts_ns = self.now_ns();
+        state.open.insert(id, OpenSpan { id, parent, name });
+        self.push(
+            &mut state,
+            ts_ns,
+            EventKind::SpanOpen,
+            name,
+            id,
+            parent,
             fields,
         );
-        let mut state = self.inner.state.lock().expect("trace state poisoned");
-        state
-            .histograms
-            .entry(handle.name)
-            .or_default()
-            .record(dur_ns);
+        ts_ns
     }
 
-    /// Emit a point event under the current span.
-    pub fn point(&self, name: &'static str, fields: Vec<Field>) {
-        let parent = CURRENT_SPAN.with(|c| c.get());
-        self.emit(EventKind::Point, name, 0, parent, fields);
+    /// Record a span close and feed the histogram named after the span.
+    fn close(&self, name: &'static str, id: u64, parent: u64, open_ts: u64, fields: Vec<Field>) {
+        let mut state = lock(&self.inner.state);
+        let ts_ns = self.now_ns();
+        let dur_ns = ts_ns.saturating_sub(open_ts);
+        state.open.remove(&id);
+        state.histograms.entry(name).or_default().record(dur_ns);
+        self.push(
+            &mut state,
+            ts_ns,
+            EventKind::SpanClose { dur_ns },
+            name,
+            id,
+            parent,
+            fields,
+        );
+    }
+
+    /// Record a point event under `parent`.
+    fn point(&self, name: &'static str, parent: u64, fields: Vec<Field>) {
+        let mut state = lock(&self.inner.state);
+        let ts_ns = self.now_ns();
+        self.push(&mut state, ts_ns, EventKind::Point, name, 0, parent, fields);
+    }
+
+    /// Current time on this recorder's clock.
+    pub fn now_ns(&self) -> u64 {
+        self.inner.clock.now_ns()
     }
 
     /// Add `delta` to the named counter.
     pub fn add(&self, name: &'static str, delta: u64) {
-        let mut state = self.inner.state.lock().expect("trace state poisoned");
-        *state.counters.entry(name).or_insert(0) += delta;
+        *lock(&self.inner.state).counters.entry(name).or_insert(0) += delta;
     }
 
     /// Record a sample in the named histogram.
     pub fn record(&self, name: &'static str, value: u64) {
-        let mut state = self.inner.state.lock().expect("trace state poisoned");
-        state.histograms.entry(name).or_default().record(value);
+        lock(&self.inner.state)
+            .histograms
+            .entry(name)
+            .or_default()
+            .record(value);
     }
 
     fn session_from(state: &State) -> TraceSession {
         TraceSession {
-            events: state.events.clone(),
+            events: state.events.iter().cloned().collect(),
             counters: state
                 .counters
                 .iter()
@@ -378,18 +420,20 @@ impl Recorder {
                 .iter()
                 .map(|(k, h)| (k.to_string(), h.clone()))
                 .collect(),
+            dropped: state.dropped,
+            open_spans: state.open.values().cloned().collect(),
         }
     }
 
-    /// Copy out everything recorded so far.
+    /// Copy out everything recorded so far. Never panics, even if a
+    /// thread panicked while holding the recorder's lock.
     pub fn snapshot(&self) -> TraceSession {
-        let state = self.inner.state.lock().expect("trace state poisoned");
-        Self::session_from(&state)
+        Self::session_from(&lock(&self.inner.state))
     }
 
     /// Drain everything recorded so far, leaving the recorder empty.
     pub fn take(&self) -> TraceSession {
-        let mut state = self.inner.state.lock().expect("trace state poisoned");
+        let mut state = lock(&self.inner.state);
         let session = Self::session_from(&state);
         *state = State::default();
         session
@@ -404,22 +448,6 @@ impl Recorder {
             ACTIVE_SOURCES.fetch_add(1, Ordering::SeqCst);
         }
         ThreadGuard { prev }
-    }
-}
-
-/// A raw open span (low-level API; see [`Span`] for the RAII guard).
-#[derive(Debug)]
-pub struct SpanHandle {
-    id: u64,
-    parent: u64,
-    name: &'static str,
-    open_ts: u64,
-}
-
-impl SpanHandle {
-    /// The span id.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 }
 
@@ -438,7 +466,7 @@ thread_local! {
 /// Install `recorder` as the process-global recorder. Replaces any
 /// previous one.
 pub fn set_global(recorder: Recorder) {
-    let mut slot = GLOBAL.lock().expect("trace global poisoned");
+    let mut slot = lock(&GLOBAL);
     if slot.is_none() {
         ACTIVE_SOURCES.fetch_add(1, Ordering::SeqCst);
     }
@@ -447,8 +475,7 @@ pub fn set_global(recorder: Recorder) {
 
 /// Remove the process-global recorder, returning it.
 pub fn clear_global() -> Option<Recorder> {
-    let mut slot = GLOBAL.lock().expect("trace global poisoned");
-    let prev = slot.take();
+    let prev = lock(&GLOBAL).take();
     if prev.is_some() {
         ACTIVE_SOURCES.fetch_sub(1, Ordering::SeqCst);
     }
@@ -457,7 +484,7 @@ pub fn clear_global() -> Option<Recorder> {
 
 /// The process-global recorder, if installed.
 pub fn global() -> Option<Recorder> {
-    GLOBAL.lock().expect("trace global poisoned").clone()
+    lock(&GLOBAL).clone()
 }
 
 /// Restores the previous thread-local recorder on drop.
@@ -477,35 +504,29 @@ impl Drop for ThreadGuard {
     }
 }
 
-/// True if some sink will receive events: a recorder that is installed
-/// *and* enabled, or the always-on flight recorder. Two relaxed atomic
-/// loads when nothing is installed.
+/// True if a recorder is installed for this thread or globally. One
+/// relaxed atomic load when nothing is installed.
 #[inline]
 pub fn enabled() -> bool {
-    crate::flight::is_active() || current().is_some()
+    current().is_some()
 }
 
 /// The id of the innermost span currently open on *this thread* (0 when
 /// outside any span). This is what a crash dump hands to
-/// [`crate::flight::FlightSnapshot::stack_from`] to reconstruct the
-/// active stack.
+/// [`TraceSession::stack_from`] to reconstruct the active stack.
 #[inline]
 pub fn current_span_id() -> u64 {
     CURRENT_SPAN.with(|c| c.get())
 }
 
-/// The recorder instrumentation should write to right now, if any.
+/// The recorder instrumentation should write to right now, if any: this
+/// thread's, else the global one.
 #[inline]
 pub fn current() -> Option<Recorder> {
     if ACTIVE_SOURCES.load(Ordering::Relaxed) == 0 {
         return None;
     }
-    let tl = TL_RECORDER.with(|tl| tl.borrow().clone());
-    let rec = match tl {
-        Some(r) => Some(r),
-        None => global(),
-    };
-    rec.filter(|r| r.is_enabled())
+    TL_RECORDER.with(|tl| tl.borrow().clone()).or_else(global)
 }
 
 // ---------------------------------------------------------------------
@@ -516,10 +537,10 @@ struct SpanState {
     id: u64,
     parent: u64,
     name: &'static str,
-    /// The full recorder, with the open timestamp on *its* clock.
-    rec: Option<(Recorder, u64)>,
-    /// The flight recorder (measures durations on its own clock).
-    flight: Option<crate::flight::FlightRecorder>,
+    /// The recorder the span opened on, and the open timestamp on its
+    /// clock.
+    rec: Recorder,
+    open_ts: u64,
     fields: Vec<Field>,
     /// `(alloc.count, alloc.bytes)` totals at open, reported as deltas on
     /// close.
@@ -537,9 +558,8 @@ impl std::fmt::Debug for SpanState {
 }
 
 /// An RAII span guard: emits `span_open` on creation and `span_close`
-/// (with duration) on drop, to the current [`Recorder`] and/or the
-/// global flight recorder. Inert — a single `Option` check — when no
-/// sink is installed.
+/// (with duration) on drop, to the current [`Recorder`]. Inert — a single
+/// `Option` check — when no recorder is installed.
 #[must_use = "a span closes when dropped; binding it to _ closes it immediately"]
 #[derive(Debug)]
 pub struct Span {
@@ -572,14 +592,9 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(state) = self.state.take() {
-            self.close(state);
-        }
-    }
-}
-
-impl Span {
-    fn close(&self, state: SpanState) {
+        let Some(state) = self.state.take() else {
+            return;
+        };
         #[allow(unused_mut)]
         let mut fields = state.fields;
         #[cfg(feature = "alloc-stats")]
@@ -595,13 +610,9 @@ impl Span {
             ));
         }
         CURRENT_SPAN.with(|c| c.set(state.parent));
-        if let Some((rec, open_ts)) = state.rec {
-            let dur_ns = rec.now_ns().saturating_sub(open_ts);
-            rec.emit_close(state.name, state.id, state.parent, dur_ns, fields.clone());
-        }
-        if let Some(flight) = state.flight {
-            flight.record_close(state.id, state.parent, state.name, &fields);
-        }
+        state
+            .rec
+            .close(state.name, state.id, state.parent, state.open_ts, fields);
     }
 }
 
@@ -610,31 +621,21 @@ pub fn span(name: &'static str) -> Span {
     span_with(name, Vec::new)
 }
 
-/// Open a span; `fields` is only invoked if some sink is active.
+/// Open a span; `fields` is only invoked if a recorder is active.
 pub fn span_with(name: &'static str, fields: impl FnOnce() -> Vec<Field>) -> Span {
-    let rec = current();
-    let flight = crate::flight::active();
-    if rec.is_none() && flight.is_none() {
+    let Some(rec) = current() else {
         return Span::disabled();
-    }
-    let fields = fields();
-    let id = next_span_id();
+    };
+    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let parent = CURRENT_SPAN.with(|c| c.replace(id));
-    let rec = rec.map(|r| {
-        let open_ts = r.now_ns();
-        r.emit_open(name, id, parent, fields.clone());
-        (r, open_ts)
-    });
-    if let Some(flight) = &flight {
-        flight.record_open(id, parent, name, &fields);
-    }
+    let open_ts = rec.open(name, id, parent, fields());
     Span {
         state: Some(SpanState {
             id,
             parent,
             name,
             rec,
-            flight,
+            open_ts,
             fields: Vec::new(),
             #[cfg(feature = "alloc-stats")]
             alloc_at_open: crate::alloc_stats::totals(),
@@ -642,35 +643,21 @@ pub fn span_with(name: &'static str, fields: impl FnOnce() -> Vec<Field>) -> Spa
     }
 }
 
-/// Emit a point event; `fields` is only invoked if some sink is active.
+/// Emit a point event; `fields` is only invoked if a recorder is active.
 pub fn event_with(name: &'static str, fields: impl FnOnce() -> Vec<Field>) {
-    let rec = current();
-    let flight = crate::flight::active();
-    if rec.is_none() && flight.is_none() {
-        return;
-    }
-    let fields = fields();
-    if let Some(rec) = rec {
-        rec.point(name, fields.clone());
-    }
-    if let Some(flight) = flight {
-        let parent = CURRENT_SPAN.with(|c| c.get());
-        flight.record_point(parent, name, &fields);
+    if let Some(rec) = current() {
+        rec.point(name, current_span_id(), fields());
     }
 }
 
-/// Add `delta` to the named counter on every active sink.
+/// Add `delta` to the named counter on the current recorder.
 pub fn counter(name: &'static str, delta: u64) {
     if let Some(rec) = current() {
         rec.add(name, delta);
     }
-    if let Some(flight) = crate::flight::active() {
-        flight.add(name, delta);
-    }
 }
 
 /// Record a sample in the named histogram on the current recorder.
-/// (The flight recorder keeps no histograms; it retains events.)
 pub fn record_value(name: &'static str, value: u64) {
     if let Some(rec) = current() {
         rec.record(name, value);
@@ -749,18 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn muted_recorder_is_skipped() {
-        let rec = Recorder::new();
-        let _guard = rec.install_thread();
-        rec.set_enabled(false);
-        assert!(!enabled());
-        counter("c", 1);
-        rec.set_enabled(true);
-        counter("c", 1);
-        assert_eq!(rec.snapshot().counter("c"), 1);
-    }
-
-    #[test]
     fn span_durations_use_the_injected_clock() {
         let clock = MockClock::new();
         let rec = Recorder::with_clock(clock.clone());
@@ -784,5 +759,18 @@ mod tests {
         counter("c", 1);
         assert_eq!(rec.take().counter("c"), 1);
         assert!(rec.snapshot().is_empty());
+    }
+
+    #[test]
+    fn ring_and_unbounded_feed_the_same_histograms() {
+        for rec in [Recorder::new(), Recorder::ring(1)] {
+            let _guard = rec.install_thread();
+            for _ in 0..4 {
+                let _sp = span("work");
+            }
+            let session = rec.snapshot();
+            assert_eq!(session.histogram("work").map(Histogram::count), Some(4));
+            assert!(session.open_spans.is_empty());
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! submitting single-op batches through [`DesignService::handle`] while
 //! N−1 other sessions sit open and idle, for N ∈ {1, 4, 16, 64}; and a
 //! schema-size sweep, one session submitting `edit_stream` ops against
-//! synthetic schemas of 1,000 and 10,000 types.
+//! synthetic schemas of 1,000 and 10,000 types and exporting their ODL.
 //!
 //! Idle sessions are the point: the service keeps per-session metadata
 //! but serializes mutations on one writer path, so an open-but-quiet
@@ -20,7 +20,11 @@
 //! * `submit/typesN` — p50/p90 of one accepted submit at head on an
 //!   N-type synthetic schema. Every accepted submit publishes a new read
 //!   view, so these rows show whether that publish scales with the
-//!   schema (see `docs/performance.md`, "The publish path").
+//!   schema (see `docs/performance.md`, "The publish path");
+//! * `export/typesN` — p50/p90 of one `export` on the same schema right
+//!   after an accepted submit: `handle(Export)`, which assembles the ODL
+//!   from the view's blocks, plus `render_response`, which escapes it into
+//!   the response line.
 //!
 //! `report.sizes` records the session-count sweep; the type counts are
 //! in the row labels. Override the iteration count with
@@ -40,6 +44,7 @@ use sws_bench::timing::Runner;
 use sws_core::{print_op, ConceptKind};
 use sws_corpus::synthetic::SyntheticSpec;
 use sws_corpus::university;
+use sws_designer::protocol::render_response;
 use sws_designer::{DesignService, OpEnvelope, Request, Response, Session};
 use sws_model::graph_to_schema;
 use sws_odl::print_schema;
@@ -107,26 +112,36 @@ fn main() {
             session: "s0".to_string(),
         });
         assert!(matches!(opened, Response::Opened { .. }), "{opened:?}");
-        // Enough ops for the warm-up and the measured iterations.
-        let script = edit_stream(&g, 2 * runner.iters() as usize + 64, SEED);
+        // Enough ops for the warm-ups and the measured iterations of both
+        // rows (the warm-up is at most 50 iterations).
+        let script = edit_stream(&g, 2 * runner.iters() as usize + 128, SEED);
         let rev = Cell::new(0u64);
+        let submit_next = || {
+            let (context, op) = &script[rev.get() as usize];
+            Request::Submit {
+                session: "s0".to_string(),
+                base_rev: rev.get(),
+                ops: vec![OpEnvelope {
+                    context: *context,
+                    statement: print_op(op),
+                }],
+            }
+        };
+        let accept = |request| match service.handle(request) {
+            Response::Accepted { rev: head, .. } => rev.set(head),
+            other => panic!("submit at head must be accepted, got {other:?}"),
+        };
+        runner.bench_batched(&format!("submit/types{n}"), submit_next, accept);
+        // An export right after a submit reads a freshly published view.
         runner.bench_batched(
-            &format!("submit/types{n}"),
+            &format!("export/types{n}"),
             || {
-                let (context, op) = &script[rev.get() as usize];
-                Request::Submit {
+                accept(submit_next());
+                Request::Export {
                     session: "s0".to_string(),
-                    base_rev: rev.get(),
-                    ops: vec![OpEnvelope {
-                        context: *context,
-                        statement: print_op(op),
-                    }],
                 }
             },
-            |request| match service.handle(request) {
-                Response::Accepted { rev: head, .. } => rev.set(head),
-                other => panic!("submit at head must be accepted, got {other:?}"),
-            },
+            |request| render_response(&service.handle(request)),
         );
     }
 

@@ -26,8 +26,8 @@
 //!   rechecked incrementally per dirty type after each operation,
 //! * [`mapping`] — the semantic correspondence between shrink wrap and
 //!   custom schema (activity 10),
-//! * [`odl_blocks`] — the custom schema's ODL text, re-printed per touched
-//!   interface instead of whole.
+//! * [`odl_blocks`] — the custom schema's ODL, re-printed per touched
+//!   interface instead of whole and published as shared blocks.
 #![forbid(unsafe_code)]
 
 pub mod advice;
@@ -58,7 +58,7 @@ pub use feedback::Feedback;
 pub use impact::{DirtySet, ImpactEntry, ImpactReport};
 pub use interop::{common_objects, CommonObject, InteropSummary};
 pub use mapping::{Construct, Disposition, MapEntry, Mapping};
-pub use odl_blocks::OdlBlocks;
+pub use odl_blocks::{OdlBlocks, OdlSnapshot};
 pub use oplang::{parse_script, parse_statement, print_op};
 pub use ops::{ModOp, OpError, OpKind};
 pub use report::DesignReport;

@@ -1,5 +1,5 @@
-//! The working schema's canonical ODL text, kept current one interface at
-//! a time.
+//! The working schema's canonical ODL, kept current one interface at a
+//! time and published as shared blocks.
 //!
 //! [`print_schema`](sws_odl::print_schema) of
 //! [`graph_to_schema`](sws_model::graph_to_schema) renders every type on
@@ -8,9 +8,13 @@
 //! wagon-wheel edit touches its focal type and the far ends of the
 //! members it changes. [`OdlBlocks`] keeps one printed block per live
 //! type in name order, marks the touched names stale as ops are applied
-//! and undone, and on the next read re-renders just those before
-//! reassembling the text — the shape [`ConsistencyState`] has for
-//! findings.
+//! and undone, and on the next read re-renders just those — the shape
+//! [`ConsistencyState`] has for findings.
+//!
+//! A read returns an [`OdlSnapshot`]: the schema name and the blocks
+//! themselves, shared by reference count. Building one costs a refcount
+//! bump per type and copies no text; a reader that needs the whole text
+//! assembles it with [`OdlSnapshot::text`], on its own thread.
 //!
 //! [`ConsistencyState`]: crate::consistency::ConsistencyState
 
@@ -19,12 +23,33 @@ use std::sync::Arc;
 use sws_model::{type_to_interface, SchemaGraph, Symbol, TypeId, UndoPatch};
 use sws_odl::{assemble_schema, print_interface_block};
 
+/// One published state of a schema's ODL: its name and its printed
+/// interface blocks ([`print_interface_block`]) in name order. Cloning it
+/// bumps two refcounts.
+#[derive(Debug, Clone)]
+pub struct OdlSnapshot {
+    name: Arc<str>,
+    blocks: Arc<[Arc<str>]>,
+}
+
+impl OdlSnapshot {
+    /// The whole ODL text, byte-identical to
+    /// `print_schema(&graph_to_schema(g))` of the graph it was read from.
+    /// Assembled on every call, into one allocation sized up front.
+    pub fn text(&self) -> String {
+        let bytes: usize = self.blocks.iter().map(|block| block.len() + 1).sum();
+        let mut out = String::with_capacity(bytes + self.name.len() + 16);
+        assemble_schema(&mut out, &self.name, self.blocks.iter().map(|b| &**b));
+        out
+    }
+}
+
 /// Per-interface ODL blocks of one graph. See the module docs.
 #[derive(Debug, Clone)]
 pub struct OdlBlocks {
     /// The printed block of every live type, keyed — and so ordered, as
     /// `graph_to_schema` orders interfaces — by name.
-    blocks: BTreeMap<&'static str, String>,
+    blocks: BTreeMap<&'static str, Arc<str>>,
     /// Names whose blocks may be out of date: re-rendered, or dropped if
     /// no live type has the name any more, at the next read.
     stale: Vec<Symbol>,
@@ -32,10 +57,8 @@ pub struct OdlBlocks {
     /// read renders every type. Until then recording is a no-op, so a
     /// replay pays nothing here.
     full_pending: bool,
-    /// The text assembled by the last read, while nothing changed since.
-    text: Option<Arc<str>>,
-    /// Assembly buffer, reused from read to read.
-    buf: String,
+    /// The snapshot built by the last read, while nothing changed since.
+    snapshot: Option<OdlSnapshot>,
 }
 
 impl Default for OdlBlocks {
@@ -45,14 +68,14 @@ impl Default for OdlBlocks {
 }
 
 impl OdlBlocks {
-    /// Nothing rendered yet: the first [`text`](Self::text) renders all.
+    /// Nothing rendered yet: the first [`snapshot`](Self::snapshot)
+    /// renders all.
     pub fn new() -> Self {
         OdlBlocks {
             blocks: BTreeMap::new(),
             stale: Vec::new(),
             full_pending: true,
-            text: None,
-            buf: String::new(),
+            snapshot: None,
         }
     }
 
@@ -63,15 +86,15 @@ impl OdlBlocks {
             return;
         }
         self.stale.extend(patch.touched_types(g));
-        self.text = None;
+        self.snapshot = None;
     }
 
-    /// The ODL text of `g`, byte-identical to
-    /// `print_schema(&graph_to_schema(g))`: re-render the stale blocks,
-    /// then reassemble. Free when nothing changed since the last read.
-    pub fn text(&mut self, g: &SchemaGraph) -> Arc<str> {
-        if let Some(text) = &self.text {
-            return Arc::clone(text);
+    /// The ODL of `g` as shared blocks: re-render the stale blocks, then
+    /// collect the name-ordered block list. Free when nothing changed
+    /// since the last read.
+    pub fn snapshot(&mut self, g: &SchemaGraph) -> OdlSnapshot {
+        if let Some(snapshot) = &self.snapshot {
+            return snapshot.clone();
         }
         let mut sp = sws_trace::span!("core.odl.sync", full = self.full_pending);
         let rendered = if self.full_pending {
@@ -99,19 +122,17 @@ impl OdlBlocks {
             }
             rendered
         };
-        assemble_schema(
-            &mut self.buf,
-            g.name(),
-            self.blocks.values().map(String::as_str),
-        );
-        let text: Arc<str> = Arc::from(self.buf.as_str());
-        self.text = Some(Arc::clone(&text));
+        let snapshot = OdlSnapshot {
+            name: Arc::from(g.name()),
+            blocks: self.blocks.values().cloned().collect(),
+        };
+        self.snapshot = Some(snapshot.clone());
         sp.record("rendered", rendered);
-        sp.record("bytes", text.len());
-        text
+        sp.record("blocks", self.blocks.len());
+        snapshot
     }
 }
 
-fn render(g: &SchemaGraph, id: TypeId) -> String {
-    print_interface_block(&type_to_interface(g, id))
+fn render(g: &SchemaGraph, id: TypeId) -> Arc<str> {
+    Arc::from(print_interface_block(&type_to_interface(g, id)))
 }

@@ -70,7 +70,7 @@ impl DesignReport {
             shrink_wrap_constructs: ws.shrink_wrap().construct_count(),
             custom_constructs: ws.working().construct_count(),
             ops_applied: ws.log().len(),
-            custom_odl: ws.custom_odl().to_string(),
+            custom_odl: ws.custom_odl().text(),
             mapping: Mapping::derive(ws),
             consistency,
             advice,

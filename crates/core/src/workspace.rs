@@ -43,11 +43,10 @@ use crate::consistency::{ConsistencyReport, ConsistencyState};
 use crate::constraints::check_preconditions;
 use crate::feedback::{cautionary, Feedback};
 use crate::impact::{DirtySet, ImpactReport};
-use crate::odl_blocks::OdlBlocks;
+use crate::odl_blocks::{OdlBlocks, OdlSnapshot};
 use crate::ops::apply::apply_op;
 use crate::ops::{ModOp, OpError, PermissionMatrix};
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
 use sws_model::{SchemaGraph, UndoPatch};
 
 /// One log record: an operation that was applied.
@@ -302,18 +301,20 @@ impl Workspace {
         counts
     }
 
-    /// The working schema as canonical extended-ODL text, byte-identical
-    /// to `print_schema(&graph_to_schema(working))` but maintained
+    /// The working schema's canonical extended ODL as shared blocks, whose
+    /// [`text`](OdlSnapshot::text) is byte-identical to
+    /// `print_schema(&graph_to_schema(working))`. Maintained
     /// incrementally: only the interfaces of types touched by ops applied
-    /// or undone since the last call are re-printed (see [`OdlBlocks`]).
-    pub fn custom_odl(&self) -> Arc<str> {
-        let text = self.odl.borrow_mut().text(&self.working);
+    /// or undone since the last call are re-printed (see [`OdlBlocks`]),
+    /// and no text is copied.
+    pub fn custom_odl(&self) -> OdlSnapshot {
+        let snapshot = self.odl.borrow_mut().snapshot(&self.working);
         #[cfg(debug_assertions)]
         debug_assert!(
-            *text == sws_odl::print_schema(&sws_model::graph_to_schema(&self.working)),
+            snapshot.text() == sws_odl::print_schema(&sws_model::graph_to_schema(&self.working)),
             "incremental ODL diverged from the full render"
         );
-        text
+        snapshot
     }
 
     /// Number of concept schemas in the working schema's decomposition

@@ -11,9 +11,10 @@
 //!
 //! See `docs/serve.md` for the full schema.
 
+use std::fmt::Write as _;
 use sws_core::ConceptKind;
 use sws_repository::checksum;
-use sws_trace::export::escape_json;
+use sws_trace::export::escape_json_into;
 
 use crate::service::{ErrorCode, LogRecord, OpEnvelope, Request, Response};
 
@@ -21,32 +22,44 @@ use crate::service::{ErrorCode, LogRecord, OpEnvelope, Request, Response};
 // Rendering (responses)
 // ---------------------------------------------------------------------
 
+/// `"value"`, escaped straight into `out`.
+fn push_json_str(out: &mut String, value: &str) {
+    out.push('"');
+    escape_json_into(out, value);
+    out.push('"');
+}
+
 fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(&format!(",\"{key}\":\"{}\"", escape_json(value)));
+    let _ = write!(out, ",\"{key}\":");
+    push_json_str(out, value);
 }
 
 fn push_records(out: &mut String, key: &str, records: &[LogRecord]) {
-    out.push_str(&format!(",\"{key}\":["));
+    let _ = write!(out, ",\"{key}\":[");
     for (i, r) in records.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{{\"seq\":{},\"session\":\"{}\",\"context\":\"{}\",\"stmt\":\"{}\"}}",
-            r.seq,
-            escape_json(&r.session),
-            r.context.tag(),
-            escape_json(&r.statement)
-        ));
+        let _ = write!(out, "{{\"seq\":{},\"session\":", r.seq);
+        push_json_str(out, &r.session);
+        let _ = write!(out, ",\"context\":\"{}\",\"stmt\":", r.context.tag());
+        push_json_str(out, &r.statement);
+        out.push('}');
     }
     out.push(']');
 }
 
 /// Serialize a response as one JSON line (no trailing newline), closing
-/// with the checksum over every preceding byte.
+/// with the checksum over every preceding byte. Every string is escaped
+/// straight into the line; an `exported` line is sized up front with room
+/// for the escapes and the newline a JSONL transport appends.
 pub fn render_response(resp: &Response) -> String {
-    let mut out = String::with_capacity(128);
-    out.push_str(&format!("{{\"type\":\"{}\"", resp.tag()));
+    let capacity = match resp {
+        Response::Exported { odl, .. } => odl.len() + odl.len() / 8 + 128,
+        _ => 128,
+    };
+    let mut out = String::with_capacity(capacity);
+    let _ = write!(out, "{{\"type\":\"{}\"", resp.tag());
     match resp {
         Response::Opened {
             session,
@@ -55,9 +68,10 @@ pub fn render_response(resp: &Response) -> String {
             concepts,
         } => {
             push_str_field(&mut out, "session", session);
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ",\"rev\":{rev},\"types\":{types},\"concepts\":{concepts}"
-            ));
+            );
         }
         Response::Accepted {
             session,
@@ -67,14 +81,15 @@ pub fn render_response(resp: &Response) -> String {
             warnings,
         } => {
             push_str_field(&mut out, "session", session);
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ",\"base_rev\":{base_rev},\"rev\":{rev},\"applied\":{applied},\"warnings\":["
-            ));
+            );
             for (i, w) in warnings.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\"", escape_json(w)));
+                push_json_str(&mut out, w);
             }
             out.push(']');
         }
@@ -87,21 +102,19 @@ pub fn render_response(resp: &Response) -> String {
             conflicts,
         } => {
             push_str_field(&mut out, "session", session);
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ",\"base_rev\":{base_rev},\"rev\":{rev},\"auto_rebasable\":{auto_rebasable}"
-            ));
+            );
             push_records(&mut out, "delta", delta);
             out.push_str(",\"conflicts\":[");
             for (i, c) in conflicts.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
-                    "{{\"op\":{},\"seq\":{},\"reason\":\"{}\"}}",
-                    c.op,
-                    c.seq,
-                    escape_json(&c.reason)
-                ));
+                let _ = write!(out, "{{\"op\":{},\"seq\":{},\"reason\":", c.op, c.seq);
+                push_json_str(&mut out, &c.reason);
+                out.push('}');
             }
             out.push(']');
         }
@@ -112,7 +125,7 @@ pub fn render_response(resp: &Response) -> String {
             error,
         } => {
             push_str_field(&mut out, "session", session);
-            out.push_str(&format!(",\"rev\":{rev},\"index\":{index}"));
+            let _ = write!(out, ",\"rev\":{rev},\"index\":{index}");
             push_str_field(&mut out, "error", error);
         }
         Response::Linted {
@@ -121,20 +134,19 @@ pub fn render_response(resp: &Response) -> String {
             passes,
             findings,
         } => {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ",\"rev\":{rev},\"ops\":{ops},\"passes\":{passes},\"findings\":["
-            ));
+            );
             for (i, f) in findings.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
-                    "{{\"index\":{},\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"}}",
-                    f.index,
-                    escape_json(&f.code),
-                    escape_json(&f.severity),
-                    escape_json(&f.message)
-                ));
+                let _ = write!(out, "{{\"index\":{}", f.index);
+                push_str_field(&mut out, "code", &f.code);
+                push_str_field(&mut out, "severity", &f.severity);
+                push_str_field(&mut out, "message", &f.message);
+                out.push('}');
             }
             out.push(']');
         }
@@ -145,17 +157,18 @@ pub fn render_response(resp: &Response) -> String {
             errors,
             warnings,
         } => {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ",\"rev\":{rev},\"types\":{types},\"concepts\":{concepts},\
                  \"errors\":{errors},\"warnings\":{warnings}"
-            ));
+            );
         }
         Response::Exported { rev, odl } => {
-            out.push_str(&format!(",\"rev\":{rev}"));
+            let _ = write!(out, ",\"rev\":{rev}");
             push_str_field(&mut out, "odl", odl);
         }
         Response::LogSlice { rev, since, ops } => {
-            out.push_str(&format!(",\"rev\":{rev},\"since\":{since}"));
+            let _ = write!(out, ",\"rev\":{rev},\"since\":{since}");
             push_records(&mut out, "ops", ops);
         }
         Response::Checkpointed {
@@ -163,15 +176,17 @@ pub fn render_response(resp: &Response) -> String {
             generation,
             ops_covered,
         } => {
-            out.push_str(&format!(",\"rev\":{rev},\"generation\":"));
+            let _ = write!(out, ",\"rev\":{rev},\"generation\":");
             match generation {
-                Some(g) => out.push_str(&g.to_string()),
+                Some(g) => {
+                    let _ = write!(out, "{g}");
+                }
                 None => out.push_str("null"),
             }
-            out.push_str(&format!(",\"ops_covered\":{ops_covered}"));
+            let _ = write!(out, ",\"ops_covered\":{ops_covered}");
         }
         Response::Pong { rev, sessions } => {
-            out.push_str(&format!(",\"rev\":{rev},\"sessions\":{sessions}"));
+            let _ = write!(out, ",\"rev\":{rev},\"sessions\":{sessions}");
         }
         Response::Bye => {}
         Response::Error { code, message } => {
@@ -180,7 +195,7 @@ pub fn render_response(resp: &Response) -> String {
         }
     }
     let sum = checksum::checksum(out.as_bytes());
-    out.push_str(&format!(",\"checksum\":\"{}\"}}", checksum::to_hex(sum)));
+    let _ = write!(out, ",\"checksum\":\"{}\"}}", checksum::to_hex(sum));
     out
 }
 
@@ -485,15 +500,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'r' => out.push('\r'),
                     b'b' => out.push('\u{0008}'),
                     b'f' => out.push('\u{000C}'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
+                    b'u' => out.push(parse_unicode_escape(b, pos)?),
                     other => return Err(format!("bad escape `\\{}`", other as char)),
                 }
             }
@@ -511,6 +518,44 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
         }
     }
     Err("unterminated string".to_string())
+}
+
+/// The char of a `\uXXXX` escape whose `\u` was just consumed. A high
+/// surrogate must be followed by a `\u`-escaped low one, and the pair
+/// makes one char; a surrogate on its own is an error.
+fn parse_unicode_escape(b: &[u8], pos: &mut usize) -> Result<char, String> {
+    let at = *pos - 2;
+    let unit = parse_hex4(b, pos)?;
+    let code = match unit {
+        0xD800..=0xDBFF => {
+            let low = match b.get(*pos..*pos + 2) {
+                Some(b"\\u") => {
+                    *pos += 2;
+                    parse_hex4(b, pos)?
+                }
+                _ => 0,
+            };
+            if !(0xDC00..=0xDFFF).contains(&low) {
+                return Err(format!("lone surrogate in \\u escape at byte {at}"));
+            }
+            0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+        }
+        0xDC00..=0xDFFF => return Err(format!("lone surrogate in \\u escape at byte {at}")),
+        _ => unit,
+    };
+    char::from_u32(code).ok_or_else(|| format!("bad \\u escape at byte {at}"))
+}
+
+/// Exactly four ASCII hex digits at `pos`, as a number.
+fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
+    let digits = b
+        .get(*pos..*pos + 4)
+        .filter(|digits| digits.iter().all(u8::is_ascii_hexdigit))
+        .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
+    *pos += 4;
+    Ok(digits.iter().fold(0, |code, &d| {
+        code * 16 + char::from(d).to_digit(16).unwrap_or(0)
+    }))
 }
 
 // ---------------------------------------------------------------------
@@ -624,6 +669,57 @@ mod tests {
             let at = line.find(&format!("\"{key}\":")).expect(key);
             assert!(at >= last, "key {key} out of order in {line}");
             last = at;
+        }
+    }
+
+    fn parse_str(json: &str) -> Result<String, String> {
+        Json::parse(json).map(|value| value.as_str().expect("a string").to_string())
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        assert_eq!(parse_str(r#""\ud83d\ude00""#).as_deref(), Ok("😀"));
+        assert_eq!(parse_str(r#""a\uD83D\uDE01b""#).as_deref(), Ok("a😁b"));
+        // Two different pairs name two different sessions.
+        let open = |s: &str| match parse_request(&format!(r#"{{"type":"open","session":"{s}"}}"#)) {
+            Ok(Request::Open { session }) => session,
+            other => panic!("{other:?}"),
+        };
+        assert_ne!(open(r"\ud83d\ude00"), open(r"\ud83d\ude01"));
+        assert_eq!(open(r"\ud83d\ude00"), "😀");
+    }
+
+    #[test]
+    fn lone_surrogates_are_parse_errors() {
+        for json in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83d\n""#,
+        ] {
+            let err = parse_str(json).expect_err(json);
+            assert!(err.contains("lone surrogate"), "{json} → {err}");
+        }
+        let err = parse_request(r#"{"type":"open","session":"\udfff"}"#).expect_err("lone low");
+        assert!(err.contains("lone surrogate"), "{err}");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse_str(r#""\u0041\u00e9\u00E9""#).as_deref(), Ok("Aéé"));
+        for json in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,
+            r#""\u""#,
+            r#""\ud83d\u+e00""#,
+        ] {
+            let err = parse_str(json).expect_err(json);
+            assert!(err.contains("bad \\u escape"), "{json} → {err}");
         }
     }
 

@@ -97,6 +97,8 @@ enum Frame {
     /// A line longer than [`MAX_FRAME`] bytes; only its first
     /// `MAX_FRAME + 1` bytes were read.
     TooLong,
+    /// A whole line that is not valid UTF-8.
+    NotUtf8,
 }
 
 /// Read one line, buffering at most `MAX_FRAME + 1` bytes of it.
@@ -111,13 +113,16 @@ fn read_frame_line(reader: &mut BufReader<TcpStream>) -> io::Result<Frame> {
     if n > MAX_FRAME {
         return Ok(Frame::TooLong);
     }
-    String::from_utf8(bytes)
-        .map(Frame::Line)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    Ok(String::from_utf8(bytes).map_or(Frame::NotUtf8, Frame::Line))
 }
 
 fn too_long() -> (Response, String) {
     let message = format!("line exceeds the {MAX_FRAME}-byte frame limit");
+    error_response(ErrorCode::MalformedFrame, message)
+}
+
+fn not_utf8() -> (Response, String) {
+    let message = "frame is not valid UTF-8".to_string();
     error_response(ErrorCode::MalformedFrame, message)
 }
 
@@ -145,6 +150,8 @@ fn serve_jsonl(
         let (response, mut rendered) = match next {
             Frame::Eof => return Ok(false),
             Frame::TooLong => too_long(),
+            // The line's extent is known, so the stream stays in sync.
+            Frame::NotUtf8 => not_utf8(),
             Frame::Line(line) if line.trim().is_empty() => {
                 next = read_frame_line(reader)?;
                 continue;
@@ -204,26 +211,31 @@ fn serve_http(
     loop {
         let request_line = match next {
             Frame::Eof => return Ok(false),
-            Frame::TooLong => None,
-            Frame::Line(line) => Some(line),
+            Frame::TooLong => Err(too_long()),
+            Frame::NotUtf8 => Err(not_utf8()),
+            Frame::Line(line) => Ok(line),
         };
         let mut parts = request_line.as_deref().unwrap_or("").split_whitespace();
         let method = parts.next().unwrap_or("").to_string();
         let path = parts.next().unwrap_or("/").to_string();
 
         // Headers. `Content-Length` is client-supplied: check it before
-        // sizing a buffer from it. An over-long request line or header
-        // ends the request where it stands.
-        let mut content_length = match request_line {
-            Some(_) => Ok(0usize),
-            None => Err(too_long()),
+        // sizing a buffer from it. An over-long or non-UTF-8 request line
+        // or header ends the request where it stands.
+        let mut content_length = match &request_line {
+            Ok(_) => Ok(0usize),
+            Err(rejection) => Err(rejection.clone()),
         };
         let mut close = false;
-        while request_line.is_some() {
+        while request_line.is_ok() {
             let header = match read_frame_line(reader)? {
                 Frame::Eof => return Ok(false),
                 Frame::TooLong => {
                     content_length = Err(too_long());
+                    break;
+                }
+                Frame::NotUtf8 => {
+                    content_length = Err(not_utf8());
                     break;
                 }
                 Frame::Line(header) => header,

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use sws_analyze::{analyze_ops, commutes, footprint};
 use sws_core::oplang::{parse_statement, print_op};
-use sws_core::{ConceptKind, ModOp};
+use sws_core::{ConceptKind, ModOp, OdlSnapshot};
 use sws_model::SchemaGraph;
 
 use crate::session::{Session, SessionError};
@@ -244,9 +244,10 @@ pub struct ReadView {
     pub rev: u64,
     pub types: usize,
     pub concepts: usize,
-    /// `Repository::custom_schema_odl` of the head state, shared with the
-    /// workspace that rendered it.
-    pub odl: Arc<str>,
+    /// The head state's custom-schema ODL as shared blocks; its
+    /// [`text`](OdlSnapshot::text) is `Repository::custom_schema_odl`.
+    /// Publishing it copies no text.
+    pub odl: OdlSnapshot,
     /// Cross-schema consistency error / warning counts at the head.
     pub errors: usize,
     pub warnings: usize,
@@ -708,10 +709,11 @@ impl DesignService {
         if !self.known(session) {
             return Self::unknown_session(session);
         }
+        // Assembled here, on the reader's thread, outside the core lock.
         let view = self.view();
         Response::Exported {
             rev: view.rev,
-            odl: view.odl.to_string(),
+            odl: view.odl.text(),
         }
     }
 
@@ -851,7 +853,7 @@ mod tests {
             other => panic!("submit: {other:?}"),
         }
         assert_eq!(svc.view().rev, 1);
-        assert!(svc.view().odl.contains("Project"));
+        assert!(svc.view().odl.text().contains("Project"));
     }
 
     #[test]
@@ -976,7 +978,7 @@ mod tests {
         session.save(&dir).expect("initial save");
         let svc = DesignService::new(session);
         open(&svc, "alice");
-        let before = svc.view().odl.clone();
+        let before = svc.view().odl.text();
         io.clear_journal();
 
         let resp = svc.handle(Request::Submit {
@@ -1008,14 +1010,14 @@ mod tests {
 
         let reloaded = Session::load_with(Box::new(io.clone()), &dir).expect("reload");
         assert!(reloaded.recovery().is_some_and(|r| r.is_clean()));
-        assert_eq!(reloaded.repository().custom_schema_odl(), *before);
+        assert_eq!(reloaded.repository().custom_schema_odl(), before);
     }
 
     #[test]
     fn rejected_batch_applies_nothing() {
         let svc = service();
         open(&svc, "alice");
-        let before = svc.view().odl.clone();
+        let before = svc.view().odl.text();
         // Second op fails preconditions (duplicate type): atomic rollback.
         let resp = svc.handle(Request::Submit {
             session: "alice".into(),
@@ -1033,7 +1035,7 @@ mod tests {
             other => panic!("expected rejected: {other:?}"),
         }
         assert_eq!(svc.view().rev, 0);
-        assert_eq!(svc.view().odl, before, "rollback restored the head");
+        assert_eq!(svc.view().odl.text(), before, "rollback restored the head");
         // The log recorded nothing.
         match svc.handle(Request::Log {
             session: "alice".into(),

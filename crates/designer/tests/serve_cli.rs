@@ -492,3 +492,52 @@ fn over_long_lines_get_malformed_frame_and_close() {
     assert!(bye.contains("\"type\":\"bye\""), "{bye}");
     assert_eq!(server.0.wait().expect("server exits").code(), Some(0));
 }
+
+#[test]
+fn non_utf8_lines_get_malformed_frame_and_keep_the_connection() {
+    /// Kills the server if an assertion fails before the clean shutdown.
+    struct Reap(Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let schema = schema_file("non_utf8");
+    let (child, _stdout, addr) = spawn_serve(&[
+        "--schema",
+        schema.to_str().unwrap(),
+        "--threads=1",
+        "--addr=127.0.0.1:0",
+        "serve",
+    ]);
+    let mut server = Reap(child);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // As the connection's first line, and again after a valid frame.
+    stream
+        .write_all(b"\xff\xfe\n{\"type\":\"ping\"}\n{\"type\":\"open\",\"session\":\"\xc3\"}\n")
+        .expect("send");
+    let mut lines = Vec::new();
+    for _ in 0..3 {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("recv");
+        lines.push(line);
+    }
+    for error in [&lines[0], &lines[2]] {
+        assert!(error.contains("\"code\":\"malformed_frame\""), "{lines:?}");
+        assert!(error.contains("frame is not valid UTF-8"), "{lines:?}");
+    }
+    assert!(lines[1].contains("\"type\":\"pong\""), "{lines:?}");
+
+    let pong = rpc(&mut stream, &mut reader, "{\"type\":\"ping\"}");
+    assert!(pong.contains("\"type\":\"pong\""), "{pong}");
+    let bye = rpc(&mut stream, &mut reader, "{\"type\":\"shutdown\"}");
+    assert!(bye.contains("\"type\":\"bye\""), "{bye}");
+    assert_eq!(server.0.wait().expect("server exits").code(), Some(0));
+}

@@ -308,7 +308,7 @@ impl Repository {
 
     /// The custom schema as canonical extended-ODL text (canonical names).
     pub fn custom_schema_odl(&self) -> String {
-        self.workspace.custom_odl().to_string()
+        self.workspace.custom_odl().text()
     }
 
     /// The custom schema as extended-ODL text with the designer's local
@@ -476,7 +476,8 @@ impl Repository {
             &dir.join(SESSION_FILE),
             self.render_log_from(tail_start).as_bytes(),
         )?;
-        let files = self.write_derived_and_manifest(io, dir, &meta)?;
+        let custom = self.workspace.custom_odl().text();
+        let files = self.write_derived_and_manifest(io, dir, &meta, &custom)?;
         sp.record("files", files + 2);
         Ok(())
     }
@@ -495,13 +496,15 @@ impl Repository {
         meta
     }
 
-    /// Write the derived whole-file artifacts and then the manifest (the
-    /// commit record) carrying `meta`. Returns the file count written.
+    /// Write the derived whole-file artifacts — `custom` is the assembled
+    /// custom-schema ODL — and then the manifest (the commit record)
+    /// carrying `meta`. Returns the file count written.
     fn write_derived_and_manifest(
         &self,
         io: &dyn RepoIo,
         dir: &Path,
         meta: &CheckpointMeta,
+        custom: &str,
     ) -> Result<usize, RepoError> {
         let mut manifest = Manifest::new();
         manifest.set_checkpoint(meta.clone());
@@ -512,9 +515,7 @@ impl Repository {
             files += 1;
             Ok(())
         };
-        // The workspace keeps the last assembled text until an op changes
-        // it, so a checkpoint's snapshot and this file share one render.
-        write(CUSTOM_FILE, &self.workspace.custom_odl())?;
+        write(CUSTOM_FILE, custom)?;
         write(MAPPING_FILE, &self.mapping().render())?;
         if !self.aliases.is_empty() {
             write(ALIASES_FILE, &self.aliases.render())?;
@@ -576,7 +577,8 @@ impl Repository {
         let snap = Snapshot {
             generation,
             ops: total,
-            working_odl: self.workspace.custom_odl().to_string(),
+            // Assembled once: the snapshot and `custom.odl` share it.
+            working_odl: self.workspace.custom_odl().text(),
             moves,
         };
         let snap_bytes = snap.render();
@@ -607,7 +609,7 @@ impl Repository {
             generation,
             snapshots: retained,
         };
-        self.write_derived_and_manifest(io, dir, &new_meta)?;
+        self.write_derived_and_manifest(io, dir, &new_meta, &snap.working_odl)?;
         self.checkpoint = new_meta;
         sws_trace::counter("repo.checkpoint.written", 1);
         sws_trace::counter("repo.checkpoint.ops_covered", total);

@@ -74,22 +74,93 @@ pub fn render_tree(events: &[Event]) -> String {
 }
 
 /// Escape a string for a JSON string literal (contents only, no quotes).
+/// A thin wrapper over [`escape_json_into`], which has the rules.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    escape_json_into(&mut out, s);
+    out
+}
+
+/// Append `s` to `out` escaped for a JSON string literal (contents only,
+/// no quotes): `"` and `\` get a backslash; `\n`, `\r` and `\t` their
+/// short forms; every other byte below 0x20 the `\u00xx` form with
+/// lowercase hex. Everything else, non-ASCII included, is copied as is.
+///
+/// The workspace's one JSON escaper: the wire protocol, trace and profile
+/// exports, crash reports and lint output all go through it. It scans
+/// eight bytes at a time and appends each run that needs no escaping
+/// with one `push_str`, so a megabyte-sized ODL export costs a few
+/// memcpys rather than a push per char.
+pub fn escape_json_into(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
+    out.reserve(bytes.len());
+    // `bytes[run..at]` needs no escaping and is not yet in `out`.
+    let mut run = 0;
+    let mut at = 0;
+    while at < bytes.len() {
+        if let Some(word) = bytes
+            .get(at..at + 8)
+            .and_then(|w| <[u8; 8]>::try_from(w).ok())
+        {
+            let mask = special_bytes(u64::from_le_bytes(word));
+            if mask == 0 {
+                at += 8;
+                continue;
             }
-            c => out.push(c),
+            at += (mask.trailing_zeros() / 8) as usize;
+        } else if !needs_escape(bytes[at]) {
+            at += 1;
+            continue;
+        }
+        // An escaped byte is ASCII, so both slice ends are char boundaries.
+        out.push_str(&s[run..at]);
+        push_escape(out, bytes[at]);
+        at += 1;
+        run = at;
+    }
+    out.push_str(&s[run..]);
+}
+
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// High bit set in each byte lane of `word` that is zero. Lanes above the
+/// first zero may be falsely set by the subtraction's borrow, so only the
+/// lowest set bit is exact.
+fn zero_lanes(word: u64) -> u64 {
+    word.wrapping_sub(LOW_BITS) & !word & HIGH_BITS
+}
+
+/// High bit set in each byte lane of `word` (little-endian) that
+/// [`needs_escape`]; as with [`zero_lanes`], only the lowest set bit is
+/// exact — which is all [`escape_json_into`] reads.
+fn special_bytes(word: u64) -> u64 {
+    // A lane below 0x20 borrows on subtracting 0x20 and has its own high
+    // bit clear; bytes of 0x80 and above (all of non-ASCII) never match.
+    let control = word.wrapping_sub(0x20 * LOW_BITS) & !word & HIGH_BITS;
+    control
+        | zero_lanes(word ^ (b'"' as u64 * LOW_BITS))
+        | zero_lanes(word ^ (b'\\' as u64 * LOW_BITS))
+}
+
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+fn push_escape(out: &mut String, b: u8) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    match b {
+        b'"' => out.push_str("\\\""),
+        b'\\' => out.push_str("\\\\"),
+        b'\n' => out.push_str("\\n"),
+        b'\r' => out.push_str("\\r"),
+        b'\t' => out.push_str("\\t"),
+        _ => {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
         }
     }
-    out
 }
 
 fn field_json(value: &crate::recorder::FieldValue) -> String {

@@ -21,7 +21,7 @@
 //! Another pins the read-view publish to O(batch): one accepted
 //! `DesignService::handle(Submit)` — apply, resync, and publish of the
 //! new view — allocates about as often on a 10,000-type schema as on a
-//! 1,000-type one. It runs in release builds (`cargo test --release
+//! 1,000-type one, and fewer bytes than a quarter of the ODL text. It runs in release builds (`cargo test --release
 //! --features alloc-stats --test alloc_attribution`): debug builds check
 //! every incremental read against a from-scratch one inside the publish,
 //! and those oracles allocate per type by design.
@@ -212,10 +212,18 @@ fn issue_allocation_does_not_grow_with_history() {
     );
 }
 
-/// `alloc.count` of one accepted single-op submit at head on a synthetic
-/// schema of `types` types, after one warm-up submit (so every lazily
-/// synced read state is current, as on a live server).
-fn publish_allocations_at(types: usize) -> u64 {
+/// What one accepted submit allocated, and the size of the ODL it
+/// published.
+struct Publish {
+    count: u64,
+    bytes: u64,
+    odl_len: usize,
+}
+
+/// `alloc.count` and `alloc.bytes` of one accepted single-op submit at
+/// head on a synthetic schema of `types` types, after one warm-up submit
+/// (so every lazily synced read state is current, as on a live server).
+fn publish_allocations_at(types: usize) -> Publish {
     let g = SyntheticSpec::sized(types, 31).generate();
     let service = DesignService::new(
         Session::from_odl(&print_schema(&graph_to_schema(&g))).expect("synthetic schema ingests"),
@@ -264,16 +272,23 @@ fn publish_allocations_at(types: usize) -> u64 {
                 && matches!(e.kind, sws_trace::EventKind::SpanClose { .. })
         })
         .expect("the submit span closed under the recorder");
-    match close.fields.iter().find(|(k, _)| *k == "alloc.count") {
-        Some((_, FieldValue::U64(count))) => *count,
-        other => panic!("missing alloc.count on the submit span: {other:?}"),
+    let field = |name: &str| match close.fields.iter().find(|(k, _)| *k == name) {
+        Some((_, FieldValue::U64(value))) => *value,
+        other => panic!("missing {name} on the submit span: {other:?}"),
+    };
+    Publish {
+        count: field("alloc.count"),
+        bytes: field("alloc.bytes"),
+        odl_len: service.view().odl.text().len(),
     }
 }
 
 /// Publishing a read view costs O(batch), not O(schema): one accepted
 /// submit allocates at most 2x as often on 10,000 types as on 1,000. A
 /// publish that re-renders the whole custom schema, decomposes it, or
-/// deep-copies the working graph allocates per type and fails here.
+/// deep-copies the working graph allocates per type and fails here. It
+/// also allocates fewer bytes than a quarter of the ODL text: a publish
+/// that copies the whole text fails that.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -283,10 +298,21 @@ fn publish_allocation_does_not_grow_with_schema_size() {
     let _serial = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
     let small = publish_allocations_at(1_000);
     let large = publish_allocations_at(10_000);
-    eprintln!("publish alloc.count: {small} at 1,000 types, {large} at 10,000");
-    assert!(small > 0, "the submit span should allocate; got 0");
+    let (small_count, large_count) = (small.count, large.count);
+    eprintln!("publish alloc.count: {small_count} at 1,000 types, {large_count} at 10,000");
+    assert!(small_count > 0, "the submit span should allocate; got 0");
     assert!(
-        large <= 2 * small,
-        "submit at 10,000 types allocated {large} times, at 1,000 types {small} times"
+        large_count <= 2 * small_count,
+        "submit at 10,000 types allocated {large_count} times, at 1,000 types {small_count} times"
+    );
+    eprintln!(
+        "publish alloc.bytes at 10,000 types: {} for a {}-byte ODL",
+        large.bytes, large.odl_len
+    );
+    assert!(
+        large.bytes < large.odl_len as u64 / 4,
+        "submit at 10,000 types allocated {} bytes for a {}-byte ODL",
+        large.bytes,
+        large.odl_len
     );
 }

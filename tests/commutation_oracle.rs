@@ -51,7 +51,7 @@ fn apply_pair(
     findings.sort();
     Outcome {
         verdicts,
-        odl: ws.custom_odl().to_string(),
+        odl: ws.custom_odl().text(),
         mapping: Mapping::derive(&ws).render(),
         findings,
     }

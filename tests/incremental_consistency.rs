@@ -151,7 +151,7 @@ proptest! {
             );
             prop_assert_eq!(incremental, full);
             let full_odl = print_schema(&graph_to_schema(ws.working()));
-            prop_assert_eq!(&*ws.custom_odl(), full_odl.as_str());
+            prop_assert_eq!(ws.custom_odl().text(), full_odl);
             prop_assert_eq!(ws.concept_count(), decompose(ws.working()).len());
         }
     }

@@ -29,7 +29,7 @@ fn full_render(g: &SchemaGraph) -> String {
 /// Every maintained read of `ws` against its from-scratch counterpart.
 fn assert_reads_match(ws: &Workspace, at: &str) {
     assert_eq!(
-        *ws.custom_odl(),
+        ws.custom_odl().text(),
         full_render(ws.working()),
         "incremental ODL differs from the full render at {at}"
     );
@@ -65,7 +65,7 @@ fn drive(mut ws: Workspace, script: &[(ConceptKind, ModOp)], name: &str) {
     ws.reset();
     assert_reads_match(&ws, &format!("{name} reset"));
     if !ws.is_resumed() {
-        assert_eq!(*ws.custom_odl(), full_render(ws.shrink_wrap()));
+        assert_eq!(ws.custom_odl().text(), full_render(ws.shrink_wrap()));
     }
 }
 
@@ -101,13 +101,13 @@ fn deleting_and_re_adding_a_name_in_one_batch_renders_the_new_type() {
         ws.apply(ConceptKind::WagonWheel, op).expect("op applies");
     }
     assert_reads_match(&ws, "after the batch");
-    assert!(ws.custom_odl().contains("isbn"));
+    assert!(ws.custom_odl().text().contains("isbn"));
     // Undo the batch as the server's rollback does, reading only at the end.
     for _ in 0..4 {
         ws.undo_last().expect("an op to undo");
     }
     assert_reads_match(&ws, "after undoing the batch");
-    assert_eq!(*ws.custom_odl(), full_render(ws.shrink_wrap()));
+    assert_eq!(ws.custom_odl().text(), full_render(ws.shrink_wrap()));
 }
 
 #[test]
@@ -134,7 +134,7 @@ fn session_rollback_and_resume_keep_the_blocks_exact() {
         ws.apply(ConceptKind::WagonWheel, op).expect("op applies");
     }
     let resumed = Workspace::resume(ws.shrink_wrap().clone(), ws.working().clone());
-    assert_eq!(resumed.custom_odl(), ws.custom_odl());
+    assert_eq!(resumed.custom_odl().text(), ws.custom_odl().text());
     let script = edit_stream(resumed.working(), 12, 9);
     drive(resumed, &script, "resumed");
 }
@@ -188,7 +188,7 @@ fn a_read_view_is_isolated_from_later_submits() {
     let script = edit_stream(&university::graph(), 24, 17);
     for batch in script.chunks(3) {
         let view = service.view();
-        assert_eq!(*view.odl, full_render(&view.working));
+        assert_eq!(view.odl.text(), full_render(&view.working));
         views.push((full_render(&view.working), view));
         let response = service.handle(Request::Submit {
             session: "w".to_string(),
@@ -209,9 +209,9 @@ fn a_read_view_is_isolated_from_later_submits() {
     // Every earlier view still renders exactly what it published.
     for (rendered, view) in &views {
         assert_eq!(full_render(&view.working), *rendered);
-        assert_eq!(*view.odl, *rendered);
+        assert_eq!(view.odl.text(), *rendered);
     }
     let head = service.view();
-    assert_eq!(*head.odl, full_render(&head.working));
-    assert_ne!(*head.odl, *views[0].0);
+    assert_eq!(head.odl.text(), full_render(&head.working));
+    assert_ne!(head.odl.text(), views[0].0);
 }

@@ -208,3 +208,53 @@ fn fixtures_cover_every_response_tag() {
         assert!(seen.contains(tag), "no fixture produces `{tag}`");
     }
 }
+
+/// The char-at-a-time escaper `render_response` used before it escaped
+/// eight bytes at a time, kept as the reference.
+fn reference_escape(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// An `exported` line for a 1,000-type schema is byte-identical to the
+/// rendering before the single-pass escaper (a `format!` of the escaped
+/// ODL, then the checksum over every preceding byte), and it has room for
+/// the newline a JSONL transport appends.
+#[test]
+fn a_large_export_renders_as_before() {
+    use sws_corpus::synthetic::SyntheticSpec;
+    use sws_designer::Response;
+    use sws_repository::checksum;
+
+    let g = SyntheticSpec::sized(1_000, 31).generate();
+    let odl = sws_odl::print_schema(&sws_model::graph_to_schema(&g));
+    let mut expected = format!(
+        "{{\"type\":\"exported\",\"rev\":7,\"odl\":\"{}\"",
+        reference_escape(&odl)
+    );
+    let sum = checksum::checksum(expected.as_bytes());
+    expected.push_str(&format!(",\"checksum\":\"{}\"}}", checksum::to_hex(sum)));
+
+    let line = protocol::render_response(&Response::Exported { rev: 7, odl });
+    assert_eq!(line, expected);
+    assert!(checksum_valid(&line));
+    assert!(
+        line.capacity() > line.len(),
+        "appending the newline reallocates a {}-byte line",
+        line.len()
+    );
+}

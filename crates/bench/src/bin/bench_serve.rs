@@ -24,7 +24,12 @@
 //! * `export/typesN` — p50/p90 of one `export` on the same schema right
 //!   after an accepted submit: `handle(Export)`, which assembles the ODL
 //!   from the view's blocks, plus `render_response`, which escapes it into
-//!   the response line.
+//!   the response line;
+//! * `export_wire/typesN` — the same export as a round trip over loopback
+//!   TCP: [`serve::serve`] runs in-process on a local listener, and a
+//!   naive client writes the request and blocks in `read_line` until the
+//!   whole response line has arrived. The daemon streams a long line as it
+//!   renders it, so this row shows rendering and transfer overlapping.
 //!
 //! `report.sizes` records the session-count sweep; the type counts are
 //! in the row labels. Override the iteration count with
@@ -37,6 +42,8 @@
 //! The tail is guarded by the same-run relative assertion above instead.
 
 use std::cell::Cell;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 
 use sws_bench::edit_scripts::edit_stream;
 use sws_bench::report::BenchReport;
@@ -45,6 +52,7 @@ use sws_core::{print_op, ConceptKind};
 use sws_corpus::synthetic::SyntheticSpec;
 use sws_corpus::university;
 use sws_designer::protocol::render_response;
+use sws_designer::serve;
 use sws_designer::{DesignService, OpEnvelope, Request, Response, Session};
 use sws_model::graph_to_schema;
 use sws_odl::print_schema;
@@ -112,9 +120,9 @@ fn main() {
             session: "s0".to_string(),
         });
         assert!(matches!(opened, Response::Opened { .. }), "{opened:?}");
-        // Enough ops for the warm-ups and the measured iterations of both
-        // rows (the warm-up is at most 50 iterations).
-        let script = edit_stream(&g, 2 * runner.iters() as usize + 128, SEED);
+        // Enough ops for the warm-ups and the measured iterations of the
+        // three rows (the warm-up is at most 50 iterations).
+        let script = edit_stream(&g, 3 * runner.iters() as usize + 192, SEED);
         let rev = Cell::new(0u64);
         let submit_next = || {
             let (context, op) = &script[rev.get() as usize];
@@ -143,6 +151,7 @@ fn main() {
             },
             |request| render_response(&service.handle(request)),
         );
+        export_over_loopback(&mut runner, &service, n, || accept(submit_next()));
     }
 
     let mut report = BenchReport::from_runner("serve", SEED, &runner);
@@ -180,4 +189,34 @@ fn main() {
         .unwrap_or_else(|_| format!("{}/../../BENCH_serve.json", env!("CARGO_MANIFEST_DIR")));
     report.write(&out);
     runner.finish();
+}
+
+/// The `export_wire/types{n}` row: `fresh()` publishes a new view
+/// in-process, then one export round trip goes through the daemon's own
+/// accept loop on a loopback socket.
+fn export_over_loopback(
+    runner: &mut Runner,
+    service: &DesignService,
+    n: usize,
+    mut fresh: impl FnMut(),
+) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+    let addr = listener.local_addr().expect("bound address");
+    std::thread::scope(|scope| {
+        scope.spawn(|| serve::serve(service, listener, 1).expect("serve"));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+        let mut line = String::new();
+        let mut round_trip = |frame: &str, line: &mut String| {
+            stream.write_all(frame.as_bytes()).expect("send");
+            line.clear();
+            reader.read_line(line).expect("receive");
+        };
+        runner.bench_batched(&format!("export_wire/types{n}"), &mut fresh, |()| {
+            round_trip("{\"type\":\"export\",\"session\":\"s0\"}\n", &mut line);
+            assert!(line.starts_with("{\"type\":\"exported\""), "{line:.80}");
+        });
+        round_trip("{\"type\":\"shutdown\"}\n", &mut line);
+        assert!(line.starts_with("{\"type\":\"bye\""), "{line}");
+    });
 }

@@ -12,8 +12,9 @@
 //! See `docs/serve.md` for the full schema.
 
 use std::fmt::Write as _;
+use std::io::{self, Write};
 use sws_core::ConceptKind;
-use sws_repository::checksum;
+use sws_repository::checksum::{self, Checksum};
 use sws_trace::export::escape_json_into;
 
 use crate::service::{ErrorCode, LogRecord, OpEnvelope, Request, Response};
@@ -21,6 +22,10 @@ use crate::service::{ErrorCode, LogRecord, OpEnvelope, Request, Response};
 // ---------------------------------------------------------------------
 // Rendering (responses)
 // ---------------------------------------------------------------------
+
+/// A streamed response line leaves in pieces of at least this many bytes
+/// (the last piece excepted); a shorter line leaves in one write.
+pub const SLICE: usize = 64 << 10;
 
 /// `"value"`, escaped straight into `out`.
 fn push_json_str(out: &mut String, value: &str) {
@@ -34,31 +39,103 @@ fn push_str_field(out: &mut String, key: &str, value: &str) {
     push_json_str(out, value);
 }
 
-fn push_records(out: &mut String, key: &str, records: &[LogRecord]) {
-    let _ = write!(out, ",\"{key}\":[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"seq\":{},\"session\":", r.seq);
-        push_json_str(out, &r.session);
-        let _ = write!(out, ",\"context\":\"{}\",\"stmt\":", r.context.tag());
-        push_json_str(out, &r.statement);
-        out.push('}');
-    }
-    out.push(']');
+/// The line buffer the response renderer appends to. With a stream, each
+/// time the buffer reaches [`SLICE`] at an item boundary its bytes are
+/// folded into the checksum, written out and dropped; without one, the
+/// buffer ends up holding the whole line.
+struct LineWriter<'a> {
+    buf: &'a mut String,
+    sum: Checksum,
+    out: Option<&'a mut dyn Write>,
 }
 
-/// Serialize a response as one JSON line (no trailing newline), closing
-/// with the checksum over every preceding byte. Every string is escaped
-/// straight into the line; an `exported` line is sized up front with room
-/// for the escapes and the newline a JSONL transport appends.
-pub fn render_response(resp: &Response) -> String {
-    let capacity = match resp {
+impl LineWriter<'_> {
+    /// An item boundary: stream the buffer once it holds a slice.
+    fn boundary(&mut self) -> io::Result<()> {
+        if let Some(out) = self.out.as_mut().filter(|_| self.buf.len() >= SLICE) {
+            self.sum.update(self.buf.as_bytes());
+            out.write_all(self.buf.as_bytes())?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    /// `,"key":"value"` for a value of any length. With a stream, the value
+    /// is escaped in slices that each top the buffer up to [`SLICE`] bytes,
+    /// cut at char boundaries.
+    fn long_str_field(&mut self, key: &str, value: &str) -> io::Result<()> {
+        let _ = write!(self.buf, ",\"{key}\":\"");
+        let mut rest = value;
+        while !rest.is_empty() {
+            let room = match self.out {
+                Some(_) => SLICE.saturating_sub(self.buf.len()),
+                None => rest.len(),
+            };
+            let mut cut = room.clamp(1, rest.len());
+            while !rest.is_char_boundary(cut) {
+                cut += 1;
+            }
+            let (slice, tail) = rest.split_at(cut);
+            escape_json_into(self.buf, slice);
+            self.boundary()?;
+            rest = tail;
+        }
+        self.buf.push('"');
+        Ok(())
+    }
+
+    /// `,"key":[…]`, rendering each item with `item` and streaming at the
+    /// boundary after it.
+    fn list<T>(
+        &mut self,
+        key: &str,
+        items: &[T],
+        mut item: impl FnMut(&mut String, &T),
+    ) -> io::Result<()> {
+        let _ = write!(self.buf, ",\"{key}\":[");
+        for (i, x) in items.iter().enumerate() {
+            if i > 0 {
+                self.buf.push(',');
+            }
+            item(self.buf, x);
+            self.boundary()?;
+        }
+        self.buf.push(']');
+        Ok(())
+    }
+
+    fn records(&mut self, key: &str, records: &[LogRecord]) -> io::Result<()> {
+        self.list(key, records, |out, r| {
+            let _ = write!(out, "{{\"seq\":{},\"session\":", r.seq);
+            push_json_str(out, &r.session);
+            let _ = write!(out, ",\"context\":\"{}\",\"stmt\":", r.context.tag());
+            push_json_str(out, &r.statement);
+            out.push('}');
+        })
+    }
+
+    /// Close the line with the checksum over every byte before it, written
+    /// or still buffered.
+    fn close(mut self) {
+        self.sum.update(self.buf.as_bytes());
+        let sum = checksum::to_hex(self.sum.finish());
+        let _ = write!(self.buf, ",\"checksum\":\"{sum}\"}}");
+    }
+}
+
+/// Bytes to reserve for `resp`'s line: an `exported` line's ODL with room
+/// for its escapes, plus the newline a JSONL transport appends.
+fn line_capacity(resp: &Response) -> usize {
+    match resp {
         Response::Exported { odl, .. } => odl.len() + odl.len() / 8 + 128,
         _ => 128,
-    };
-    let mut out = String::with_capacity(capacity);
+    }
+}
+
+/// The one response renderer: every field of `resp`, in the pinned key
+/// order, up to the closing checksum.
+fn render(resp: &Response, line: &mut LineWriter<'_>) -> io::Result<()> {
+    let out = &mut *line.buf;
     let _ = write!(out, "{{\"type\":\"{}\"", resp.tag());
     match resp {
         Response::Opened {
@@ -67,7 +144,7 @@ pub fn render_response(resp: &Response) -> String {
             types,
             concepts,
         } => {
-            push_str_field(&mut out, "session", session);
+            push_str_field(out, "session", session);
             let _ = write!(
                 out,
                 ",\"rev\":{rev},\"types\":{types},\"concepts\":{concepts}"
@@ -80,18 +157,12 @@ pub fn render_response(resp: &Response) -> String {
             applied,
             warnings,
         } => {
-            push_str_field(&mut out, "session", session);
+            push_str_field(out, "session", session);
             let _ = write!(
                 out,
-                ",\"base_rev\":{base_rev},\"rev\":{rev},\"applied\":{applied},\"warnings\":["
+                ",\"base_rev\":{base_rev},\"rev\":{rev},\"applied\":{applied}"
             );
-            for (i, w) in warnings.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_json_str(&mut out, w);
-            }
-            out.push(']');
+            line.list("warnings", warnings, |out, w| push_json_str(out, w))?;
         }
         Response::Conflict {
             session,
@@ -101,22 +172,17 @@ pub fn render_response(resp: &Response) -> String {
             delta,
             conflicts,
         } => {
-            push_str_field(&mut out, "session", session);
+            push_str_field(out, "session", session);
             let _ = write!(
                 out,
                 ",\"base_rev\":{base_rev},\"rev\":{rev},\"auto_rebasable\":{auto_rebasable}"
             );
-            push_records(&mut out, "delta", delta);
-            out.push_str(",\"conflicts\":[");
-            for (i, c) in conflicts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
+            line.records("delta", delta)?;
+            line.list("conflicts", conflicts, |out, c| {
                 let _ = write!(out, "{{\"op\":{},\"seq\":{},\"reason\":", c.op, c.seq);
-                push_json_str(&mut out, &c.reason);
+                push_json_str(out, &c.reason);
                 out.push('}');
-            }
-            out.push(']');
+            })?;
         }
         Response::Rejected {
             session,
@@ -124,9 +190,9 @@ pub fn render_response(resp: &Response) -> String {
             index,
             error,
         } => {
-            push_str_field(&mut out, "session", session);
+            push_str_field(out, "session", session);
             let _ = write!(out, ",\"rev\":{rev},\"index\":{index}");
-            push_str_field(&mut out, "error", error);
+            push_str_field(out, "error", error);
         }
         Response::Linted {
             rev,
@@ -134,21 +200,14 @@ pub fn render_response(resp: &Response) -> String {
             passes,
             findings,
         } => {
-            let _ = write!(
-                out,
-                ",\"rev\":{rev},\"ops\":{ops},\"passes\":{passes},\"findings\":["
-            );
-            for (i, f) in findings.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
+            let _ = write!(out, ",\"rev\":{rev},\"ops\":{ops},\"passes\":{passes}");
+            line.list("findings", findings, |out, f| {
                 let _ = write!(out, "{{\"index\":{}", f.index);
-                push_str_field(&mut out, "code", &f.code);
-                push_str_field(&mut out, "severity", &f.severity);
-                push_str_field(&mut out, "message", &f.message);
+                push_str_field(out, "code", &f.code);
+                push_str_field(out, "severity", &f.severity);
+                push_str_field(out, "message", &f.message);
                 out.push('}');
-            }
-            out.push(']');
+            })?;
         }
         Response::Reported {
             rev,
@@ -165,11 +224,11 @@ pub fn render_response(resp: &Response) -> String {
         }
         Response::Exported { rev, odl } => {
             let _ = write!(out, ",\"rev\":{rev}");
-            push_str_field(&mut out, "odl", odl);
+            line.long_str_field("odl", odl)?;
         }
         Response::LogSlice { rev, since, ops } => {
             let _ = write!(out, ",\"rev\":{rev},\"since\":{since}");
-            push_records(&mut out, "ops", ops);
+            line.records("ops", ops)?;
         }
         Response::Checkpointed {
             rev,
@@ -190,13 +249,52 @@ pub fn render_response(resp: &Response) -> String {
         }
         Response::Bye => {}
         Response::Error { code, message } => {
-            push_str_field(&mut out, "code", code.tag());
-            push_str_field(&mut out, "message", message);
+            push_str_field(out, "code", code.tag());
+            push_str_field(out, "message", message);
         }
     }
-    let sum = checksum::checksum(out.as_bytes());
-    let _ = write!(out, ",\"checksum\":\"{}\"}}", checksum::to_hex(sum));
-    out
+    Ok(())
+}
+
+/// Serialize a response as one JSON line (no trailing newline), closing
+/// with the checksum over every preceding byte. This is [`write_response`]'s
+/// renderer with the line kept in memory; an `exported` line is sized up
+/// front with room for the escapes and the newline a JSONL transport
+/// appends.
+pub fn render_response(resp: &Response) -> String {
+    let mut buf = String::with_capacity(line_capacity(resp));
+    let mut line = LineWriter {
+        buf: &mut buf,
+        sum: Checksum::new(),
+        out: None,
+    };
+    // Without a stream nothing is written, so nothing can fail.
+    let _ = render(resp, &mut line);
+    line.close();
+    buf
+}
+
+/// Write `resp` to `out` as the bytes of [`render_response`] plus `'\n'`,
+/// streaming as it renders: whenever `buf` reaches [`SLICE`] bytes between
+/// two list items or two slices of the ODL, they are checksummed and
+/// written out. The checksum field and the newline go in the last write,
+/// so a line under one slice leaves in exactly one write.
+///
+/// `buf` is the caller's line buffer, cleared here and reusable across
+/// responses; it never holds more than one slice plus one item.
+pub fn write_response(resp: &Response, buf: &mut String, out: &mut impl Write) -> io::Result<()> {
+    buf.clear();
+    // A streamed line needs room for one slice and its escapes at most.
+    buf.reserve(line_capacity(resp).min(SLICE + SLICE / 8 + 128));
+    let mut line = LineWriter {
+        buf,
+        sum: Checksum::new(),
+        out: Some(&mut *out),
+    };
+    render(resp, &mut line)?;
+    line.close();
+    buf.push('\n');
+    out.write_all(buf.as_bytes())
 }
 
 // ---------------------------------------------------------------------
@@ -562,17 +660,21 @@ fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
 // The transport-independent dispatch helper
 // ---------------------------------------------------------------------
 
-/// Parse one frame, dispatch it, and return both the typed response and
-/// its rendered line. A parse failure becomes a `malformed_frame` error
-/// response — the connection survives.
-pub fn respond(service: &crate::service::DesignService, line: &str) -> (Response, String) {
-    let response = match parse_request(line) {
+/// Parse one frame and dispatch it. A parse failure becomes a
+/// `malformed_frame` error response — the connection survives.
+pub fn dispatch(service: &crate::service::DesignService, line: &str) -> Response {
+    match parse_request(line) {
         Ok(request) => service.handle(request),
         Err(message) => Response::Error {
             code: ErrorCode::MalformedFrame,
             message,
         },
-    };
+    }
+}
+
+/// [`dispatch`], returning both the typed response and its rendered line.
+pub fn respond(service: &crate::service::DesignService, line: &str) -> (Response, String) {
+    let response = dispatch(service, line);
     let rendered = render_response(&response);
     (response, rendered)
 }

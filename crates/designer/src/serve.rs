@@ -6,7 +6,9 @@
 //!
 //! * **JSONL** — one request object per line, one checksummed response
 //!   line back. The connection is persistent; this is the native framing
-//!   and what the differential/load harnesses speak.
+//!   and what the differential/load harnesses speak. A response line is
+//!   written as it is rendered, in pieces of
+//!   [`SLICE`](crate::protocol::SLICE) bytes or more.
 //! * **HTTP/1.1** — `POST /` with the same JSON object as the body (or
 //!   `GET /ping`), response body is the same checksummed line. Keep-alive
 //!   honoured; status codes mirror the response type (see
@@ -20,7 +22,7 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
-use crate::protocol::respond;
+use crate::protocol::{dispatch, render_response, write_response};
 use crate::service::{DesignService, ErrorCode, Response};
 
 /// Run the accept loop until a shutdown frame arrives. Blocks the calling
@@ -64,6 +66,10 @@ fn wake_acceptors(addr: SocketAddr, threads: usize) {
 /// frame was processed on it.
 fn handle_conn(service: &DesignService, stream: TcpStream) -> io::Result<bool> {
     let mut sp = sws_trace::span!("serve.conn");
+    // A response may leave in several writes. With Nagle's algorithm, a
+    // write after the first would wait for the client to acknowledge it,
+    // which a delayed-ACK client holds back for up to ~40 ms.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut requests = 0u64;
@@ -116,14 +122,18 @@ fn read_frame_line(reader: &mut BufReader<TcpStream>) -> io::Result<Frame> {
     Ok(String::from_utf8(bytes).map_or(Frame::NotUtf8, Frame::Line))
 }
 
-fn too_long() -> (Response, String) {
-    let message = format!("line exceeds the {MAX_FRAME}-byte frame limit");
-    error_response(ErrorCode::MalformedFrame, message)
+fn too_long() -> Response {
+    Response::Error {
+        code: ErrorCode::MalformedFrame,
+        message: format!("line exceeds the {MAX_FRAME}-byte frame limit"),
+    }
 }
 
-fn not_utf8() -> (Response, String) {
-    let message = "frame is not valid UTF-8".to_string();
-    error_response(ErrorCode::MalformedFrame, message)
+fn not_utf8() -> Response {
+    Response::Error {
+        code: ErrorCode::MalformedFrame,
+        message: "frame is not valid UTF-8".to_string(),
+    }
 }
 
 fn is_http_request_line(line: &str) -> bool {
@@ -145,25 +155,27 @@ fn serve_jsonl(
     requests: &mut u64,
 ) -> io::Result<bool> {
     let mut next = first;
+    // The connection's line buffer: it holds at most one slice plus one
+    // item of a response, so a line under one slice needs no allocation
+    // once the buffer has grown to fit it.
+    let mut line = String::new();
     loop {
         let close = matches!(next, Frame::TooLong);
-        let (response, mut rendered) = match next {
+        let response = match next {
             Frame::Eof => return Ok(false),
             Frame::TooLong => too_long(),
             // The line's extent is known, so the stream stays in sync.
             Frame::NotUtf8 => not_utf8(),
-            Frame::Line(line) if line.trim().is_empty() => {
+            Frame::Line(frame) if frame.trim().is_empty() => {
                 next = read_frame_line(reader)?;
                 continue;
             }
-            Frame::Line(line) => respond(service, line.trim()),
+            Frame::Line(frame) => dispatch(service, frame.trim()),
         };
         *requests += 1;
-        // One write per response: a line split across two segments
-        // stalls on Nagle's algorithm until a delayed-ACK client
-        // acknowledges the first.
-        rendered.push('\n');
-        writer.write_all(rendered.as_bytes())?;
+        // A line longer than one slice leaves in pieces while the rest is
+        // still being rendered; `TCP_NODELAY` sends each piece at once.
+        write_response(&response, &mut line, writer)?;
         writer.flush()?;
         service.maintain();
         if matches!(response, Response::Bye) {
@@ -192,12 +204,6 @@ pub fn http_status(response: &Response) -> (u16, &'static str) {
         },
         _ => (200, "OK"),
     }
-}
-
-fn error_response(code: ErrorCode, message: String) -> (Response, String) {
-    let response = Response::Error { code, message };
-    let rendered = crate::protocol::render_response(&response);
-    (response, rendered)
 }
 
 fn serve_http(
@@ -254,7 +260,10 @@ fn serve_http(
                         )),
                         Err(_) => Err(format!("malformed content-length `{value}`")),
                     }
-                    .map_err(|message| error_response(ErrorCode::MalformedFrame, message));
+                    .map_err(|message| Response::Error {
+                        code: ErrorCode::MalformedFrame,
+                        message,
+                    });
                 } else if name.eq_ignore_ascii_case("connection")
                     && value.eq_ignore_ascii_case("close")
                 {
@@ -264,7 +273,7 @@ fn serve_http(
         }
 
         *requests += 1;
-        let (response, rendered) = match content_length {
+        let response = match content_length {
             // The request's extent is unknown, so the connection cannot be
             // resynchronised: answer and close it.
             Err(rejection) => {
@@ -275,23 +284,29 @@ fn serve_http(
                 let mut body = vec![0u8; len];
                 reader.read_exact(&mut body)?;
                 let frame = match method.as_str() {
-                    "POST" => String::from_utf8_lossy(&body).into_owned(),
+                    // The body's extent is known, so a body that is not
+                    // UTF-8 leaves the stream in sync.
+                    "POST" => String::from_utf8(body).map_err(|_| not_utf8()),
                     "GET" | "HEAD" if path == "/ping" || path == "/" => {
-                        "{\"type\":\"ping\"}".to_string()
+                        Ok("{\"type\":\"ping\"}".to_string())
                     }
-                    _ => String::new(),
+                    _ => Ok(String::new()),
                 };
-                if frame.is_empty() {
-                    let message = format!("no route for {method} {path}");
-                    error_response(ErrorCode::BadRequest, message)
-                } else {
-                    respond(service, frame.trim())
+                match frame {
+                    Err(rejection) => rejection,
+                    Ok(frame) if frame.is_empty() => Response::Error {
+                        code: ErrorCode::BadRequest,
+                        message: format!("no route for {method} {path}"),
+                    },
+                    Ok(frame) => dispatch(service, frame.trim()),
                 }
             }
         };
 
+        let rendered = render_response(&response);
         let (status, reason) = http_status(&response);
-        // Head and body in one write (see `serve_jsonl`).
+        // The whole body is rendered first, because `content-length`
+        // precedes it; head and body then go out in one write.
         let mut out = format!(
             "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\n\
              content-length: {}\r\nconnection: {}\r\n\r\n",

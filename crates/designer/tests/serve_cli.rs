@@ -216,11 +216,15 @@ fn clean_shutdown_flushes_autosave_and_exits_0() {
 
 /// A naive client — one write per request, blocking reads, no blank-line
 /// acknowledgements — must not pay a Nagle/delayed-ACK stall per
-/// response: each response leaves the server in a single write.
+/// response: a short response leaves the server in a single write, and
+/// the pieces of a long one leave at once, with `TCP_NODELAY`.
 #[test]
-fn naive_clients_get_each_response_in_one_segment() {
+fn naive_clients_never_wait_on_nagle() {
     use std::io::Read;
     use std::time::Instant;
+
+    const EXPORT_TYPES: usize = 250;
+    const EXPORTS: usize = 30;
 
     /// Kills the server if an assertion fails before the clean shutdown.
     struct Reap(Child);
@@ -231,7 +235,16 @@ fn naive_clients_get_each_response_in_one_segment() {
         }
     }
 
+    // A schema whose exported line is several slices long.
     let schema = schema_file("naive");
+    let g = sws_corpus::synthetic::SyntheticSpec::sized(EXPORT_TYPES, 7).generate();
+    let odl = sws_odl::print_schema(&sws_model::graph_to_schema(&g));
+    assert!(
+        odl.len() > 2 * sws_designer::protocol::SLICE,
+        "{} bytes",
+        odl.len()
+    );
+    std::fs::write(&schema, &odl).expect("write schema");
     let (child, _stdout, addr) = spawn_serve(&[
         "--schema",
         schema.to_str().unwrap(),
@@ -262,8 +275,36 @@ fn naive_clients_get_each_response_in_one_segment() {
         jsonl < Duration::from_millis(500),
         "20 JSONL pings took {jsonl:?}"
     );
+    let open = "{\"type\":\"open\",\"session\":\"naive\"}";
+    assert!(rpc(&mut stream, &mut reader, open).contains("\"type\":\"opened\""));
     // An acceptor serves one connection until it closes: free it.
     drop((stream, reader));
+
+    // JSONL exports, each line longer than one slice, so each leaves the
+    // server in several writes. Each goes on a fresh connection after a
+    // few pings: the early responses of a connection whose client also
+    // sends are where a delayed ACK holds back a Nagle-blocked write.
+    let started = Instant::now();
+    for _ in 0..EXPORTS {
+        let (mut stream, mut reader) = connect();
+        for _ in 0..3 {
+            stream.write_all(b"{\"type\":\"ping\"}\n").expect("send");
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("recv");
+        }
+        stream
+            .write_all(b"{\"type\":\"export\",\"session\":\"naive\"}\n")
+            .expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("recv");
+        assert!(line.starts_with("{\"type\":\"exported\""), "{line:.80}");
+        assert!(line.len() > odl.len(), "{} bytes", line.len());
+    }
+    let exports = started.elapsed();
+    assert!(
+        exports < Duration::from_millis(500),
+        "{EXPORTS} JSONL exports took {exports:?}"
+    );
 
     // HTTP/1.1 keep-alive framing.
     let (mut stream, mut reader) = connect();
@@ -537,6 +578,101 @@ fn non_utf8_lines_get_malformed_frame_and_keep_the_connection() {
 
     let pong = rpc(&mut stream, &mut reader, "{\"type\":\"ping\"}");
     assert!(pong.contains("\"type\":\"pong\""), "{pong}");
+    let bye = rpc(&mut stream, &mut reader, "{\"type\":\"shutdown\"}");
+    assert!(bye.contains("\"type\":\"bye\""), "{bye}");
+    assert_eq!(server.0.wait().expect("server exits").code(), Some(0));
+}
+
+/// An HTTP body that is not valid UTF-8 is answered 400 `malformed_frame`
+/// rather than decoded lossily (which would open the session named by
+/// the replacement char), and the connection stays open: the body's
+/// extent is fixed by `content-length`.
+#[test]
+fn non_utf8_http_bodies_get_400_and_keep_the_connection() {
+    use std::io::Read;
+
+    /// Kills the server if an assertion fails before the clean shutdown.
+    struct Reap(Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    /// One HTTP exchange: the status line and the body.
+    fn post(
+        stream: &mut TcpStream,
+        reader: &mut BufReader<TcpStream>,
+        body: &[u8],
+    ) -> (String, String) {
+        let head = format!(
+            "POST / HTTP/1.1\r\nhost: swsd\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).expect("send head");
+        stream.write_all(body).expect("send body");
+        let mut status = String::new();
+        reader.read_line(&mut status).expect("recv status");
+        let (mut length, mut connection) = (0usize, String::new());
+        loop {
+            let mut header = String::new();
+            reader.read_line(&mut header).expect("recv head");
+            let header = header.trim_end();
+            if header.is_empty() {
+                break;
+            }
+            if let Some(value) = header.strip_prefix("content-length: ") {
+                length = value.parse().expect("content-length");
+            } else if let Some(value) = header.strip_prefix("connection: ") {
+                connection = value.to_string();
+            }
+        }
+        assert_eq!(connection, "keep-alive", "{status}");
+        let mut body = vec![0u8; length];
+        reader.read_exact(&mut body).expect("recv body");
+        (status, String::from_utf8(body).expect("UTF-8 body"))
+    }
+
+    let schema = schema_file("http_non_utf8");
+    let (child, _stdout, addr) = spawn_serve(&[
+        "--schema",
+        schema.to_str().unwrap(),
+        "--threads=1",
+        "--addr=127.0.0.1:0",
+        "serve",
+    ]);
+    let mut server = Reap(child);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    let (status, body) = post(
+        &mut stream,
+        &mut reader,
+        b"{\"type\":\"open\",\"session\":\"\xff\"}",
+    );
+    assert!(status.starts_with("HTTP/1.1 400 "), "{status:?}");
+    assert!(body.contains("\"code\":\"malformed_frame\""), "{body}");
+    assert!(body.contains("frame is not valid UTF-8"), "{body}");
+
+    // Same connection: no session was opened by the rejected frame.
+    let (status, body) = post(&mut stream, &mut reader, b"{\"type\":\"ping\"}");
+    assert!(status.starts_with("HTTP/1.1 200 "), "{status:?}");
+    assert!(body.contains("\"sessions\":0"), "{body}");
+    let (status, body) = post(
+        &mut stream,
+        &mut reader,
+        "{\"type\":\"open\",\"session\":\"\u{FFFD}\"}".as_bytes(),
+    );
+    assert!(status.starts_with("HTTP/1.1 200 "), "{status:?}");
+    assert!(body.contains("\"type\":\"opened\""), "{body}");
+
+    drop((stream, reader));
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let bye = rpc(&mut stream, &mut reader, "{\"type\":\"shutdown\"}");
     assert!(bye.contains("\"type\":\"bye\""), "{bye}");
     assert_eq!(server.0.wait().expect("server exits").code(), Some(0));

@@ -258,3 +258,228 @@ fn a_large_export_renders_as_before() {
         line.len()
     );
 }
+
+/// A `Write` sink that keeps every byte and the length of every write.
+#[derive(Default)]
+struct Recording {
+    bytes: Vec<u8>,
+    writes: Vec<usize>,
+}
+
+impl std::io::Write for Recording {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.bytes.extend_from_slice(buf);
+        self.writes.push(buf.len());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Stream `resp` through `write_response` and check it against
+/// `render_response` plus the newline: the same bytes, one write for a
+/// line under one slice, every piece but the last at least one slice,
+/// and no piece longer than one slice plus `item` bytes.
+fn assert_streams_as_rendered(resp: &sws_designer::Response, item: usize) {
+    use protocol::SLICE;
+
+    let mut expected = protocol::render_response(resp);
+    expected.push('\n');
+    let mut sink = Recording::default();
+    let mut buf = String::new();
+    protocol::write_response(resp, &mut buf, &mut sink).expect("an in-memory sink never fails");
+    let tag = resp.tag();
+    assert!(
+        sink.bytes == expected.as_bytes(),
+        "{tag}: the streamed line differs from render_response + '\\n' \
+         ({} vs {} bytes)",
+        sink.bytes.len(),
+        expected.len()
+    );
+    if expected.len() < SLICE {
+        assert_eq!(sink.writes.len(), 1, "{tag}: a short line takes one write");
+    }
+    let (last, pieces) = sink.writes.split_last().expect("at least one write");
+    for &piece in pieces {
+        assert!(
+            piece >= SLICE,
+            "{tag}: a {piece}-byte piece before the last"
+        );
+    }
+    for &piece in pieces.iter().chain([last]) {
+        assert!(
+            piece <= SLICE + item,
+            "{tag}: a {piece}-byte write exceeds one slice plus a {item}-byte item"
+        );
+    }
+    assert!(
+        buf.len() <= SLICE + item,
+        "{tag}: the line buffer kept {} bytes",
+        buf.len()
+    );
+}
+
+fn exported(odl: String) -> sws_designer::Response {
+    sws_designer::Response::Exported { rev: 7, odl }
+}
+
+/// The most an ODL slice can add to the line buffer: a slice tops the
+/// buffer up to one `SLICE` (plus up to three bytes to end on a char
+/// boundary), and escaping adds at most five bytes per input byte.
+fn odl_item(odl: &str) -> usize {
+    let escapes = odl
+        .bytes()
+        .filter(|&b| b < 0x20 || b == b'"' || b == b'\\')
+        .count();
+    3 + 5 * escapes + 64
+}
+
+#[test]
+fn streamed_exports_equal_the_rendered_line() {
+    use protocol::SLICE;
+
+    // Empty, and every length from 8 bytes under one slice to 8 over.
+    assert_streams_as_rendered(&exported(String::new()), 64);
+    for len in SLICE - 8..=SLICE + 8 {
+        let odl = "interface A { attribute long x; }\n"
+            .chars()
+            .cycle()
+            .take(len)
+            .collect::<String>();
+        assert_streams_as_rendered(&exported(odl.clone()), odl_item(&odl));
+    }
+
+    // A four-byte char, a two-byte char and an escaped byte at every
+    // offset around the first two slice cuts. The first cut falls where
+    // the line's prefix plus the ODL reaches one slice; after that the
+    // buffer is empty at every cut, so the next falls one slice later.
+    let prefix = "{\"type\":\"exported\",\"rev\":7,\"odl\":\"".len();
+    for cut in [SLICE - prefix, 2 * SLICE - prefix] {
+        for at in cut - 8..=cut + 8 {
+            for special in ["😀", "é", "\"", "\n", "\u{1}"] {
+                let mut odl = "x".repeat(at);
+                odl.push_str(special);
+                odl.push_str(&"y".repeat(SLICE + 100));
+                assert_streams_as_rendered(&exported(odl), 3 + 6 + 64);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_large_streamed_export_equals_the_rendered_line() {
+    use sws_corpus::synthetic::SyntheticSpec;
+
+    let g = SyntheticSpec::sized(1_000, 31).generate();
+    let odl = sws_odl::print_schema(&sws_model::graph_to_schema(&g));
+    assert!(odl.len() > 8 * protocol::SLICE, "{} bytes", odl.len());
+    let item = odl_item(&odl);
+    assert_streams_as_rendered(&exported(odl), item);
+}
+
+#[test]
+fn every_response_variant_streams_as_rendered() {
+    use sws_core::ConceptKind;
+    use sws_designer::service::{ConflictHint, ErrorCode, LintFinding, LogRecord};
+    use sws_designer::Response;
+
+    let record = |seq: u64| LogRecord {
+        seq,
+        session: format!("s{}", seq % 3),
+        context: ConceptKind::Generalization,
+        statement: format!("add_attribute(T{seq}, string(16), \"quoted\\name\")"),
+    };
+    // A rendered record is its fields, escaped, plus under 100 bytes of
+    // keys and punctuation.
+    let record_item = 2 * record(1_000_000).statement.len() + 100;
+    let variants = |n: u64| {
+        vec![
+            Response::Opened {
+                session: "alice".into(),
+                rev: n,
+                types: 3,
+                concepts: 2,
+            },
+            Response::Accepted {
+                session: "alice".into(),
+                base_rev: n,
+                rev: n + 1,
+                applied: 1,
+                warnings: (0..n).map(|i| format!("warning {i}: \"x\"")).collect(),
+            },
+            Response::Conflict {
+                session: "bob".into(),
+                base_rev: 0,
+                rev: n,
+                auto_rebasable: false,
+                delta: (0..n).map(record).collect(),
+                conflicts: (0..n)
+                    .map(|i| ConflictHint {
+                        op: i as usize,
+                        seq: i,
+                        reason: format!("both touch T{i}"),
+                    })
+                    .collect(),
+            },
+            Response::Rejected {
+                session: "bob".into(),
+                rev: n,
+                index: 0,
+                error: "no type `Ghost`\n".into(),
+            },
+            Response::Linted {
+                rev: n,
+                ops: n as usize,
+                passes: false,
+                findings: (0..n)
+                    .map(|i| LintFinding {
+                        index: i as usize,
+                        code: "A001".into(),
+                        severity: "error".into(),
+                        message: format!("op {i} is not permitted in this context"),
+                    })
+                    .collect(),
+            },
+            Response::Reported {
+                rev: n,
+                types: 4,
+                concepts: 3,
+                errors: 1,
+                warnings: 0,
+            },
+            exported(format!("interface T{n} {{ attribute long x; }};\n")),
+            Response::LogSlice {
+                rev: n,
+                since: 0,
+                ops: (0..n).map(record).collect(),
+            },
+            Response::Checkpointed {
+                rev: n,
+                generation: Some(2),
+                ops_covered: n,
+            },
+            Response::Checkpointed {
+                rev: n,
+                generation: None,
+                ops_covered: 0,
+            },
+            Response::Pong {
+                rev: n,
+                sessions: 2,
+            },
+            Response::Bye,
+            Response::Error {
+                code: ErrorCode::DeltaHorizon,
+                message: "rev 0 is behind the horizon".into(),
+            },
+        ]
+    };
+    // Small instances, then lists long enough to stream in pieces.
+    for n in [0, 1, 3, 5_000] {
+        for resp in variants(n) {
+            assert_streams_as_rendered(&resp, record_item);
+        }
+    }
+}

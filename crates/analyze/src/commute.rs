@@ -21,17 +21,52 @@
 //! unproven. Everything here is O(1) per operation — footprints never
 //! traverse the graph, which keeps `analyze` O(script).
 
-use std::collections::BTreeSet;
+use std::fmt;
+
 use sws_core::ModOp;
 use sws_odl::DomainType;
 
-/// The read/write sets of one operation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Ends every token in the packed form. Names from the op language and
+/// ODL are identifiers and never contain it; an op whose names do gets
+/// the all-conflicting footprint.
+const SEP: char = '\0';
+
+/// The read/write sets of one operation, packed into one allocation: the
+/// sorted, deduplicated write tokens, then the read tokens, each ended by
+/// a NUL. The service keeps one per accepted op beside its log record,
+/// so a footprint is built once and compared many times.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Footprint {
-    /// Resources whose state the op's preconditions or effect depend on.
-    pub reads: BTreeSet<String>,
-    /// Resources the op changes.
-    pub writes: BTreeSet<String>,
+    tokens: Box<str>,
+    /// Byte offset where the writes end and the reads begin.
+    writes_end: u32,
+}
+
+impl Footprint {
+    /// Resources the op changes, in byte order.
+    pub fn writes(&self) -> impl Iterator<Item = &str> + Clone {
+        self.tokens[..self.writes_end as usize].split_terminator(SEP)
+    }
+
+    /// Resources whose state the op's preconditions or effect depend on,
+    /// in byte order.
+    pub fn reads(&self) -> impl Iterator<Item = &str> + Clone {
+        self.tokens[self.writes_end as usize..].split_terminator(SEP)
+    }
+
+    /// Writes and reads.
+    fn all(&self) -> impl Iterator<Item = &str> + Clone {
+        self.tokens.split_terminator(SEP)
+    }
+}
+
+impl fmt::Debug for Footprint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Footprint")
+            .field("writes", &self.writes().collect::<Vec<_>>())
+            .field("reads", &self.reads().collect::<Vec<_>>())
+            .finish()
+    }
 }
 
 fn token_match(a: &str, b: &str) -> bool {
@@ -51,54 +86,105 @@ fn token_match(a: &str, b: &str) -> bool {
     a == b
 }
 
-fn sets_conflict(xs: &BTreeSet<String>, ys: &BTreeSet<String>) -> bool {
-    xs.iter().any(|x| ys.iter().any(|y| token_match(x, y)))
+/// Does any token of `xs` match any token of `ys`?
+fn overlap<'a>(
+    xs: impl Iterator<Item = &'a str>,
+    ys: impl Iterator<Item = &'a str> + Clone,
+) -> bool {
+    xs.into_iter()
+        .any(|x| ys.clone().any(|y| token_match(x, y)))
 }
 
 /// True when reordering the two operations provably cannot change the
 /// outcome: neither's writes touch the other's reads or writes.
 pub fn commutes(a: &Footprint, b: &Footprint) -> bool {
-    !sets_conflict(&a.writes, &b.writes)
-        && !sets_conflict(&a.writes, &b.reads)
-        && !sets_conflict(&b.writes, &a.reads)
+    !overlap(a.writes(), b.all()) && !overlap(b.writes(), a.reads())
 }
 
-fn ty(name: &str) -> String {
-    format!("ty:{name}")
+/// The token sets while one footprint is built: every token's bytes back
+/// to back in `text`, and each token as a byte range into it, tagged
+/// read (`true`) or write (`false`), so sorting puts the writes first.
+struct Sets {
+    text: String,
+    tokens: Vec<(bool, usize, usize)>,
+    /// A name held [`SEP`], so the tokens cannot be packed faithfully.
+    unpackable: bool,
 }
 
-fn mem(owner: &str, name: &str) -> String {
-    format!("mem:{owner}::{name}")
-}
+impl Sets {
+    fn new() -> Sets {
+        Sets {
+            text: String::with_capacity(128),
+            tokens: Vec::with_capacity(8),
+            unpackable: false,
+        }
+    }
 
-fn hier(name: &str) -> String {
-    format!("hier:{name}")
-}
+    fn push(&mut self, read: bool, parts: &[&str]) {
+        let start = self.text.len();
+        for part in parts {
+            self.unpackable |= part.contains(SEP);
+            self.text.push_str(part);
+        }
+        self.tokens.push((read, start, self.text.len()));
+    }
 
-fn attref(name: &str) -> String {
-    format!("attref:{name}")
-}
+    fn write(&mut self, parts: &[&str]) {
+        self.push(false, parts);
+    }
 
-fn domain_reads(domain: &DomainType, reads: &mut BTreeSet<String>) {
-    let mut refs = Vec::new();
-    domain.referenced_types(&mut refs);
-    for r in refs {
-        reads.insert(ty(r));
+    fn read(&mut self, parts: &[&str]) {
+        self.push(true, parts);
+    }
+
+    fn read_domain(&mut self, domain: &DomainType) {
+        domain.for_each_named_ref(&mut |name| self.read(&["ty:", name]));
+    }
+
+    fn pack(self) -> Footprint {
+        let Sets {
+            text,
+            mut tokens,
+            unpackable,
+        } = self;
+        if unpackable {
+            return Footprint {
+                tokens: "*\0".into(),
+                writes_end: 2,
+            };
+        }
+        let key = |&(read, start, end): &(bool, usize, usize)| (read, &text[start..end]);
+        tokens.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+        tokens.dedup_by(|a, b| key(a) == key(b));
+        let mut packed = String::with_capacity(text.len() + tokens.len());
+        let mut writes_end = 0;
+        for t in &tokens {
+            let (read, token) = key(t);
+            packed.push_str(token);
+            packed.push(SEP);
+            if !read {
+                writes_end = packed.len();
+            }
+        }
+        Footprint {
+            tokens: packed.into_boxed_str(),
+            writes_end: u32::try_from(writes_end).expect("a footprint's writes fit in 4 GiB"),
+        }
     }
 }
 
 /// Compute the footprint of one operation. Purely syntactic — see the
 /// module docs for the conservatism contract.
 pub fn footprint(op: &ModOp) -> Footprint {
-    let mut f = Footprint::default();
+    let mut f = Sets::new();
     match op {
         ModOp::AddTypeDefinition { ty: t } => {
-            f.writes.insert(ty(t));
+            f.write(&["ty:", t]);
         }
         ModOp::DeleteTypeDefinition { .. } => {
             // Cascades may remove relationships, links, and prune lists
             // anywhere in the schema: unbounded syntactically.
-            f.writes.insert("*".into());
+            f.write(&["*"]);
         }
         ModOp::AddSupertype { ty: t, supertype } => {
             supertype_footprint(&mut f, t, std::slice::from_ref(supertype), &[]);
@@ -113,33 +199,33 @@ pub fn footprint(op: &ModOp) -> Footprint {
         | ModOp::ModifyExtentName {
             ty: t, new: extent, ..
         } => {
-            f.reads.insert(ty(t));
+            f.read(&["ty:", t]);
             // Extent names are unique across the schema.
-            f.writes.insert(format!("extname:{extent}"));
-            f.writes.insert(format!("extent:{t}"));
+            f.write(&["extname:", extent]);
+            f.write(&["extent:", t]);
         }
         ModOp::DeleteExtentName { ty: t, extent } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(format!("extname:{extent}"));
-            f.writes.insert(format!("extent:{t}"));
+            f.read(&["ty:", t]);
+            f.write(&["extname:", extent]);
+            f.write(&["extent:", t]);
         }
         ModOp::AddKeyList { ty: t, keys } | ModOp::DeleteKeyList { ty: t, keys } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(format!("keys:{t}"));
+            f.read(&["ty:", t]);
+            f.write(&["keys:", t]);
             for key in keys {
                 for part in &key.0 {
-                    f.reads.insert(attref(part));
-                    f.reads.insert(hier(t));
+                    f.read(&["attref:", part]);
+                    f.read(&["hier:", t]);
                 }
             }
         }
         ModOp::ModifyKeyList { ty: t, old, new } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(format!("keys:{t}"));
+            f.read(&["ty:", t]);
+            f.write(&["keys:", t]);
             for key in old.iter().chain(new) {
                 for part in &key.0 {
-                    f.reads.insert(attref(part));
-                    f.reads.insert(hier(t));
+                    f.read(&["attref:", part]);
+                    f.read(&["hier:", t]);
                 }
             }
         }
@@ -150,40 +236,40 @@ pub fn footprint(op: &ModOp) -> Footprint {
             ..
         } => {
             member_add_footprint(&mut f, t, name);
-            domain_reads(domain, &mut f.reads);
+            f.read_domain(domain);
         }
         ModOp::DeleteAttribute { ty: t, name } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, name));
-            f.writes.insert(format!("keys:{t}"));
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", name]);
+            f.write(&["keys:", t]);
             // Pruning removes by-name references from order-by lists of
             // relationships and links targeting the owner.
-            f.writes.insert(attref(name));
+            f.write(&["attref:", name]);
         }
         ModOp::ModifyAttribute {
             ty: t,
             name,
             new_ty,
         } => {
-            f.reads.insert(ty(t));
-            f.reads.insert(ty(new_ty));
-            f.reads.insert(hier(t));
-            f.reads.insert(hier(new_ty));
-            f.writes.insert(mem(t, name));
-            f.writes.insert(mem(new_ty, name));
-            f.writes.insert(format!("keys:{t}"));
-            f.writes.insert(attref(name));
+            f.read(&["ty:", t]);
+            f.read(&["ty:", new_ty]);
+            f.read(&["hier:", t]);
+            f.read(&["hier:", new_ty]);
+            f.write(&["mem:", t, "::", name]);
+            f.write(&["mem:", new_ty, "::", name]);
+            f.write(&["keys:", t]);
+            f.write(&["attref:", name]);
         }
         ModOp::ModifyAttributeType {
             ty: t, name, new, ..
         } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, name));
-            domain_reads(new, &mut f.reads);
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", name]);
+            f.read_domain(new);
         }
         ModOp::ModifyAttributeSize { ty: t, name, .. } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, name));
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", name]);
         }
         ModOp::AddRelationship {
             ty: t,
@@ -196,15 +282,15 @@ pub fn footprint(op: &ModOp) -> Footprint {
             member_add_footprint(&mut f, t, path);
             member_add_footprint(&mut f, target, inverse_path);
             for a in order_by {
-                f.reads.insert(attref(a));
+                f.read(&["attref:", a]);
             }
         }
         ModOp::DeleteRelationship { ty: t, path } => {
             // The inverse end's owner is not in the statement: the delete
             // may clear a member slot on any type.
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, path));
-            f.writes.insert("mem:*".into());
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", path]);
+            f.write(&["mem:*"]);
         }
         ModOp::ModifyRelationshipTargetType {
             ty: t,
@@ -212,26 +298,26 @@ pub fn footprint(op: &ModOp) -> Footprint {
             old_target,
             new_target,
         } => {
-            f.reads.insert(ty(t));
-            f.reads.insert(ty(old_target));
-            f.reads.insert(ty(new_target));
-            f.reads.insert(hier(old_target));
-            f.reads.insert(hier(new_target));
-            f.writes.insert(mem(t, path));
-            f.writes.insert(format!("mem:{old_target}::*"));
-            f.writes.insert(format!("mem:{new_target}::*"));
+            f.read(&["ty:", t]);
+            f.read(&["ty:", old_target]);
+            f.read(&["ty:", new_target]);
+            f.read(&["hier:", old_target]);
+            f.read(&["hier:", new_target]);
+            f.write(&["mem:", t, "::", path]);
+            f.write(&["mem:", old_target, "::*"]);
+            f.write(&["mem:", new_target, "::*"]);
         }
         ModOp::ModifyRelationshipCardinality { ty: t, path, .. } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, path));
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", path]);
         }
         ModOp::ModifyRelationshipOrderBy {
             ty: t, path, new, ..
         } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, path));
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", path]);
             for a in new {
-                f.reads.insert(attref(a));
+                f.read(&["attref:", a]);
             }
         }
         ModOp::AddOperation {
@@ -242,46 +328,46 @@ pub fn footprint(op: &ModOp) -> Footprint {
             ..
         } => {
             member_add_footprint(&mut f, t, name);
-            domain_reads(return_type, &mut f.reads);
+            f.read_domain(return_type);
             for p in args {
-                domain_reads(&p.ty, &mut f.reads);
+                f.read_domain(&p.ty);
             }
         }
         ModOp::DeleteOperation { ty: t, name } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, name));
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", name]);
         }
         ModOp::ModifyOperation {
             ty: t,
             name,
             new_ty,
         } => {
-            f.reads.insert(ty(t));
-            f.reads.insert(ty(new_ty));
-            f.reads.insert(hier(t));
-            f.reads.insert(hier(new_ty));
-            f.writes.insert(mem(t, name));
-            f.writes.insert(mem(new_ty, name));
+            f.read(&["ty:", t]);
+            f.read(&["ty:", new_ty]);
+            f.read(&["hier:", t]);
+            f.read(&["hier:", new_ty]);
+            f.write(&["mem:", t, "::", name]);
+            f.write(&["mem:", new_ty, "::", name]);
         }
         ModOp::ModifyOperationReturnType {
             ty: t, name, new, ..
         } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, name));
-            domain_reads(new, &mut f.reads);
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", name]);
+            f.read_domain(new);
         }
         ModOp::ModifyOperationArgList {
             ty: t, name, new, ..
         } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, name));
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", name]);
             for p in new {
-                domain_reads(&p.ty, &mut f.reads);
+                f.read_domain(&p.ty);
             }
         }
         ModOp::ModifyOperationExceptionsRaised { ty: t, name, .. } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, name));
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", name]);
         }
         ModOp::AddPartOfRelationship {
             ty: t,
@@ -301,19 +387,19 @@ pub fn footprint(op: &ModOp) -> Footprint {
         } => {
             member_add_footprint(&mut f, t, path);
             member_add_footprint(&mut f, target, inverse_path);
-            f.writes.insert(hier(t));
-            f.writes.insert(hier(target));
+            f.write(&["hier:", t]);
+            f.write(&["hier:", target]);
             for a in order_by {
-                f.reads.insert(attref(a));
+                f.read(&["attref:", a]);
             }
         }
         ModOp::DeletePartOfRelationship { ty: t, path }
         | ModOp::DeleteInstanceOfRelationship { ty: t, path } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, path));
-            f.writes.insert(hier(t));
-            f.writes.insert("mem:*".into());
-            f.writes.insert("hier:*".into());
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", path]);
+            f.write(&["hier:", t]);
+            f.write(&["mem:*"]);
+            f.write(&["hier:*"]);
         }
         ModOp::ModifyPartOfTargetType {
             ty: t,
@@ -327,20 +413,20 @@ pub fn footprint(op: &ModOp) -> Footprint {
             old_target,
             new_target,
         } => {
-            f.reads.insert(ty(t));
-            f.reads.insert(ty(old_target));
-            f.reads.insert(ty(new_target));
-            f.writes.insert(mem(t, path));
-            f.writes.insert(format!("mem:{old_target}::*"));
-            f.writes.insert(format!("mem:{new_target}::*"));
-            f.writes.insert(hier(t));
-            f.writes.insert(hier(old_target));
-            f.writes.insert(hier(new_target));
+            f.read(&["ty:", t]);
+            f.read(&["ty:", old_target]);
+            f.read(&["ty:", new_target]);
+            f.write(&["mem:", t, "::", path]);
+            f.write(&["mem:", old_target, "::*"]);
+            f.write(&["mem:", new_target, "::*"]);
+            f.write(&["hier:", t]);
+            f.write(&["hier:", old_target]);
+            f.write(&["hier:", new_target]);
         }
         ModOp::ModifyPartOfCardinality { ty: t, path, .. }
         | ModOp::ModifyInstanceOfCardinality { ty: t, path, .. } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, path));
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", path]);
         }
         ModOp::ModifyPartOfOrderBy {
             ty: t, path, new, ..
@@ -348,34 +434,34 @@ pub fn footprint(op: &ModOp) -> Footprint {
         | ModOp::ModifyInstanceOfOrderBy {
             ty: t, path, new, ..
         } => {
-            f.reads.insert(ty(t));
-            f.writes.insert(mem(t, path));
+            f.read(&["ty:", t]);
+            f.write(&["mem:", t, "::", path]);
             for a in new {
-                f.reads.insert(attref(a));
+                f.read(&["attref:", a]);
             }
         }
     }
-    f
+    f.pack()
 }
 
 /// Adding a member to `owner` reads the owner's existence and inheritance
 /// neighbourhood (member-free and conflict checks walk it) and writes the
 /// member slot.
-fn member_add_footprint(f: &mut Footprint, owner: &str, name: &str) {
-    f.reads.insert(ty(owner));
-    f.reads.insert(hier(owner));
-    f.writes.insert(mem(owner, name));
+fn member_add_footprint(f: &mut Sets, owner: &str, name: &str) {
+    f.read(&["ty:", owner]);
+    f.read(&["hier:", owner]);
+    f.write(&["mem:", owner, "::", name]);
 }
 
 /// Supertype rewiring re-judges inheritance conflicts across the whole
 /// region below the subtype, so it reads every member slot.
-fn supertype_footprint(f: &mut Footprint, sub: &str, added: &[String], removed: &[String]) {
-    f.reads.insert(ty(sub));
-    f.reads.insert("mem:*".into());
-    f.writes.insert(hier(sub));
+fn supertype_footprint(f: &mut Sets, sub: &str, added: &[String], removed: &[String]) {
+    f.read(&["ty:", sub]);
+    f.read(&["mem:*"]);
+    f.write(&["hier:", sub]);
     for s in added.iter().chain(removed) {
-        f.reads.insert(ty(s));
-        f.writes.insert(hier(s));
+        f.read(&["ty:", s]);
+        f.write(&["hier:", s]);
     }
 }
 
@@ -444,5 +530,29 @@ mod tests {
             name: "f".into(),
         });
         assert!(commutes(&a, &b));
+    }
+
+    #[test]
+    fn token_sets_are_sorted_and_deduplicated() {
+        let f = footprint(&ModOp::ModifyKeyList {
+            ty: "T".into(),
+            old: vec![sws_odl::Key(vec!["b".into(), "a".into()])],
+            new: vec![sws_odl::Key(vec!["a".into()])],
+        });
+        assert_eq!(f.writes().collect::<Vec<_>>(), ["keys:T"]);
+        assert_eq!(
+            f.reads().collect::<Vec<_>>(),
+            ["attref:a", "attref:b", "hier:T", "ty:T"]
+        );
+    }
+
+    #[test]
+    fn names_holding_the_separator_conflict_with_everything() {
+        let odd = footprint(&ModOp::AddTypeDefinition { ty: "A\0B".into() });
+        assert_eq!(odd.writes().collect::<Vec<_>>(), ["*"]);
+        assert_eq!(odd.reads().count(), 0);
+        let other = footprint(&ModOp::AddTypeDefinition { ty: "C".into() });
+        assert!(!commutes(&odd, &other));
+        assert!(!commutes(&other, &odd));
     }
 }

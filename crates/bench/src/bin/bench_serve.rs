@@ -29,7 +29,13 @@
 //!   TCP: [`serve::serve`] runs in-process on a local listener, and a
 //!   naive client writes the request and blocks in `read_line` until the
 //!   whole response line has arrived. The daemon streams a long line as it
-//!   renders it, so this row shows rendering and transfer overlapping.
+//!   renders it, so this row shows rendering and transfer overlapping;
+//! * `conflict/lagN` — p50/p90 of one stale single-op submit issued N ops
+//!   behind the head of a 128-op log on the university schema:
+//!   `handle(Submit)`, which answers `conflict` with the N-record delta,
+//!   its commutation hints and the auto-rebase verdict, plus
+//!   `render_response`. The delta's footprints were stored at accept, so
+//!   this row shows whether the verdict scales with the lag alone.
 //!
 //! `report.sizes` records the session-count sweep; the type counts are
 //! in the row labels. Override the iteration count with
@@ -60,6 +66,7 @@ use sws_odl::print_schema;
 const SEED: u64 = 31;
 const SESSIONS: [usize; 4] = [1, 4, 16, 64];
 const TYPES: [usize; 2] = [1_000, 10_000];
+const LAGS: [u64; 3] = [1, 16, 128];
 
 /// p99 may wobble on a loaded CI host even when the service is flat
 /// across session counts; the ratio check gets this much absolute grace.
@@ -110,6 +117,8 @@ fn main() {
             },
         );
     }
+
+    stale_submits(&mut runner);
 
     for &n in &TYPES {
         let g = SyntheticSpec::sized(n, SEED).generate();
@@ -189,6 +198,52 @@ fn main() {
         .unwrap_or_else(|_| format!("{}/../../BENCH_serve.json", env!("CARGO_MANIFEST_DIR")));
     report.write(&out);
     runner.finish();
+}
+
+/// The `conflict/lag{n}` rows: the university schema with a 128-op log,
+/// and one single-op submit from a second session `lag` ops behind.
+/// Nothing is applied, so every iteration sees the same log.
+fn stale_submits(runner: &mut Runner) {
+    let g = university::graph();
+    let service =
+        DesignService::new(Session::from_odl(university::SOURCE).expect("schema ingests"));
+    for session in ["lead", "lag"] {
+        let opened = service.handle(Request::Open {
+            session: session.to_string(),
+        });
+        assert!(matches!(opened, Response::Opened { .. }), "{opened:?}");
+    }
+    let envelope = |(context, op): &(ConceptKind, sws_core::ModOp)| OpEnvelope {
+        context: *context,
+        statement: print_op(op),
+    };
+    let head = LAGS[LAGS.len() - 1];
+    for (rev, op) in edit_stream(&g, head as usize, SEED).iter().enumerate() {
+        let response = service.handle(Request::Submit {
+            session: "lead".to_string(),
+            base_rev: rev as u64,
+            ops: vec![envelope(op)],
+        });
+        assert!(
+            matches!(response, Response::Accepted { .. }),
+            "{response:?}"
+        );
+    }
+    let stale = envelope(&edit_stream(&g, 1, SEED + 1)[0]);
+    for lag in LAGS {
+        runner.bench_batched(
+            &format!("conflict/lag{lag}"),
+            || Request::Submit {
+                session: "lag".to_string(),
+                base_rev: head - lag,
+                ops: vec![stale.clone()],
+            },
+            |request| match service.handle(request) {
+                conflict @ Response::Conflict { .. } => render_response(&conflict),
+                other => panic!("a stale submit must conflict, got {other:?}"),
+            },
+        );
+    }
 }
 
 /// The `export_wire/types{n}` row: `fresh()` publishes a new view

@@ -463,11 +463,12 @@ impl Json {
             .map(|(_, v)| v)
     }
 
-    /// Parse one complete JSON value; trailing bytes are an error.
+    /// Parse one complete JSON value; trailing bytes are an error, and so
+    /// is nesting deeper than [`MAX_DEPTH`].
     pub fn parse(s: &str) -> Result<Json, String> {
         let bytes = s.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes after the JSON value (at {pos})"));
@@ -475,6 +476,11 @@ impl Json {
         Ok(value)
     }
 }
+
+/// How deeply arrays and objects may nest in one value. The parser
+/// recurses once per level, so the limit bounds its stack; requests need
+/// three levels (frame, `ops`, op envelope).
+pub const MAX_DEPTH: usize = 32;
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && (b[*pos] as char).is_ascii_whitespace() {
@@ -491,11 +497,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value; `depth` is how many more arrays or objects may open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == 0 => Err(format!(
+            "JSON nested deeper than {MAX_DEPTH} levels (at byte {})",
+            *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth - 1),
+        Some(b'[') => parse_array(b, pos, depth - 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') if b[*pos..].starts_with(b"true") => {
             *pos += 4;
@@ -530,7 +541,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -543,7 +554,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -557,7 +568,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -566,7 +577,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -789,6 +800,24 @@ mod tests {
         };
         assert_ne!(open(r"\ud83d\ude00"), open(r"\ud83d\ude01"));
         assert_eq!(open(r"\ud83d\ude00"), "😀");
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_a_parse_error() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(Json::parse(&nested(MAX_DEPTH, open, close)).is_ok());
+            let err = Json::parse(&nested(MAX_DEPTH + 1, open, close)).expect_err("too deep");
+            assert!(err.contains("nested deeper than 32 levels"), "{err}");
+        }
+        // Far past the limit, the parser stops at the limit instead of
+        // recursing once per byte.
+        let err = parse_request(&"[".repeat(100_000)).expect_err("too deep");
+        assert!(err.contains("at byte 32"), "{err}");
+        let err = parse_request(&"{\"a\":".repeat(100_000)).expect_err("too deep");
+        assert!(err.contains("nested deeper"), "{err}");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use sws_analyze::{analyze_ops, commutes, footprint};
+use sws_analyze::{analyze_ops, commutes, footprint, Footprint};
 use sws_core::oplang::{parse_statement, print_op};
 use sws_core::{ConceptKind, ModOp, OdlSnapshot};
 use sws_model::SchemaGraph;
@@ -44,17 +44,25 @@ pub struct OpEnvelope {
     pub statement: String,
 }
 
-/// One accepted operation in the total order.
+/// One accepted operation in the total order. Both strings are shared
+/// with the service log, so a `delta` or `log` slice clones refcounts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecord {
     /// Position in the accepted total order (== the `base_rev` a client
     /// must submit with to extend the log right after this op).
     pub seq: u64,
     /// The client session that submitted it.
-    pub session: String,
+    pub session: Arc<str>,
     pub context: ConceptKind,
     /// `print_op` rendering; parses back with `parse_statement`.
-    pub statement: String,
+    pub statement: Arc<str>,
+}
+
+/// One accepted op as the service log holds it: the record, and the op's
+/// footprint, computed once at accept so a conflict never re-parses.
+struct LogEntry {
+    record: LogRecord,
+    footprint: Footprint,
 }
 
 /// Why a stale submit could not be classified as auto-rebasable: the
@@ -257,8 +265,10 @@ pub struct ReadView {
     pub shrink: Arc<SchemaGraph>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct SessionMeta {
+    /// The session's name, shared by every log record it submits.
+    name: Arc<str>,
     /// The head rev when the session was (first) opened; reattaching keeps
     /// the original. Exposed via [`DesignService::opened_rev`].
     opened_rev: u64,
@@ -273,7 +283,7 @@ struct Core {
 pub struct DesignService {
     sessions: RwLock<HashMap<String, SessionMeta>>,
     core: Mutex<Core>,
-    log: RwLock<Vec<LogRecord>>,
+    log: RwLock<Vec<LogEntry>>,
     view: RwLock<Arc<ReadView>>,
     /// The immutable shrink-wrap schema, shared by every published view.
     shrink: Arc<SchemaGraph>,
@@ -453,11 +463,14 @@ impl DesignService {
             .sessions
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        let fresh = !sessions.contains_key(&session);
-        sessions.entry(session.clone()).or_insert(SessionMeta {
-            opened_rev: view.rev,
-        });
-        if fresh {
+        if !sessions.contains_key(&session) {
+            sessions.insert(
+                session.clone(),
+                SessionMeta {
+                    name: Arc::from(session.as_str()),
+                    opened_rev: view.rev,
+                },
+            );
             sws_trace::counter("serve.sessions_opened", 1);
         }
         Response::Opened {
@@ -475,6 +488,15 @@ impl DesignService {
             .unwrap_or_else(PoisonError::into_inner)
             .get(session)
             .map(|meta| meta.opened_rev)
+    }
+
+    /// The shared name of an open session.
+    fn session_name(&self, session: &str) -> Option<Arc<str>> {
+        self.sessions
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(session)
+            .map(|meta| Arc::clone(&meta.name))
     }
 
     fn known(&self, session: &str) -> bool {
@@ -504,9 +526,9 @@ impl DesignService {
     }
 
     fn submit(&self, session: &str, base_rev: u64, ops: &[OpEnvelope]) -> Response {
-        if !self.known(session) {
+        let Some(name) = self.session_name(session) else {
             return Self::unknown_session(session);
-        }
+        };
         let script = match Self::parse_batch(ops) {
             Ok(s) => s,
             Err((index, error)) => {
@@ -519,6 +541,7 @@ impl DesignService {
                 };
             }
         };
+        let footprints: Vec<Footprint> = script.iter().map(|(_, op)| footprint(op)).collect();
 
         let mut core = lock_core(&self.core);
         let rev = core.session.repository().total_ops();
@@ -529,7 +552,7 @@ impl DesignService {
             };
         }
         if base_rev < rev {
-            return self.conflict(&core, session, base_rev, rev, ops, &script);
+            return self.conflict(&core, session, base_rev, rev, ops, &script, &footprints);
         }
 
         // At the head: apply atomically. Any failure rolls the applied
@@ -563,17 +586,26 @@ impl DesignService {
         // rollback unit is the batch, and a committed one stays) and
         // publish.
         core.session.clear_history();
-        {
-            let mut log = self.log.write().unwrap_or_else(PoisonError::into_inner);
-            for (i, (context, op)) in script.iter().enumerate() {
-                log.push(LogRecord {
+        // Rendered before the log lock, so readers of the log wait only
+        // for the append.
+        let entries: Vec<LogEntry> = script
+            .iter()
+            .zip(footprints)
+            .enumerate()
+            .map(|(i, ((context, op), footprint))| LogEntry {
+                record: LogRecord {
                     seq: rev + i as u64,
-                    session: session.to_string(),
+                    session: Arc::clone(&name),
                     context: *context,
-                    statement: print_op(op),
-                });
-            }
-        }
+                    statement: print_op(op).into(),
+                },
+                footprint,
+            })
+            .collect();
+        self.log
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend(entries);
         self.ops_since_checkpoint
             .fetch_add(script.len() as u64, Ordering::Relaxed);
         sws_trace::counter("serve.ops_accepted", script.len() as u64);
@@ -589,7 +621,9 @@ impl DesignService {
 
     /// Build the conflict report for a stale submit: the delta since
     /// `base_rev`, pairwise commutation hints, and the auto-rebasable
-    /// verdict. Nothing is applied.
+    /// verdict. Nothing is applied. `submitted` holds the batch's
+    /// footprints; the delta's were stored when its ops were accepted.
+    #[allow(clippy::too_many_arguments)]
     fn conflict(
         &self,
         core: &Core,
@@ -598,6 +632,7 @@ impl DesignService {
         rev: u64,
         ops: &[OpEnvelope],
         script: &[(ConceptKind, ModOp)],
+        submitted: &[Footprint],
     ) -> Response {
         if base_rev < self.start_rev {
             return Response::Error {
@@ -609,33 +644,33 @@ impl DesignService {
                 ),
             };
         }
+        // The delta's footprints are read in place. Appends to the log
+        // happen under the core lock the caller holds, so no writer waits
+        // on this read lock.
+        let mut conflicts = Vec::new();
         let delta: Vec<LogRecord> = {
             let log = self.log.read().unwrap_or_else(PoisonError::into_inner);
             let from = (base_rev - self.start_rev) as usize;
-            log[from..].to_vec()
+            log[from..]
+                .iter()
+                .map(|entry| {
+                    let record = &entry.record;
+                    for (i, fp) in submitted.iter().enumerate() {
+                        if !commutes(fp, &entry.footprint) {
+                            conflicts.push(ConflictHint {
+                                op: i,
+                                seq: record.seq,
+                                reason: format!(
+                                    "`{}` does not commute with accepted #{} `{}`",
+                                    ops[i].statement, record.seq, record.statement
+                                ),
+                            });
+                        }
+                    }
+                    record.clone()
+                })
+                .collect()
         };
-        // Each accepted record is parsed once, and its footprint dropped
-        // before the next is built: holding all of a 128-record delta's
-        // footprints at once measured ~17% slower at the conflict p90.
-        let submitted: Vec<_> = script.iter().map(|(_, op)| footprint(op)).collect();
-        let mut conflicts = Vec::new();
-        for record in &delta {
-            let accepted = parse_statement(&record.statement)
-                .expect("accepted log statements round-trip through print_op");
-            let accepted = footprint(&accepted);
-            for (i, fp) in submitted.iter().enumerate() {
-                if !commutes(fp, &accepted) {
-                    conflicts.push(ConflictHint {
-                        op: i,
-                        seq: record.seq,
-                        reason: format!(
-                            "`{}` does not commute with accepted #{} `{}`",
-                            ops[i].statement, record.seq, record.statement
-                        ),
-                    });
-                }
-            }
-        }
         // Hints are reported per submitted op, then in log order.
         conflicts.sort_by_key(|hint| hint.op);
         // Auto-rebasable = order-independent (everything commutes) and the
@@ -743,7 +778,10 @@ impl DesignService {
             // The view can trail the log by an in-flight publish; slice to
             // the view's rev so `rev` and `ops` are mutually consistent.
             let to = ((view.rev - self.start_rev) as usize).min(log.len());
-            log[from.min(to)..to].to_vec()
+            log[from.min(to)..to]
+                .iter()
+                .map(|entry| entry.record.clone())
+                .collect()
         };
         Response::LogSlice {
             rev: view.rev,
@@ -901,8 +939,8 @@ mod tests {
                 assert!(auto_rebasable, "disjoint adds commute");
                 assert!(conflicts.is_empty());
                 assert_eq!(delta.len(), 1);
-                assert_eq!(delta[0].statement, "add_type_definition(Project)");
-                assert_eq!(delta[0].session, "alice");
+                assert_eq!(&*delta[0].statement, "add_type_definition(Project)");
+                assert_eq!(&*delta[0].session, "alice");
             }
             other => panic!("expected conflict: {other:?}"),
         }

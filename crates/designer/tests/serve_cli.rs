@@ -677,3 +677,43 @@ fn non_utf8_http_bodies_get_400_and_keep_the_connection() {
     assert!(bye.contains("\"type\":\"bye\""), "{bye}");
     assert_eq!(server.0.wait().expect("server exits").code(), Some(0));
 }
+
+/// A frame of deeply nested brackets is a parse error, not a stack
+/// overflow: the parser stops at its depth limit, answers
+/// `malformed_frame`, and the connection keeps serving.
+#[test]
+fn deeply_nested_frames_get_malformed_frame_and_keep_the_connection() {
+    /// Kills the server if an assertion fails before the clean shutdown.
+    struct Reap(Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let schema = schema_file("deep_nesting");
+    let (child, _stdout, addr) = spawn_serve(&[
+        "--schema",
+        schema.to_str().unwrap(),
+        "--threads=1",
+        "--addr=127.0.0.1:0",
+        "serve",
+    ]);
+    let mut server = Reap(child);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // 1 MB of `[`: far under `MAX_FRAME`, one level per byte.
+    let error = rpc(&mut stream, &mut reader, &"[".repeat(1 << 20));
+    assert!(error.contains("\"code\":\"malformed_frame\""), "{error}");
+    assert!(error.contains("nested deeper than"), "{error}");
+    let pong = rpc(&mut stream, &mut reader, "{\"type\":\"ping\"}");
+    assert!(pong.contains("\"type\":\"pong\""), "{pong}");
+    let bye = rpc(&mut stream, &mut reader, "{\"type\":\"shutdown\"}");
+    assert!(bye.contains("\"type\":\"bye\""), "{bye}");
+    assert_eq!(server.0.wait().expect("server exits").code(), Some(0));
+}

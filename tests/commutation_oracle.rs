@@ -13,9 +13,11 @@
 //! rest on this claim, so a mismatch here calls for a more conservative
 //! footprint, never for dropping the case.
 
+use shrink_wrap_schemas::core::oplang::parse_statement;
 use shrink_wrap_schemas::core::{ConceptKind, Mapping, ModOp, Workspace};
+use shrink_wrap_schemas::corpus::rng::SplitMix64;
 use shrink_wrap_schemas::corpus::{synthetic::SyntheticSpec, university};
-use sws_analyze::{commutes, footprint};
+use sws_analyze::{commutes, footprint, Footprint};
 use sws_bench::edit_scripts::{churn_stream, edit_stream};
 
 /// Pairs `(i, j)` with `j - i` below this are checked.
@@ -129,4 +131,91 @@ fn commuting_pairs_commute_on_a_200_type_schema() {
         both_accepted >= seeds as usize * ops,
         "only {both_accepted} pairs exercised"
     );
+}
+
+/// Groups of ops on the university schema whose neighbours depend on each
+/// other only through one op's writes and the other's reads: a type is
+/// added, then given a member, an extent or a reference to it; a subtype
+/// is added, wired under `Employee` or `Faculty`, and `Department::has`
+/// is retargeted to it and back. A `commutes` that looked only at
+/// write/write overlap would let these pairs reorder. Deterministic in
+/// `(groups, seed)`.
+fn read_write_stream(groups: usize, seed: u64) -> Vec<(ConceptKind, ModOp)> {
+    use ConceptKind::{Generalization as Gen, WagonWheel as Ww};
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut statements = Vec::new();
+    for k in 0..groups {
+        let t = format!("Rw{seed}x{k}");
+        if rng.range_u32(0, 2) == 0 {
+            statements.extend([
+                (Ww, format!("add_type_definition({t})")),
+                (Ww, format!("add_attribute({t}, long, x{k})")),
+                (Ww, format!("add_extent_name({t}, rw_ext{seed}x{k})")),
+                (Ww, format!("add_attribute(Person, {t}, ref{seed}x{k})")),
+            ]);
+        } else {
+            let sup = ["Employee", "Faculty"][rng.range_usize(0, 2)];
+            statements.extend([
+                (Gen, format!("add_type_definition({t})")),
+                (Gen, format!("add_supertype({t}, {sup})")),
+                (
+                    Gen,
+                    format!("modify_relationship_target_type(Department, has, Employee, {t})"),
+                ),
+                (
+                    Gen,
+                    format!("modify_relationship_target_type(Department, has, {t}, Employee)"),
+                ),
+            ]);
+        }
+    }
+    statements
+        .into_iter()
+        .map(|(context, stmt)| {
+            let op = parse_statement(&stmt).unwrap_or_else(|e| panic!("`{stmt}`: {e}"));
+            (context, op)
+        })
+        .collect()
+}
+
+/// Does a write of `a` overlap a write of `b`? The wildcard rules of
+/// `sws_analyze::commute`, restated for the write sets alone.
+fn writes_overlap(a: &Footprint, b: &Footprint) -> bool {
+    let matches = |x: &str, y: &str| {
+        x == "*"
+            || y == "*"
+            || x.strip_suffix('*').is_some_and(|p| y.starts_with(p))
+            || y.strip_suffix('*').is_some_and(|p| x.starts_with(p))
+            || x == y
+    };
+    a.writes().any(|x| b.writes().any(|y| matches(x, y)))
+}
+
+#[test]
+fn pairs_that_depend_only_through_reads_stay_ordered() {
+    let (mut read_write_only, mut both_accepted) = (0, 0);
+    for seed in 1..=3 {
+        let script = read_write_stream(12, seed);
+        let footprints: Vec<_> = script.iter().map(|(_, op)| footprint(op)).collect();
+        for i in 0..script.len() {
+            for j in i + 1..script.len().min(i + WINDOW) {
+                let (a, b) = (&footprints[i], &footprints[j]);
+                if !commutes(a, b) && !writes_overlap(a, b) {
+                    read_write_only += 1;
+                }
+            }
+        }
+        both_accepted += check_stream(
+            Workspace::new(university::graph()),
+            &script,
+            "university read/write pairs",
+        );
+    }
+    // Every group holds adjacent read/write-only pairs; each replay must
+    // also reach pairs that both orders accept.
+    assert!(
+        read_write_only >= 36,
+        "only {read_write_only} read/write-only pairs"
+    );
+    assert!(both_accepted > 100, "only {both_accepted} pairs exercised");
 }

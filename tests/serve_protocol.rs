@@ -387,9 +387,9 @@ fn every_response_variant_streams_as_rendered() {
 
     let record = |seq: u64| LogRecord {
         seq,
-        session: format!("s{}", seq % 3),
+        session: format!("s{}", seq % 3).into(),
         context: ConceptKind::Generalization,
-        statement: format!("add_attribute(T{seq}, string(16), \"quoted\\name\")"),
+        statement: format!("add_attribute(T{seq}, string(16), \"quoted\\name\")").into(),
     };
     // A rendered record is its fields, escaped, plus under 100 bytes of
     // keys and punctuation.

@@ -33,8 +33,11 @@ fn gen(op: ModOp) -> (ConceptKind, ModOp) {
     (ConceptKind::Generalization, op)
 }
 
-/// `(fixture name, expected code, script)` for every stable code.
-fn cases() -> Vec<(&'static str, &'static str, Vec<(ConceptKind, ModOp)>)> {
+/// `(fixture name, expected code, script)`.
+type Case = (&'static str, &'static str, Vec<(ConceptKind, ModOp)>);
+
+/// One [`Case`] for every stable code.
+fn cases() -> Vec<Case> {
     vec![
         (
             "a001_use_before_def",

@@ -35,7 +35,11 @@
 //!   `handle(Submit)`, which answers `conflict` with the N-record delta,
 //!   its commutation hints and the auto-rebase verdict, plus
 //!   `render_response`. The delta's footprints were stored at accept, so
-//!   this row shows whether the verdict scales with the lag alone.
+//!   this row shows whether the verdict scales with the lag alone;
+//! * `submit/durable_batchN` — p50/p90 of one accepted N-op submit at
+//!   head on the university schema, with the session saved to a real
+//!   temporary directory: the batch's records reach `session.ops` in one
+//!   fsynced append, so N ops cost one fsync, not N.
 //!
 //! `report.sizes` records the session-count sweep; the type counts are
 //! in the row labels. Override the iteration count with
@@ -46,6 +50,9 @@
 //! of a shared CI host is noise (a 20x spike under co-tenant load is
 //! routine), so bench_compare treats fresh p99 rows as informational.
 //! The tail is guarded by the same-run relative assertion above instead.
+//! It omits the `submit/durable_batch*` rows for a like reason: an fsync
+//! costs what the host's disk makes it cost; compare those rows with each
+//! other within one run.
 
 use std::cell::Cell;
 use std::io::{BufRead, BufReader, Write};
@@ -67,6 +74,7 @@ const SEED: u64 = 31;
 const SESSIONS: [usize; 4] = [1, 4, 16, 64];
 const TYPES: [usize; 2] = [1_000, 10_000];
 const LAGS: [u64; 3] = [1, 16, 128];
+const DURABLE_BATCHES: [usize; 3] = [1, 2, 8];
 
 /// p99 may wobble on a loaded CI host even when the service is flat
 /// across session counts; the ratio check gets this much absolute grace.
@@ -119,6 +127,7 @@ fn main() {
     }
 
     stale_submits(&mut runner);
+    durable_submits(&mut runner);
 
     for &n in &TYPES {
         let g = SyntheticSpec::sized(n, SEED).generate();
@@ -243,6 +252,48 @@ fn stale_submits(runner: &mut Runner) {
                 other => panic!("a stale submit must conflict, got {other:?}"),
             },
         );
+    }
+}
+
+/// The `submit/durable_batch{n}` rows: n-op submits at head through a
+/// service whose session autosaves to a directory on the real filesystem.
+fn durable_submits(runner: &mut Runner) {
+    for n in DURABLE_BATCHES {
+        let dir = std::env::temp_dir().join(format!("sws_bench_durable{n}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut session = Session::from_odl(university::SOURCE).expect("schema ingests");
+        session.set_checkpoint_interval(None);
+        session.save(&dir).expect("save the session directory");
+        let service = DesignService::new(session);
+        let opened = service.handle(Request::Open {
+            session: "s0".to_string(),
+        });
+        assert!(matches!(opened, Response::Opened { .. }), "{opened:?}");
+        let rev = Cell::new(0u64);
+        runner.bench_batched(
+            &format!("submit/durable_batch{n}"),
+            || Request::Submit {
+                session: "s0".to_string(),
+                base_rev: rev.get(),
+                ops: (0..n)
+                    .map(|i| OpEnvelope {
+                        context: ConceptKind::WagonWheel,
+                        statement: format!("add_type_definition(Durable{}x{i})", rev.get()),
+                    })
+                    .collect(),
+            },
+            |request| match service.handle(request) {
+                Response::Accepted { rev: head, .. } => rev.set(head),
+                other => panic!("submit at head must be accepted, got {other:?}"),
+            },
+        );
+        assert!(
+            service
+                .with_session(|s| s.take_autosave_warning())
+                .is_none(),
+            "every append must land"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

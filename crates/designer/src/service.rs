@@ -555,28 +555,24 @@ impl DesignService {
             return self.conflict(&core, session, base_rev, rev, ops, &script, &footprints);
         }
 
-        // At the head: apply atomically. Any failure rolls the applied
-        // prefix back, so a `rejected` response always means "nothing
-        // happened".
+        // At the head: apply atomically. A rejected batch is reverted in
+        // memory and writes nothing, so a `rejected` response always means
+        // "nothing happened".
         let mut warnings = Vec::new();
-        for (i, (context, op)) in script.iter().enumerate() {
-            core.session.set_context(*context);
-            match core.session.issue(op.clone()) {
-                Ok(feedback) => {
-                    warnings.extend(feedback.warnings.iter().map(|w| format!("ops[{i}]: {w}")));
+        match core.session.issue_batch(&script) {
+            Ok(feedback) => {
+                for (i, f) in feedback.iter().enumerate() {
+                    warnings.extend(f.warnings.iter().map(|w| format!("ops[{i}]: {w}")));
                 }
-                Err(e) => {
-                    core.session
-                        .rollback(i)
-                        .expect("rolling back the just-applied batch prefix");
-                    sws_trace::counter("serve.rejected", 1);
-                    return Response::Rejected {
-                        session: session.to_string(),
-                        rev,
-                        index: i,
-                        error: e.to_string(),
-                    };
-                }
+            }
+            Err((index, e)) => {
+                sws_trace::counter("serve.rejected", 1);
+                return Response::Rejected {
+                    session: session.to_string(),
+                    rev,
+                    index,
+                    error: e.to_string(),
+                };
             }
         }
         if let Some(w) = core.session.take_autosave_warning() {
@@ -1005,7 +1001,7 @@ mod tests {
     }
 
     #[test]
-    fn rejected_batch_rolls_back_with_one_manifest_commit() {
+    fn rejected_batch_touches_only_memory_and_accepted_is_one_append() {
         use std::path::PathBuf;
         use sws_repository::io::{FaultIo, MemIo};
 
@@ -1040,15 +1036,38 @@ mod tests {
             "{resp:?}"
         );
         let journal = io.journal();
-        let commits = journal
-            .iter()
-            .filter(|l| l.starts_with("rename") && l.ends_with("/MANIFEST"))
-            .count();
-        assert_eq!(commits, 1, "one rollback rewrite: {journal:#?}");
+        assert!(
+            journal.is_empty(),
+            "a rejected batch touches only memory: {journal:#?}"
+        );
 
         let reloaded = Session::load_with(Box::new(io.clone()), &dir).expect("reload");
         assert!(reloaded.recovery().is_some_and(|r| r.is_clean()));
         assert_eq!(reloaded.repository().custom_schema_odl(), before);
+
+        // Every accepted batch of N ops is one fsynced append.
+        for n in [1usize, 2, 5] {
+            io.clear_journal();
+            let rev = svc.view().rev;
+            let ops = (0..n)
+                .map(|i| wagon(&format!("add_type_definition(B{n}x{i})")))
+                .collect();
+            let resp = svc.handle(Request::Submit {
+                session: "alice".into(),
+                base_rev: rev,
+                ops,
+            });
+            assert!(matches!(resp, Response::Accepted { .. }), "{resp:?}");
+            let journal = io.journal();
+            let log = "/mem/service/session.ops";
+            assert_eq!(journal, [format!("append {log}"), format!("sync {log}")]);
+        }
+        let reloaded = Session::load_with(Box::new(io.clone()), &dir).expect("reload");
+        assert_eq!(reloaded.repository().total_ops(), 8);
+        assert_eq!(
+            reloaded.repository().custom_schema_odl(),
+            svc.view().odl.text()
+        );
     }
 
     #[test]

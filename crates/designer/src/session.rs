@@ -10,7 +10,8 @@ use sws_core::oplang::parse_statement;
 use sws_core::{AliasTable, ConceptKind, Feedback, Mapping, ModOp, OpError};
 use sws_odl::OdlError;
 use sws_repository::io::{RealIo, RepoIo};
-use sws_repository::{append_log_line, CheckpointOutcome, RecoveryReport, RepoError, Repository};
+use sws_repository::{append_log_records, CheckpointOutcome, RecoveryReport};
+use sws_repository::{RepoError, Repository};
 
 /// Errors surfaced to the designer.
 #[derive(Debug)]
@@ -201,26 +202,43 @@ impl Session {
         self.focus = None;
     }
 
-    /// Issue an already-parsed operation in the current context. With an
-    /// autosave directory attached, the applied op is durably appended to
-    /// the on-disk log (one fsynced record, not a full rewrite), then the
-    /// auto-checkpoint interval is consulted. The append always completes
-    /// before any checkpoint starts — a checkpoint's MANIFEST generation
-    /// commits with no autosave interleaved into its micro-steps.
+    /// Issue an already-parsed operation in the current context: a batch
+    /// of one (see [`Self::issue_batch`]).
     pub fn issue(&mut self, op: ModOp) -> Result<Feedback, SessionError> {
-        let feedback = self.apply(self.context, op)?;
-        self.redo.clear();
-        Ok(feedback)
+        self.issue_batch(&[(self.context, op)])
+            .map(|mut feedback| feedback.remove(0))
+            .map_err(|(_, e)| e)
     }
 
-    /// The pipeline [`Self::issue`] and [`Self::redo`] share: apply, record
-    /// the undo step, durably append, consult the checkpoint interval.
-    fn apply(&mut self, context: ConceptKind, op: ModOp) -> Result<Feedback, SessionError> {
-        let feedback = self.repo.workspace_mut().apply(context, op)?;
-        self.undo.push(Step::Op);
+    /// Issue a batch of ops, all or none. If op `i` is rejected, ops `0..i`
+    /// are reverted in memory through the undo journal, nothing is written,
+    /// and `Err((i, error))` comes back. Once all are in, an attached
+    /// directory gets their records in one fsynced append, which completes
+    /// before the checkpoint interval is consulted.
+    pub fn issue_batch(
+        &mut self,
+        ops: &[(ConceptKind, ModOp)],
+    ) -> Result<Vec<Feedback>, (usize, SessionError)> {
+        let mut feedback = Vec::with_capacity(ops.len());
+        for (i, (context, op)) in ops.iter().enumerate() {
+            match self.repo.workspace_mut().apply(*context, op.clone()) {
+                Ok(f) => feedback.push(f),
+                Err(e) => {
+                    for _ in 0..i {
+                        self.repo.undo_last().expect("batch ops are journaled");
+                    }
+                    return Err((i, e.into()));
+                }
+            }
+        }
+        self.undo.extend(ops.iter().map(|_| Step::Op));
+        self.redo.clear();
         if let Some(dir) = self.autosave_dir.clone() {
-            let seq = self.repo.total_ops() - 1;
-            if let Err(e) = append_log_line(self.io.as_ref(), &dir, seq, context, &feedback.op) {
+            let log = self.repo.workspace().log();
+            let batch = &log[log.len() - ops.len()..];
+            let first_seq = self.repo.total_ops() - ops.len() as u64;
+            let records = batch.iter().map(|r| (r.context, &r.op));
+            if let Err(e) = append_log_records(self.io.as_ref(), &dir, first_seq, records) {
                 self.disable_autosave(&dir, &e);
             } else {
                 self.maybe_autocheckpoint(&dir);
@@ -290,7 +308,13 @@ impl Session {
     /// the whole directory: undo shortens the op log, which an append
     /// cannot express.
     pub fn undo(&mut self) -> Result<(), SessionError> {
-        let redo = self.undo_step().ok_or(SessionError::NothingToUndo)?;
+        let redo = match self.undo.pop().ok_or(SessionError::NothingToUndo)? {
+            Step::Op => {
+                let record = self.repo.undo_last().expect("op steps are journaled");
+                Redo::Op(record.context, record.op)
+            }
+            Step::Alias(before) => Redo::Alias(self.repo.replace_aliases(before)),
+        };
         self.redo.push(redo);
         self.autosave_full();
         Ok(())
@@ -301,7 +325,10 @@ impl Session {
     pub fn redo(&mut self) -> Result<(), SessionError> {
         match self.redo.pop().ok_or(SessionError::NothingToRedo)? {
             Redo::Op(context, op) => {
-                self.apply(context, op)?;
+                let rest = std::mem::take(&mut self.redo);
+                let redone = self.issue_batch(&[(context, op)]);
+                self.redo = rest;
+                redone.map_err(|(_, e)| e)?;
             }
             Redo::Alias(aliases) => {
                 let before = self.repo.replace_aliases(aliases);
@@ -312,39 +339,8 @@ impl Session {
         Ok(())
     }
 
-    /// Take back the last `steps` steps as one unit — nothing becomes
-    /// redoable, and autosave rewrites the directory once. `swsd serve`
-    /// rolls a rejected batch's applied prefix back this way. Fails,
-    /// changing nothing, if fewer steps are undoable.
-    pub fn rollback(&mut self, steps: usize) -> Result<(), SessionError> {
-        if steps > self.undo.len() {
-            return Err(SessionError::NothingToUndo);
-        }
-        for _ in 0..steps {
-            self.undo_step();
-        }
-        if steps > 0 {
-            self.autosave_full();
-        }
-        Ok(())
-    }
-
-    /// Revert the last step in memory; returns what would redo it.
-    fn undo_step(&mut self) -> Option<Redo> {
-        Some(match self.undo.pop()? {
-            Step::Op => {
-                let record = self
-                    .repo
-                    .undo_last()
-                    .expect("every op step has a journaled op");
-                Redo::Op(record.context, record.op)
-            }
-            Step::Alias(before) => Redo::Alias(self.repo.replace_aliases(before)),
-        })
-    }
-
     /// Drop the undo/redo history. Long-running hosts like `swsd serve`
-    /// call this after each committed batch: their rollback unit is the
+    /// call this after each committed batch: their unit of change is the
     /// batch, so a committed batch must not become undoable.
     pub fn clear_history(&mut self) {
         self.undo.clear();
@@ -373,11 +369,7 @@ impl Session {
     /// reported via [`Session::recovery`] rather than failing the load.
     /// The directory is attached for autosave.
     pub fn load(dir: &Path) -> Result<Self, SessionError> {
-        let (repo, report) = Repository::load_salvage(dir)?;
-        let mut session = Session::new(repo);
-        session.autosave_dir = Some(dir.to_path_buf());
-        session.recovery = Some(report);
-        Ok(session)
+        Session::load_with(Box::new(RealIo), dir)
     }
 
     /// Load a session from disk in salvage mode through an explicit
@@ -563,20 +555,31 @@ mod tests {
     }
 
     #[test]
-    fn rollback_takes_back_steps_as_one_unit() {
+    fn a_batch_is_one_append_and_a_rejected_one_writes_nothing() {
+        use sws_repository::io::{FaultIo, MemIo};
+        let io = std::sync::Arc::new(FaultIo::new(MemIo::new()));
+        let dir = Path::new("/mem/b");
         let mut s = session();
+        s.set_io(Box::new(io.clone()));
+        s.save(dir).unwrap();
+        s.issue_str("add_type_definition(Sprint)").unwrap();
+        s.undo().unwrap();
         let before = s.repository().custom_schema_odl();
-        s.issue_str("add_type_definition(Project)").unwrap();
-        s.issue_str("add_type_definition(Task)").unwrap();
-        assert!(matches!(s.rollback(3), Err(SessionError::NothingToUndo)));
-        assert_eq!(
-            s.repository().total_ops(),
-            2,
-            "a refused rollback changes nothing"
-        );
-        s.rollback(2).unwrap();
+        io.clear_journal();
+        let wagon = |ty| (ConceptKind::WagonWheel, ModOp::AddTypeDefinition { ty });
+        let batch = ["Project", "Task", "Project"].map(|ty| wagon(ty.into()));
+        let (index, err) = s.issue_batch(&batch).unwrap_err();
+        assert!(index == 2 && matches!(err, SessionError::Op(_)), "{err}");
         assert_eq!(s.repository().custom_schema_odl(), before);
-        assert!(matches!(s.redo(), Err(SessionError::NothingToRedo)));
+        assert!(io.journal().is_empty(), "{:#?}", io.journal());
+        assert!(matches!(s.undo(), Err(SessionError::NothingToUndo)));
+        s.redo().unwrap(); // a rejected batch leaves redo alone
+        io.clear_journal();
+        assert_eq!(s.issue_batch(&batch[..2]).unwrap().len(), 2);
+        let sync = ["append", "sync"].map(|step| format!("{step} /mem/b/session.ops"));
+        assert_eq!(io.journal(), sync, "one fsynced append per batch");
+        let reloaded = Session::load_with(Box::new(io.clone()), dir).unwrap();
+        assert_eq!(reloaded.repository().total_ops(), 3);
     }
 
     #[test]
@@ -668,13 +671,6 @@ mod tests {
         assert_eq!(salvaged.repository().custom_schema_odl(), live);
         assert!(salvaged.recovery().unwrap().is_clean());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn failed_issue_does_not_pollute_undo() {
-        let mut s = session();
-        assert!(s.issue_str("add_type_definition(Person)").is_err());
-        assert!(matches!(s.undo(), Err(SessionError::NothingToUndo)));
     }
 
     #[test]

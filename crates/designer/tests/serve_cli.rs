@@ -717,3 +717,130 @@ fn deeply_nested_frames_get_malformed_frame_and_keep_the_connection() {
     assert!(bye.contains("\"type\":\"bye\""), "{bye}");
     assert_eq!(server.0.wait().expect("server exits").code(), Some(0));
 }
+
+/// A rejected batch is reverted in memory and writes nothing, so a client
+/// that keeps sending them cannot stall another client's submits on a
+/// durable daemon — however large the schema behind the directory.
+#[test]
+fn rejected_batches_do_not_stall_other_clients_on_a_durable_daemon() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Instant;
+
+    const TYPES: usize = 1_000;
+    const SUBMITS: usize = 100;
+
+    /// Kills the server if an assertion fails before the clean shutdown.
+    struct Reap(Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let schema = schema_file("rejected");
+    let g = sws_corpus::synthetic::SyntheticSpec::sized(TYPES, 31).generate();
+    std::fs::write(
+        &schema,
+        sws_odl::print_schema(&sws_model::graph_to_schema(&g)),
+    )
+    .unwrap();
+    let session_dir = std::env::temp_dir().join(format!("swsd_srv_reject_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&session_dir);
+    let script = format!("save {}\nquit\n", session_dir.display());
+    let (_, stderr, code) = run_swsd(&["--schema", schema.to_str().unwrap()], &script);
+    assert_eq!(code, 0, "{stderr}");
+
+    let (child, _stdout, addr) = spawn_serve(&[
+        "--session",
+        session_dir.to_str().unwrap(),
+        "--threads=3",
+        "--addr=127.0.0.1:0",
+        "serve",
+    ]);
+    let mut server = Reap(child);
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .expect("timeout");
+        // `rpc` sends a line and its newline in two writes.
+        stream.set_nodelay(true).expect("nodelay");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    };
+    let submit = |session: &str, rev: usize, stmts: &[String]| {
+        let ops: Vec<String> = stmts
+            .iter()
+            .map(|s| format!("{{\"stmt\":\"{s}\"}}"))
+            .collect();
+        format!(
+            "{{\"type\":\"submit\",\"session\":\"{session}\",\"base_rev\":{rev},\"ops\":[{}]}}",
+            ops.join(",")
+        )
+    };
+
+    // 64 accepted ops on the durable log.
+    let (mut stream, mut reader) = connect();
+    let open = |s: &mut TcpStream, r: &mut BufReader<TcpStream>, name: &str| {
+        let opened = rpc(
+            s,
+            r,
+            &format!("{{\"type\":\"open\",\"session\":\"{name}\"}}"),
+        );
+        assert!(opened.contains("\"type\":\"opened\""), "{opened}");
+    };
+    open(&mut stream, &mut reader, "writer");
+    for b in 0..8 {
+        let stmts: Vec<String> = (0..8)
+            .map(|i| format!("add_type_definition(Warm{b}x{i})"))
+            .collect();
+        let resp = rpc(&mut stream, &mut reader, &submit("writer", b * 8, &stmts));
+        assert!(resp.contains("\"type\":\"accepted\""), "{resp}");
+    }
+
+    let (stop, rejected) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let mut latencies = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let (mut stream, mut reader) = connect();
+            open(&mut stream, &mut reader, "rejecter");
+            let dup = [
+                "add_type_definition(Dup)".to_string(),
+                "add_type_definition(Dup)".to_string(),
+            ];
+            while !stop.load(Ordering::Relaxed) {
+                let resp = rpc(&mut stream, &mut reader, &submit("rejecter", 64, &dup));
+                assert!(resp.contains("\"type\":\"rejected\""), "{resp}");
+                rejected.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        while rejected.load(Ordering::Relaxed) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The probe's submits are rejected at the core lock: each waits
+        // for the lock as an accepted one would, without the from-scratch
+        // oracles a debug build runs on every publish (tens of ms here).
+        let mut latencies = Vec::with_capacity(SUBMITS);
+        for i in 0..SUBMITS {
+            let started = Instant::now();
+            let stmts = [format!("delete_type_definition(Nowhere{i})")];
+            let resp = rpc(&mut stream, &mut reader, &submit("writer", 64, &stmts));
+            latencies.push(started.elapsed());
+            assert!(resp.contains("\"type\":\"rejected\""), "{resp}");
+        }
+        stop.store(true, Ordering::Relaxed);
+        latencies
+    });
+    latencies.sort();
+    let p99 = latencies[SUBMITS * 99 / 100 - 1];
+    let rejected = rejected.into_inner();
+    assert!(
+        p99 < Duration::from_millis(10),
+        "submit p99 {p99:?} beside {rejected} rejected batches"
+    );
+
+    let bye = rpc(&mut stream, &mut reader, "{\"type\":\"shutdown\"}");
+    assert!(bye.contains("\"type\":\"bye\""), "{bye}");
+    assert_eq!(server.0.wait().expect("server exits").code(), Some(0));
+    std::fs::remove_dir_all(&session_dir).unwrap();
+}

@@ -24,7 +24,7 @@ use sws_corpus::university;
 use sws_designer::protocol::Json;
 use sws_designer::{serve, DesignService, Session};
 use sws_repository::io::{FaultIo, MemIo};
-use sws_repository::Repository;
+use sws_repository::{RecoveryReport, Repository};
 
 const CLIENTS: usize = 2;
 const OPS_PER_CLIENT: usize = 10;
@@ -94,15 +94,20 @@ impl Wire {
         self.rev
     }
 
-    /// Submit one statement, riding out stale-rev conflicts by adopting
-    /// the head rev from the conflict report (unique type names per
-    /// client, so a retry can only be accepted).
-    fn submit(&mut self, stmt: &str) {
+    /// Submit one batch of statements, riding out stale-rev conflicts by
+    /// adopting the head rev from the conflict report (unique type names
+    /// per client, so a retry can only be accepted).
+    fn submit(&mut self, stmts: &[String]) {
+        let ops: Vec<String> = stmts
+            .iter()
+            .map(|stmt| format!("{{\"stmt\":\"{stmt}\"}}"))
+            .collect();
         loop {
             let resp = self.rpc(&format!(
-                "{{\"type\":\"submit\",\"session\":\"{}\",\"base_rev\":{},\
-                 \"ops\":[{{\"stmt\":\"{stmt}\"}}]}}",
-                self.session, self.rev
+                "{{\"type\":\"submit\",\"session\":\"{}\",\"base_rev\":{},\"ops\":[{}]}}",
+                self.session,
+                self.rev,
+                ops.join(",")
             ));
             match Self::tag(&resp) {
                 "accepted" => {
@@ -112,16 +117,23 @@ impl Wire {
                 "conflict" => {
                     self.rev = Self::num(&resp, "rev");
                 }
-                other => panic!("submit of `{stmt}` got {other}: {resp:?}"),
+                other => panic!("submit of {stmts:?} got {other}: {resp:?}"),
             }
         }
     }
 }
 
 /// Build a service over a fault-injected in-memory session directory,
-/// serve it live while concurrent clients stream ops, crash the disk via
-/// `plant`, and verify salvage + reattach.
-fn crash_and_salvage(plant: impl FnOnce(&FaultIo)) {
+/// serve it live while concurrent clients stream `batch`-op submits, crash
+/// the disk via `plant`, and verify salvage + reattach. The server
+/// checkpoints off the request path every `checkpoint_every` ops. Returns
+/// the salvage report.
+fn crash_and_salvage(
+    batch: usize,
+    checkpoint_every: Option<u64>,
+    plant: impl FnOnce(&FaultIo),
+) -> RecoveryReport {
+    let batches = OPS_PER_CLIENT.div_ceil(batch);
     let dir = PathBuf::from("/mem/serve");
     let io = Arc::new(FaultIo::new(MemIo::new()));
     let disk = io.fs().clone();
@@ -131,8 +143,7 @@ fn crash_and_salvage(plant: impl FnOnce(&FaultIo)) {
     // fault and reboot the disk afterwards.
     session.set_io(Box::new(io.clone()));
     session.save(&dir).expect("initial save");
-    // Off-request-path checkpoints every 4 accepted ops.
-    session.set_checkpoint_interval(Some(4));
+    session.set_checkpoint_interval(checkpoint_every);
     let service = DesignService::new(session);
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -153,8 +164,11 @@ fn crash_and_salvage(plant: impl FnOnce(&FaultIo)) {
                 scope.spawn(move || {
                     let mut wire = Wire::connect(addr, &format!("client{idx}"));
                     wire.open();
-                    for i in 0..OPS_PER_CLIENT {
-                        wire.submit(&format!("add_type_definition(C{idx}x{i})"));
+                    for i in 0..batches {
+                        let stmts: Vec<String> = (0..batch)
+                            .map(|j| format!("add_type_definition(C{idx}x{i}y{j})"))
+                            .collect();
+                        wire.submit(&stmts);
                     }
                     wire.rev
                 })
@@ -197,29 +211,36 @@ fn crash_and_salvage(plant: impl FnOnce(&FaultIo)) {
         (total_rev, order)
     });
 
-    assert_eq!(total_rev as usize, CLIENTS * OPS_PER_CLIENT);
+    assert_eq!(total_rev as usize, CLIENTS * batches * batch);
     assert_eq!(order.len() as u64, total_rev);
 
     // Reboot: flush what the page cache kept, then salvage-load.
     disk.post_crash(42);
     let salvaged = Session::load_with(Box::new(disk.clone()), &dir).expect("salvage load");
     let report = salvaged.recovery().expect("recovery report");
-    // A crash may tear the very record being appended. That op was never
+    // A crash may tear the very batch being appended. It was never
     // acknowledged durable (its fsync never ran), so quarantining it is
     // the correct outcome — but the report must then say "torn tail", and
-    // at most that one in-flight record may go missing this way.
+    // at most that one in-flight batch may go missing this way.
     if report.data_loss() {
         assert!(
             report.torn_tail,
             "ops dropped without a torn tail: {report:?}"
         );
-        assert!(report.ops_dropped <= 1, "{report:?}");
+        assert!(report.ops_dropped <= batch, "{report:?}");
     }
     let salvaged_ops = salvaged.repository().total_ops();
     assert!(
         salvaged_ops <= total_rev,
         "salvage cannot invent ops: {salvaged_ops} > {total_rev}"
     );
+    // Batches are salvaged all or none: the prefix ends on a boundary.
+    assert_eq!(
+        salvaged_ops % batch as u64,
+        0,
+        "salvage split a batch: {report:?}"
+    );
+    let report = report.clone();
 
     // The salvaged state is a serial replay of exactly the first
     // `salvaged_ops` accepted ops — a clean prefix, nothing torn.
@@ -255,18 +276,21 @@ fn crash_and_salvage(plant: impl FnOnce(&FaultIo)) {
             rev, salvaged_ops,
             "reattached session must resume at the salvaged rev"
         );
-        wire.submit("add_type_definition(AfterReboot)");
+        wire.submit(&["add_type_definition(AfterReboot)".to_string()]);
         assert_eq!(wire.rev, salvaged_ops + 1);
         let bye = wire.rpc("{\"type\":\"shutdown\"}");
         assert_eq!(Wire::tag(&bye), "bye");
         server.join().expect("server thread").expect("serve io");
     });
+    report
 }
 
 #[test]
 fn crash_mid_append_salvages_a_prefix_and_reattaches() {
     // Die during the 6th op-log append — mid-traffic, torn tail likely.
-    crash_and_salvage(|io| io.crash_on_contains("append /mem/serve/session.ops", 5));
+    crash_and_salvage(1, Some(4), |io| {
+        io.crash_on_contains("append /mem/serve/session.ops", 5)
+    });
 }
 
 #[test]
@@ -274,11 +298,23 @@ fn crash_mid_checkpoint_salvages_pre_or_post_state() {
     // Die inside a checkpoint's manifest commit window: each checkpoint
     // touches MANIFEST three times (write temp, sync, rename), so step 4
     // lands inside the second checkpoint under load.
-    crash_and_salvage(|io| io.crash_on_contains("MANIFEST", 4));
+    crash_and_salvage(1, Some(4), |io| io.crash_on_contains("MANIFEST", 4));
 }
 
 #[test]
 fn crash_mid_snapshot_write_keeps_the_old_generation() {
     // Die while the snapshot blob itself is being staged.
-    crash_and_salvage(|io| io.crash_on_contains("snapshot", 1));
+    crash_and_salvage(1, Some(4), |io| io.crash_on_contains("snapshot", 1));
+}
+
+#[test]
+fn crash_inside_a_batch_append_salvages_whole_batches() {
+    // Die during the 5th 3-op batch append: the header and the batch's
+    // three records go down in one write, which the crash tears. With no
+    // checkpoints, no archive append can match the needle first. Were each
+    // op its own append, the 5th would leave 4 ops: not a batch boundary.
+    let report = crash_and_salvage(3, None, |io| {
+        io.crash_on_contains("append /mem/serve/session.ops", 4)
+    });
+    assert!(report.torn_tail, "the crash tore the batch: {report:?}");
 }

@@ -172,6 +172,26 @@ impl<'a, T> Iterator for Iter<'a, T> {
             };
         }
     }
+
+    /// Skips whole chunks without touching their slots, so `skip(base)`
+    /// costs O(1) instead of a walk over every skipped slot.
+    fn nth(&mut self, n: usize) -> Option<&'a T> {
+        let in_slice = self.slots.len();
+        if n < in_slice {
+            return self.slots.nth(n);
+        }
+        let n = n - in_slice;
+        let chunks_left = self.chunks.len();
+        let skip = if n / CHUNK < chunks_left {
+            self.slots = self.chunks.nth(n / CHUNK)?.iter();
+            n % CHUNK
+        } else {
+            self.chunks = Default::default();
+            self.slots = std::mem::take(&mut self.tail).iter();
+            n - chunks_left * CHUNK
+        };
+        self.slots.nth(skip)
+    }
 }
 
 impl<T> Index<usize> for ChunkedVec<T> {
@@ -231,6 +251,38 @@ mod tests {
             v.push(999);
             assert_eq!(v[cut], 999);
             assert_eq!(v.iter().count(), cut + 1);
+        }
+    }
+
+    #[test]
+    fn skip_jumps_chunks_and_agrees_with_a_walk() {
+        let check = |v: &ChunkedVec<usize>, label: &str| {
+            let all: Vec<usize> = v.iter().copied().collect();
+            for k in 0..=v.len() + 1 {
+                let skipped: Vec<usize> = v.iter().skip(k).copied().collect();
+                assert_eq!(skipped, all.get(k..).unwrap_or(&[]), "{label}: skip({k})");
+                assert_eq!(v.iter().nth(k), all.get(k), "{label}: nth({k})");
+            }
+            // `nth` from mid-iteration, across the slice it is in.
+            let mut it = v.iter();
+            let mut at = 0;
+            for step in [0, 3, CHUNK - 2, 1, CHUNK, 2 * CHUNK] {
+                assert_eq!(
+                    it.nth(step),
+                    all.get(at + step),
+                    "{label}: nth({step}) at {at}"
+                );
+                at += step + 1;
+            }
+        };
+        for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK, 3 * CHUNK + 5] {
+            check(&filled(n), &format!("len {n}"));
+        }
+        for cut in [0, 5, CHUNK, 2 * CHUNK + 1] {
+            let mut v = filled(3 * CHUNK + 7);
+            v.truncate(cut);
+            v.push(999);
+            check(&v, &format!("truncated to {cut}"));
         }
     }
 

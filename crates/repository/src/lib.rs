@@ -11,7 +11,10 @@
 //!   `<checksum>\t<seq>\t<context>\t<statement>` line per applied
 //!   operation in the modification language (the checksum covers the rest
 //!   of the line, so a torn tail is detectable record by record; the
-//!   global sequence number makes truncation and archiving idempotent),
+//!   global sequence number makes truncation and archiving idempotent);
+//!   each accepted multi-op batch is one append, headed by a
+//!   `# batch <first_seq> <n> <checksum>` line so salvage keeps a torn
+//!   batch all or none,
 //! * `snapshot.<gen>` — checkpoint images of the working schema (see
 //!   [`snapshot`]), so load replays only the short tail after the newest
 //!   snapshot instead of the whole log,
@@ -197,8 +200,43 @@ pub fn durable_log_line(seq: u64, context: ConceptKind, op: &ModOp) -> String {
     format!("{}\t{body}\n", to_hex(checksum::checksum(body.as_bytes())))
 }
 
-/// Append one op record to `dir/session.ops` and fsync — the autosave hot
-/// path: one small append per applied op instead of a full rewrite.
+/// Start of the header line that precedes each multi-op batch in the op
+/// log: `# batch <first_seq> <n> <checksum>`, where the checksum covers
+/// the batch's `n` record lines, newlines included. Loaders that predate
+/// batches skip it as a comment.
+const BATCH_TAG: &str = "# batch ";
+
+/// Append one accepted batch of op records, numbered from `first_seq`, to
+/// `dir/session.ops` with a single write and fsync — the autosave hot
+/// path. A batch of one writes exactly its [`durable_log_line`]; a longer
+/// batch is preceded by a checksummed header so that salvage keeps a
+/// batch torn by a crash all or none. An empty batch writes nothing.
+pub fn append_log_records<'a>(
+    io: &dyn RepoIo,
+    dir: &Path,
+    first_seq: u64,
+    records: impl IntoIterator<Item = (ConceptKind, &'a ModOp)>,
+) -> Result<(), RepoError> {
+    let mut body = String::new();
+    let mut n = 0u64;
+    for (context, op) in records {
+        body.push_str(&durable_log_line(first_seq + n, context, op));
+        n += 1;
+    }
+    if n == 0 {
+        return Ok(());
+    }
+    if n > 1 {
+        let sum = to_hex(checksum::checksum(body.as_bytes()));
+        body.insert_str(0, &format!("{BATCH_TAG}{first_seq} {n} {sum}\n"));
+    }
+    let mut sp = sws_trace::span!("repo.append", bytes = body.len(), ops = n);
+    io.append_sync(&dir.join(SESSION_FILE), body.as_bytes())?;
+    sp.record("verdict", "ok");
+    Ok(())
+}
+
+/// Append one op record: [`append_log_records`] with a batch of one.
 pub fn append_log_line(
     io: &dyn RepoIo,
     dir: &Path,
@@ -206,11 +244,7 @@ pub fn append_log_line(
     context: ConceptKind,
     op: &ModOp,
 ) -> Result<(), RepoError> {
-    let line = durable_log_line(seq, context, op);
-    let mut sp = sws_trace::span!("repo.append", bytes = line.len());
-    io.append_sync(&dir.join(SESSION_FILE), line.as_bytes())?;
-    sp.record("verdict", "ok");
-    Ok(())
+    append_log_records(io, dir, seq, [(context, op)])
 }
 
 /// The repository: a [`Workspace`] plus persistence.
@@ -1191,7 +1225,8 @@ struct LogScan {
     first_bad: Option<BadOp>,
     /// Non-empty, non-comment lines from the first bad one on.
     dropped: usize,
-    /// The bad line was the file's final one and lacked a newline.
+    /// The bad line, or the batch it heads, runs off the end of the file:
+    /// a crash tore it.
     torn_tail: bool,
     /// Raw lines from the first bad one on (prefix mode only).
     quarantine_lines: Vec<String>,
@@ -1216,13 +1251,28 @@ fn scan_log(text: &str, prefix_only: bool) -> LogScan {
     };
     let ends_with_newline = text.ends_with('\n');
     let lines: Vec<&str> = text.lines().collect();
+    // Does a line span ending at index `last` reach past what the file
+    // holds, or end it without a newline? Then a crash tore it.
+    let runs_off_the_end =
+        |last: usize| last >= lines.len() || (last + 1 == lines.len() && !ends_with_newline);
     let mut next_seq = 0u64;
     for (i, raw) in lines.iter().enumerate() {
         let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
+        let header = line.starts_with(BATCH_TAG)
+            || (line.starts_with('#') && runs_off_the_end(i) && "# batch".starts_with(line));
+        let parsed = if prefix_only && header {
+            // A batch header, or what a crash left of one: the batch must
+            // have arrived whole, or it ends the valid prefix.
+            match check_batch(&lines, i, runs_off_the_end) {
+                Ok(()) => continue,
+                Err(bad) => Err(bad),
+            }
+        } else if line.is_empty() || line.starts_with('#') {
             continue;
-        }
-        match parse_durable_log_line(line) {
+        } else {
+            parse_durable_log_line(line).map_err(|reason| (reason, runs_off_the_end(i)))
+        };
+        match parsed {
             Ok((explicit, context, op)) => {
                 let seq = explicit.unwrap_or(next_seq);
                 next_seq = seq + 1;
@@ -1234,7 +1284,7 @@ fn scan_log(text: &str, prefix_only: bool) -> LogScan {
                     from_tail: false,
                 });
             }
-            Err(reason) => {
+            Err((reason, torn)) => {
                 if !prefix_only {
                     continue;
                 }
@@ -1245,7 +1295,7 @@ fn scan_log(text: &str, prefix_only: bool) -> LogScan {
                         !t.is_empty() && !t.starts_with('#')
                     })
                     .count();
-                scan.torn_tail = i + 1 == lines.len() && !ends_with_newline;
+                scan.torn_tail = torn;
                 scan.first_bad = Some(BadOp {
                     line: i + 1,
                     content: raw.to_string(),
@@ -1257,6 +1307,58 @@ fn scan_log(text: &str, prefix_only: bool) -> LogScan {
         }
     }
     scan
+}
+
+/// Check that the batch whose header is `lines[i]` arrived whole: a
+/// well-formed header, then `n` record lines whose bytes match its
+/// checksum, the first carrying the header's sequence number. `Err`
+/// carries the reason and whether the batch was torn off the end of the
+/// file rather than damaged in place.
+fn check_batch(
+    lines: &[&str],
+    i: usize,
+    runs_off_the_end: impl Fn(usize) -> bool,
+) -> Result<(), (String, bool)> {
+    let fields: Vec<&str> = lines[i]
+        .trim()
+        .strip_prefix(BATCH_TAG)
+        .unwrap_or_default()
+        .split(' ')
+        .collect();
+    let header = match fields[..] {
+        [first, n, sum] => n
+            .parse::<usize>()
+            .ok()
+            .zip(from_hex(sum))
+            .map(|(n, sum)| (first, n, sum)),
+        _ => None,
+    };
+    let Some((first, n, sum)) = header else {
+        return Err(("malformed batch header".into(), runs_off_the_end(i)));
+    };
+    let last = i.saturating_add(n);
+    let Some(records) = lines.get(i + 1..=last) else {
+        let present = lines.len() - i - 1;
+        return Err((
+            format!("torn batch: {present} of {n} records present"),
+            true,
+        ));
+    };
+    if runs_off_the_end(last) {
+        return Err(("torn batch: its last record has no newline".into(), true));
+    }
+    let mut hash = checksum::Checksum::new();
+    for record in records {
+        hash.update(record.as_bytes());
+        hash.update(b"\n");
+    }
+    if hash.finish() != sum {
+        return Err(("batch checksum mismatch".into(), false));
+    }
+    if records.first().and_then(|r| r.split('\t').nth(1)) != Some(first) {
+        return Err(("batch header disagrees with its first record".into(), false));
+    }
+    Ok(())
 }
 
 /// Merge archive and tail records by global sequence number, keeping only
@@ -1535,6 +1637,67 @@ mod tests {
         // Healed: both strict and salvage load cleanly now.
         assert!(Repository::load(&dir).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_batch_is_one_append_and_a_torn_one_is_salvaged_all_or_none() {
+        use io::MemIo;
+        let dir = Path::new("/mem/batch");
+        let pre = repo();
+        let ops: Vec<ModOp> = ["B1", "B2", "B3"]
+            .map(|ty| ModOp::AddTypeDefinition { ty: ty.into() })
+            .into();
+        let base = MemIo::new();
+        pre.save_with(&base, dir).unwrap();
+        let log = dir.join(SESSION_FILE);
+        let before = base.contents(&log).unwrap();
+
+        // A batch of one is exactly the single-record line.
+        let one = base.snapshot();
+        append_log_records(&one, dir, 0, [(ConceptKind::WagonWheel, &ops[0])]).unwrap();
+        let line = durable_log_line(0, ConceptKind::WagonWheel, &ops[0]);
+        assert_eq!(
+            one.contents(&log).unwrap()[before.len()..],
+            *line.as_bytes()
+        );
+
+        let whole = base.snapshot();
+        let records = ops.iter().map(|op| (ConceptKind::WagonWheel, op));
+        append_log_records(&whole, dir, 0, records).unwrap();
+        let full = whole.contents(&log).unwrap();
+        let text = String::from_utf8_lossy(&full[before.len()..]).into_owned();
+        assert!(text.starts_with("# batch 0 3 "), "{text}");
+        assert_eq!(text.lines().count(), 4, "{text}");
+
+        // Every prefix of the one write: all three ops or none of them.
+        for cut in before.len()..=full.len() {
+            let disk = base.snapshot();
+            disk.write_atomic(&log, &full[..cut]).unwrap();
+            let (loaded, report) = Repository::load_with(&disk, dir, LoadMode::Salvage).unwrap();
+            if cut == full.len() {
+                assert_eq!(loaded.total_ops(), 3);
+                assert!(!report.torn_tail && !report.data_loss(), "{report:?}");
+            } else {
+                assert_eq!(loaded.total_ops(), 0, "cut at {cut}: {report:?}");
+                assert_eq!(report.torn_tail, cut > before.len(), "cut at {cut}");
+                // Healed: the next append starts on a clean line.
+                let (_, again) = Repository::load_with(&disk, dir, LoadMode::Salvage).unwrap();
+                assert!(again.is_clean(), "cut at {cut}: {again:?}");
+            }
+        }
+
+        // A batch damaged in place is not taken for a torn one.
+        let disk = base.snapshot();
+        let flipped = text.replacen("B2", "Bx", 1);
+        let image = [&before[..], flipped.as_bytes(), line.as_bytes()].concat();
+        disk.write_atomic(&log, &image).unwrap();
+        let (loaded, report) = Repository::load_with(&disk, dir, LoadMode::Salvage).unwrap();
+        assert_eq!(loaded.total_ops(), 0);
+        assert!(!report.torn_tail, "{report:?}");
+        assert_eq!(
+            report.first_bad_op.unwrap().reason,
+            "batch checksum mismatch"
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@ use std::path::Path;
 use sws_core::oplang::parse_statement;
 use sws_core::{ConceptKind, ModOp};
 use sws_model::diff_graphs;
-use sws_repository::io::{FaultIo, MemIo};
-use sws_repository::{append_log_line, LoadMode, RecoveryReport, Repository};
+use sws_repository::io::{FaultIo, MemIo, RepoIo};
+use sws_repository::{append_log_line, append_log_records, LoadMode, RecoveryReport, Repository};
 
 const DIR: &str = "/session";
 
@@ -310,6 +310,89 @@ fn crash_sweep_append_after_checkpoint() {
         ),
         "{report:?}"
     );
+}
+
+/// Sweep a three-op batch append over both micro-steps and many
+/// page-cache-loss seeds, so the one write is torn at many offsets: the
+/// reload is the state before the batch or after all of it, never a
+/// state after one or two of its ops.
+#[test]
+fn crash_sweep_batch_append_is_all_or_none() {
+    let pre = university_repo(4);
+    let post = university_repo(7);
+    let batch: Vec<(ConceptKind, ModOp)> = sws_corpus::university::DESIGN_SCRIPT[4..7]
+        .iter()
+        .map(|&pair| parse_pair(pair))
+        .collect();
+    let records = || batch.iter().map(|(context, op)| (*context, op));
+
+    let base = MemIo::new();
+    pre.save_with(&base, dir()).unwrap();
+    let probe = FaultIo::new(base.snapshot());
+    append_log_records(&probe, dir(), pre.total_ops(), records()).unwrap();
+    assert_eq!(probe.steps_taken(), 2, "a batch is one write + one sync");
+
+    let mut torn = 0;
+    for k in 0..2 {
+        for seed in 0..64u64 {
+            let disk = base.snapshot();
+            let io = FaultIo::new(disk.clone());
+            io.crash_at(k);
+            assert!(append_log_records(&io, dir(), pre.total_ops(), records()).is_err());
+            disk.post_crash(seed.wrapping_mul(0x9E37_79B9) + k);
+            let (loaded, report) = salvage(&disk);
+            let label = format!("batch append crash at step {k}, seed {seed}");
+            assert_pre_or_post(&loaded, &pre, &post, &label);
+            assert!(matches!(loaded.total_ops(), 4 | 7), "{label}: {report:?}");
+            torn += usize::from(report.torn_tail);
+            if report.torn_tail {
+                assert_eq!(loaded.total_ops(), 4, "{label}");
+            }
+        }
+    }
+    assert!(torn > 16, "the seeds tore the batch only {torn} times");
+}
+
+/// A crash can leave only part of a batch header: the rest of its line,
+/// and every record, never reached the disk. Salvage must report the torn
+/// line and heal it away, so the next append starts on a line of its own
+/// instead of being glued onto the fragment and read as a comment.
+#[test]
+fn a_batch_header_torn_mid_line_is_healed_before_the_next_append() {
+    let pre = university_repo(4);
+    let post = university_repo(5);
+    let batch: Vec<(ConceptKind, ModOp)> = sws_corpus::university::DESIGN_SCRIPT[4..7]
+        .iter()
+        .map(|&pair| parse_pair(pair))
+        .collect();
+    let base = MemIo::new();
+    pre.save_with(&base, dir()).unwrap();
+    let log = dir().join(sws_repository::SESSION_FILE);
+    let before = base.contents(&log).unwrap();
+    let whole = base.snapshot();
+    let records = batch.iter().map(|(context, op)| (*context, op));
+    append_log_records(&whole, dir(), pre.total_ops(), records).unwrap();
+    let written = whole.contents(&log).unwrap();
+    let header = written[before.len()..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .unwrap();
+
+    for cut in 1..=header {
+        let disk = base.snapshot();
+        disk.write_atomic(&log, &written[..before.len() + cut])
+            .unwrap();
+        let (loaded, report) = salvage(&disk);
+        assert_eq!(loaded.total_ops(), 4, "cut {cut}: {report:?}");
+        assert!(report.torn_tail && report.healed, "cut {cut}: {report:?}");
+        assert!(!report.data_loss(), "no record was lost: {report:?}");
+
+        let (context, op) = &batch[0];
+        append_log_line(&disk, dir(), loaded.total_ops(), *context, op).unwrap();
+        let (next, report) = salvage(&disk);
+        assert_pre_or_post(&next, &pre, &post, &format!("append after cut {cut}"));
+        assert_eq!(next.total_ops(), 5, "cut {cut}: {report:?}");
+    }
 }
 
 /// A transient I/O error (disk full) during save must leave the directory

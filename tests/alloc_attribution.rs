@@ -162,7 +162,7 @@ fn issue_bytes_at(history: usize) -> u64 {
     // Alternate adding and deleting one attribute: the schema stays put
     // while the op log and the undo history grow.
     let churn = |i: usize| {
-        parse_statement(if i % 2 == 0 {
+        parse_statement(if i.is_multiple_of(2) {
             "add_attribute(Course, long, zz_churn)"
         } else {
             "delete_attribute(Course, zz_churn)"

@@ -3,9 +3,10 @@
 //!
 //! * the workspace's per-interface ODL ([`Workspace::custom_odl`]) equals
 //!   a full `print_schema(graph_to_schema(..))` after every apply,
-//!   `undo_last`, `Session::rollback`, `reset` and `Workspace::resume` —
-//!   on the corpus, on `edit_stream` / `churn_stream` at 1,000 types, and
-//!   when one batch deletes a type and re-adds the same name;
+//!   `undo_last`, a rejected `Session::issue_batch`, `reset` and
+//!   `Workspace::resume` — on the corpus, on `edit_stream` /
+//!   `churn_stream` at 1,000 types, and when one batch deletes a type and
+//!   re-adds the same name;
 //! * the maintained consistency counts and concept count equal a
 //!   materialized report and `decompose(..).len()`;
 //! * snapshot isolation: a graph clone or a `ReadView` taken before N
@@ -114,17 +115,32 @@ fn deleting_and_re_adding_a_name_in_one_batch_renders_the_new_type() {
 fn session_rollback_and_resume_keep_the_blocks_exact() {
     let mut session = Session::from_odl(university::SOURCE).expect("schema ingests");
     let before = session.repository().custom_schema_odl();
-    for statement in [
+    // Three ops apply, the fourth is rejected: the batch is reverted in
+    // memory through the undo journal, as a rejected submit is.
+    let batch: Vec<(ConceptKind, ModOp)> = [
         "add_type_definition(Lab)",
         "add_attribute(Lab, long, room)",
         "delete_attribute(Person, name)",
-    ] {
-        session.issue_str(statement).expect("op applies");
-    }
-    assert_reads_match(session.repository().workspace(), "after issue");
-    session.rollback(3).expect("three steps to roll back");
+        "add_type_definition(Lab)",
+    ]
+    .iter()
+    .map(|s| {
+        (
+            ConceptKind::WagonWheel,
+            parse_statement(s).expect("statement parses"),
+        )
+    })
+    .collect();
+    let (index, _) = session
+        .issue_batch(&batch)
+        .expect_err("the last op is a duplicate");
+    assert_eq!(index, 3);
     assert_reads_match(session.repository().workspace(), "after rollback");
     assert_eq!(session.repository().custom_schema_odl(), before);
+    session
+        .issue_batch(&batch[..3])
+        .expect("the first three apply");
+    assert_reads_match(session.repository().workspace(), "after issue");
 
     // Resume from a checkpoint image: the blocks start from nothing and
     // stay exact as the resumed workspace moves on.

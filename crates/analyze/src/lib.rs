@@ -1,12 +1,11 @@
 //! `sws-analyze` — static analysis for modification-operation scripts.
 //!
-//! The analyzer is an **abstract interpreter** over op scripts: it tracks
-//! the symbolic state a script builds ([`AbsState`], a copy-on-write
-//! overlay over the starting [`SchemaGraph`]) without ever mutating a
-//! graph, and runs the *executor's own* permission matrix and precondition
-//! checker (`sws_core::check_preconditions`, generic over
-//! `SchemaView`) at every step. That construction makes it **sound against
-//! the apply pipeline by design**: the first error the analyzer predicts is
+//! The analyzer runs a script through the **executor's own code** without
+//! touching the caller's graph: at every step it runs the permission
+//! matrix and `sws_core::check_preconditions` that `Workspace::apply`
+//! runs, and it moves to the next step with the real
+//! `sws_core::ops::apply::apply_op` on a copy-on-write clone of the
+//! starting [`SchemaGraph`]. So the first error the analyzer predicts is
 //! the first error `Workspace::apply`/`replay` produces — a property the
 //! differential test suite (`tests/differential.rs`) enforces over the
 //! whole corpus and randomized scripts, with zero tolerated false
@@ -18,9 +17,11 @@
 //! diagnostics carry stable codes ([`diag`]) and the report serializes to
 //! a single JSON line with a checksum, crash-report style.
 //!
-//! Cost: O(script) graph-independent work per operation, plus whatever the
-//! shared precondition checker reads (extent checks scan live types in the
-//! executor too — see `docs/static-analysis.md` for the caveat).
+//! Cost: op *i* is applied only once op *i + 1* needs its effect, so a
+//! one-op script never clones. A longer script pays one clone (a refcount
+//! bump per 32-slot arena chunk), one chunk copy for each chunk it first
+//! writes, and the executor's own cost per op (precondition extent checks
+//! scan live types there too — see `docs/static-analysis.md`).
 //!
 //! Observability: `core.analyze` span; counters `core.analyze.scripts`,
 //! `core.analyze.ops`, `core.analyze.findings`,
@@ -30,20 +31,23 @@
 
 pub mod commute;
 pub mod diag;
-pub mod state;
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use sws_core::ops::apply::apply_op;
 use sws_core::{check_preconditions, print_op, ConceptKind, ConstraintViolation, ModOp, OpError};
-use sws_model::{SchemaGraph, SchemaView};
+use sws_model::SchemaGraph;
 use sws_odl::OdlError;
 
 pub use commute::{commutes, footprint, Footprint};
 pub use diag::{code_for, Finding, LintReport, Severity, SCHEMA_VERSION};
-pub use state::AbsState;
 
 /// Analyze a script of `(context, op)` pairs against the `base` working
 /// schema, judging semantic stability against `shrink_wrap` — exactly the
 /// inputs `Workspace::replay` would consume. Never mutates either graph.
+///
+/// The last op is checked but never applied, so an `apply_op` refusal
+/// after clean preconditions is predicted for every op but that one.
 pub fn analyze_ops(
     base: &SchemaGraph,
     shrink_wrap: &SchemaGraph,
@@ -52,7 +56,7 @@ pub fn analyze_ops(
     let mut sp = sws_trace::span!("core.analyze", ops = script.len());
     sws_trace::counter("core.analyze.scripts", 1);
     let matrix = sws_core::ops::PermissionMatrix::new();
-    let mut state = AbsState::new(base);
+    let mut working = Cow::Borrowed(base);
     let mut report = LintReport {
         ops: script.len(),
         ..LintReport::default()
@@ -66,8 +70,22 @@ pub fn analyze_ops(
     let mut pending_modifies: HashMap<String, Vec<usize>> = HashMap::new();
     let mut footprints = Vec::with_capacity(script.len());
     let mut accepted = 0usize;
+    // Findings recorded before the last accepted op's hygiene warnings.
+    let mut findings_before_last = 0usize;
 
     for (i, (context, op)) in script.iter().enumerate() {
+        // Op i - 1 passed its checks; apply it now that op i needs its
+        // effect. A refusal here is what `Workspace::apply` returns for it.
+        if i > 0 {
+            if let Err(e) = apply_op(working.to_mut(), &script[i - 1].1) {
+                report.findings.truncate(findings_before_last);
+                footprints.pop();
+                accepted -= 1;
+                report.stopped_at = Some(i - 1);
+                report.predicted = Some(e);
+                break;
+            }
+        }
         sws_trace::counter("core.analyze.ops", 1);
         if !matrix.allows(*context, op.kind()) {
             report.findings.push(Finding {
@@ -88,7 +106,7 @@ pub fn analyze_ops(
             });
             break;
         }
-        let violations = check_preconditions(op, &state, shrink_wrap);
+        let violations = check_preconditions(op, &working, shrink_wrap);
         if !violations.is_empty() {
             for v in &violations {
                 let deleted_earlier = match v {
@@ -112,7 +130,8 @@ pub fn analyze_ops(
             break;
         }
 
-        // The op is accepted: hygiene warnings, then the state transfer.
+        // The op is accepted: hygiene warnings, read off the pre-op graph.
+        findings_before_last = report.findings.len();
         if let Some(msg) = redundant_modify(op) {
             report.findings.push(Finding {
                 index: i,
@@ -123,7 +142,7 @@ pub fn analyze_ops(
             });
         }
         track_script_flow(
-            &state,
+            &working,
             op,
             i,
             &mut created,
@@ -133,7 +152,6 @@ pub fn analyze_ops(
             &mut report.findings,
         );
         footprints.push(commute::footprint(op));
-        state.transfer(op);
         accepted += 1;
     }
 
@@ -240,12 +258,12 @@ fn redundant_modify(op: &ModOp) -> Option<String> {
 
 /// Track creations, deletions, and in-place modifies across the script:
 /// feeds the A002 refinement, W102 (delete of own create), and W103 (a
-/// modify whose construct a later op deletes). Runs *before* the state
-/// transfer of `op`, so deletions can resolve the constructs they remove
-/// (e.g. the inverse end of a relationship) through the still-live state.
+/// modify whose construct a later op deletes). Reads `g` *before* `op` is
+/// applied, so deletions can resolve the constructs they remove (e.g. the
+/// inverse end of a relationship) while they are still live.
 #[allow(clippy::too_many_arguments)]
 fn track_script_flow(
-    state: &AbsState<'_>,
+    g: &SchemaGraph,
     op: &ModOp,
     i: usize,
     created: &mut HashSet<String>,
@@ -291,23 +309,19 @@ fn track_script_flow(
             warn_own_create(ty, findings);
             drain_modifies(ty, pending_modifies, findings);
             // Members and incident edges die with the type.
-            if let Some(id) = SchemaView::type_id(state, ty) {
-                let node = state.ty(id);
+            if let Some(id) = g.type_id(ty) {
+                let node = g.ty(id);
                 for &(rid, e) in &node.rel_ends {
-                    let far = state.rel(rid).end(1 - e);
+                    let far = g.rel(rid).end(1 - e);
                     deleted_members
-                        .insert((state.type_name(far.owner).to_string(), far.path.to_string()));
+                        .insert((g.type_name(far.owner).to_string(), far.path.to_string()));
                 }
                 for &lid in node.parent_links.iter().chain(&node.child_links) {
-                    let l = state.link(lid);
-                    deleted_members.insert((
-                        state.type_name(l.parent).to_string(),
-                        l.parent_path.to_string(),
-                    ));
-                    deleted_members.insert((
-                        state.type_name(l.child).to_string(),
-                        l.child_path.to_string(),
-                    ));
+                    let l = g.link(lid);
+                    deleted_members
+                        .insert((g.type_name(l.parent).to_string(), l.parent_path.to_string()));
+                    deleted_members
+                        .insert((g.type_name(l.child).to_string(), l.child_path.to_string()));
                 }
             }
             let prefix = format!("{ty}::");
@@ -362,11 +376,11 @@ fn track_script_flow(
             warn_own_create(&key, findings);
             drain_modifies(&key, pending_modifies, findings);
             deleted_members.insert((ty.clone(), path.clone()));
-            // The inverse end, resolved through the pre-transfer state.
-            if let Some(id) = SchemaView::type_id(state, ty) {
-                if let Some((rid, e)) = state.find_rel_end(id, path) {
-                    let far = state.rel(rid).end(1 - e);
-                    let far_ty = state.type_name(far.owner).to_string();
+            // The inverse end, resolved through the pre-transfer g.
+            if let Some(id) = g.type_id(ty) {
+                if let Some((rid, e)) = g.find_rel_end(id, path) {
+                    let far = g.rel(rid).end(1 - e);
+                    let far_ty = g.type_name(far.owner).to_string();
                     let far_path = far.path.to_string();
                     drain_modifies(&member_key(&far_ty, &far_path), pending_modifies, findings);
                     deleted_members.insert((far_ty, far_path));
@@ -383,11 +397,11 @@ fn track_script_flow(
                 ModOp::DeletePartOfRelationship { .. } => sws_odl::HierKind::PartOf,
                 _ => sws_odl::HierKind::InstanceOf,
             };
-            if let Some(id) = SchemaView::type_id(state, ty) {
-                if let Some((lid, _)) = state.find_link(kind, id, path) {
-                    let l = state.link(lid);
+            if let Some(id) = g.type_id(ty) {
+                if let Some((lid, _)) = g.find_link(kind, id, path) {
+                    let l = g.link(lid);
                     for (t, p) in [(l.parent, l.parent_path), (l.child, l.child_path)] {
-                        let tn = state.type_name(t).to_string();
+                        let tn = g.type_name(t).to_string();
                         drain_modifies(&member_key(&tn, p.as_str()), pending_modifies, findings);
                         deleted_members.insert((tn, p.to_string()));
                     }
@@ -576,8 +590,64 @@ mod tests {
         assert_eq!(r.commuting_pairs, vec![(0, 1)]);
     }
 
+    /// The analyzer must agree with `Workspace::replay` on where `script`
+    /// stops and why.
+    fn assert_matches_replay(g: &SchemaGraph, script: &[(ConceptKind, ModOp)]) -> LintReport {
+        let report = analyze_ops(g, g, script);
+        let replayed = sws_core::Workspace::new(g.clone()).replay(script.iter().cloned());
+        let (stopped_at, predicted) = match replayed {
+            Ok(()) => (None, None),
+            Err((i, e)) => (Some(i), Some(e)),
+        };
+        assert_eq!(
+            (report.stopped_at, &report.predicted),
+            (stopped_at, &predicted)
+        );
+        report
+    }
+
     #[test]
-    fn isa_cycle_is_a005_on_the_abstract_hierarchy() {
+    fn each_op_sees_the_effect_of_every_earlier_op() {
+        let g = dept();
+        let delete_employee = ww(ModOp::DeleteTypeDefinition {
+            ty: "Employee".into(),
+        });
+        // Op 2 reuses the path that op 0's cascade freed on Department, and
+        // targets the type op 1 adds.
+        let report = assert_matches_replay(
+            &g,
+            &[
+                delete_employee.clone(),
+                ww(ModOp::AddTypeDefinition {
+                    ty: "Course".into(),
+                }),
+                ww(ModOp::AddRelationship {
+                    ty: "Department".into(),
+                    target: "Course".into(),
+                    cardinality: sws_odl::Cardinality::Many(sws_odl::CollectionKind::Set),
+                    path: "has".into(),
+                    inverse_path: "offered_by".into(),
+                    order_by: Vec::new(),
+                }),
+            ],
+        );
+        assert!(report.passes(), "{report:?}");
+        // Op 1 deletes what op 0's cascade already removed.
+        let report = assert_matches_replay(
+            &g,
+            &[
+                delete_employee,
+                ww(ModOp::DeleteRelationship {
+                    ty: "Department".into(),
+                    path: "has".into(),
+                }),
+            ],
+        );
+        assert_eq!(report.stopped_at, Some(1));
+    }
+
+    #[test]
+    fn isa_cycle_is_a005_on_the_working_hierarchy() {
         let g = dept();
         // Person under Employee closes a cycle with the existing edge.
         let r = analyze_ops(

@@ -20,7 +20,7 @@
 
 use crate::ops::ModOp;
 use std::fmt;
-use sws_model::{SchemaGraph, SchemaView, Symbol, TypeId};
+use sws_model::{query, SchemaGraph, Symbol, TypeId};
 use sws_odl::{DomainType, HierKind, Key};
 
 /// Render an order-by list of interned symbols for a violation message.
@@ -239,17 +239,13 @@ impl fmt::Display for ConstraintViolation {
 /// for the semantic-stability reference hierarchy. Returns all violations
 /// (empty = the operation may be applied).
 ///
-/// The one precondition entry point. `working` is any [`SchemaView`]: the
-/// executor passes its working [`SchemaGraph`], `sws-analyze` its abstract
-/// overlay state, so the static analyzer runs the *same* checks the apply
-/// pipeline does — soundness by construction, not by reimplementation.
-/// Every hierarchy query walks the view fresh; there is no memo.
-///
-/// The shrink-wrap side stays concrete: it is immutable during both real
-/// application and analysis, so it never needs the abstraction.
-pub fn check_preconditions<V: SchemaView + ?Sized>(
+/// The one precondition entry point: `Workspace::apply` runs it on its
+/// working graph, and `sws-analyze` on its own lazily cloned copy, so the
+/// static analyzer runs the *same* checks the apply pipeline does. Every
+/// hierarchy query walks the graph fresh; there is no memo.
+pub fn check_preconditions(
     op: &ModOp,
-    working: &V,
+    working: &SchemaGraph,
     shrink_wrap: &SchemaGraph,
 ) -> Vec<ConstraintViolation> {
     let mut v = Vec::new();
@@ -261,12 +257,12 @@ pub fn check_preconditions<V: SchemaView + ?Sized>(
     v
 }
 
-struct Ctx<'a, V: SchemaView + ?Sized> {
-    g: &'a V,
+struct Ctx<'a> {
+    g: &'a SchemaGraph,
     sw: &'a SchemaGraph,
 }
 
-impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
+impl Ctx<'_> {
     fn require(&self, name: &str, v: &mut Vec<ConstraintViolation>) -> Option<TypeId> {
         match self.g.type_id(name) {
             Some(id) => Some(id),
@@ -286,9 +282,9 @@ impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
             return;
         }
         let ok = match (self.sw.type_id(from), self.sw.type_id(to)) {
-            (Some(a), Some(b)) => self.sw.on_same_generalization_path(a, b),
+            (Some(a), Some(b)) => query::on_same_generalization_path(self.sw, a, b),
             _ => match (self.g.type_id(from), self.g.type_id(to)) {
-                (Some(a), Some(b)) => self.g.on_same_generalization_path(a, b),
+                (Some(a), Some(b)) => query::on_same_generalization_path(self.g, a, b),
                 _ => return, // unknown types reported elsewhere
             },
         };
@@ -320,7 +316,7 @@ impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
         }
         // Ancestors: operations may override operations; nothing else may
         // shadow anything.
-        for &anc in self.g.ancestors(ty).iter() {
+        for &anc in query::ancestors(self.g, ty).iter() {
             if let Some(their_op) = member_is_op(self.g, anc, name) {
                 if !(is_op && their_op) {
                     v.push(ConstraintViolation::InheritedConflict {
@@ -334,7 +330,7 @@ impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
         }
         // Descendants: a new non-operation member must not be shadowed by /
         // shadow existing descendant members.
-        for &desc in self.g.descendants(ty).iter() {
+        for &desc in query::descendants(self.g, ty).iter() {
             if let Some(their_op) = member_is_op(self.g, desc, name) {
                 if !(is_op && their_op) {
                     v.push(ConstraintViolation::InheritedConflict {
@@ -351,9 +347,7 @@ impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
     fn check_attrs_visible(&self, ty: TypeId, attrs: &[String], v: &mut Vec<ConstraintViolation>) {
         for attr in attrs {
             let visible = self.g.find_attr(ty, attr).is_some()
-                || self
-                    .g
-                    .ancestors(ty)
+                || query::ancestors(self.g, ty)
                     .iter()
                     .any(|&anc| self.g.find_attr(anc, attr).is_some());
             if !visible {
@@ -412,7 +406,7 @@ impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
                         sup: supertype.clone(),
                     });
                 }
-                if self.g.is_ancestor(sub, sup) {
+                if query::is_ancestor(self.g, sub, sup) {
                     v.push(ConstraintViolation::GeneralizationCycle {
                         sub: ty.clone(),
                         sup: supertype.clone(),
@@ -465,11 +459,11 @@ impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
                         continue;
                     }
                     // A cycle through an edge not being removed.
-                    if self.g.is_ancestor(sub, sup)
+                    if query::is_ancestor(self.g, sub, sup)
                         && !old.iter().any(|o| {
                             self.g
                                 .type_id(o)
-                                .map(|oid| self.g.is_ancestor(oid, sup) || oid == sup)
+                                .map(|oid| query::is_ancestor(self.g, oid, sup) || oid == sup)
                                 .unwrap_or(false)
                         })
                     {
@@ -492,7 +486,7 @@ impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
                 }
                 if self
                     .g
-                    .types_iter()
+                    .types()
                     .any(|(_, n)| n.extent.as_deref() == Some(extent))
                 {
                     v.push(ConstraintViolation::ExtentInUse(extent.clone()));
@@ -525,7 +519,7 @@ impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
                     }),
                     _ => {}
                 }
-                if self.g.types_iter().any(|(other, n)| {
+                if self.g.types().any(|(other, n)| {
                     Some(other) != self.g.type_id(ty) && n.extent.as_deref() == Some(new)
                 }) {
                     v.push(ConstraintViolation::ExtentInUse(new.clone()));
@@ -1012,8 +1006,8 @@ impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
             });
             return;
         }
-        let ancs = self.g.ancestors(to);
-        let descs = self.g.descendants(to);
+        let ancs = query::ancestors(self.g, to);
+        let descs = query::descendants(self.g, to);
         for &related in ancs.iter().chain(descs.iter()) {
             if related == from {
                 continue;
@@ -1040,9 +1034,9 @@ impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
         sup: TypeId,
         v: &mut Vec<ConstraintViolation>,
     ) {
-        let sup_members = self.g.visible_members(sup);
+        let sup_members = query::visible_members(self.g, sup);
         let mut subtree = vec![sub];
-        subtree.extend(self.g.descendants(sub).iter().copied());
+        subtree.extend(query::descendants(self.g, sub).iter().copied());
         for t in subtree {
             for (name, _) in own_members(self.g, t) {
                 if let Some((_, def)) = sup_members.iter().find(|(n, _)| *n == name) {
@@ -1262,7 +1256,7 @@ impl<'a, V: SchemaView + ?Sized> Ctx<'a, V> {
 }
 
 /// Does `t` define a member named `name`? Returns `Some(is_operation)`.
-fn member_is_op<V: SchemaView + ?Sized>(g: &V, t: TypeId, name: &str) -> Option<bool> {
+fn member_is_op(g: &SchemaGraph, t: TypeId, name: &str) -> Option<bool> {
     if g.find_op(t, name).is_some() {
         return Some(true);
     }
@@ -1277,7 +1271,7 @@ fn member_is_op<V: SchemaView + ?Sized>(g: &V, t: TypeId, name: &str) -> Option<
 }
 
 /// The member names `t` itself defines, with an is-operation flag.
-fn own_members<V: SchemaView + ?Sized>(g: &V, t: TypeId) -> Vec<(Symbol, bool)> {
+fn own_members(g: &SchemaGraph, t: TypeId) -> Vec<(Symbol, bool)> {
     let node = g.ty(t);
     let mut out = Vec::new();
     for &a in &node.attrs {
@@ -1299,12 +1293,7 @@ fn own_members<V: SchemaView + ?Sized>(g: &V, t: TypeId) -> Vec<(Symbol, bool)> 
 }
 
 /// Is `above` an ancestor of (or equal to) `start` in the `kind` hierarchy?
-fn hier_is_ancestor<V: SchemaView + ?Sized>(
-    g: &V,
-    kind: HierKind,
-    above: TypeId,
-    start: TypeId,
-) -> bool {
+fn hier_is_ancestor(g: &SchemaGraph, kind: HierKind, above: TypeId, start: TypeId) -> bool {
     if above == start {
         return true;
     }
@@ -1314,7 +1303,7 @@ fn hier_is_ancestor<V: SchemaView + ?Sized>(
         if !seen.insert(t) {
             continue;
         }
-        for (_, p) in g.hier_parents(kind, t) {
+        for (_, p) in query::hier_parents(g, kind, t) {
             if p == above {
                 return true;
             }
@@ -1325,8 +1314,8 @@ fn hier_is_ancestor<V: SchemaView + ?Sized>(
 }
 
 /// As [`hier_is_ancestor`], ignoring one link.
-fn hier_is_ancestor_excluding<V: SchemaView + ?Sized>(
-    g: &V,
+fn hier_is_ancestor_excluding(
+    g: &SchemaGraph,
     kind: HierKind,
     skip: sws_model::LinkId,
     above: TypeId,
@@ -1341,7 +1330,7 @@ fn hier_is_ancestor_excluding<V: SchemaView + ?Sized>(
         if !seen.insert(t) {
             continue;
         }
-        for (l, p) in g.hier_parents(kind, t) {
+        for (l, p) in query::hier_parents(g, kind, t) {
             if l == skip {
                 continue;
             }

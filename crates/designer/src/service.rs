@@ -259,7 +259,7 @@ pub struct ReadView {
     /// Cross-schema consistency error / warning counts at the head.
     pub errors: usize,
     pub warnings: usize,
-    /// Head working graph (for lint's abstract interpreter).
+    /// Head working graph (for the lint analyzer).
     pub working: Arc<SchemaGraph>,
     /// The immutable shrink-wrap schema.
     pub shrink: Arc<SchemaGraph>,

@@ -66,11 +66,19 @@ fn spawn_serve(args: &[&str]) -> (Child, BufReader<ChildStdout>, SocketAddr) {
     (child, stdout, addr)
 }
 
+/// Connect to a live server with `TCP_NODELAY`, so a request never waits
+/// on Nagle's algorithm for the server's delayed ACK.
+fn dial(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+}
+
 /// One JSONL request/response round trip against a live server.
 fn rpc(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
-    stream.write_all(line.as_bytes()).expect("send");
-    stream.write_all(b"\n").expect("send");
-    stream.flush().expect("flush");
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
     let mut response = String::new();
     reader.read_line(&mut response).expect("recv");
     response.trim_end().to_string()
@@ -174,7 +182,7 @@ fn clean_shutdown_flushes_autosave_and_exits_0() {
         "--addr=127.0.0.1:0",
         "serve",
     ]);
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = dial(addr);
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
         .expect("timeout");
@@ -253,7 +261,7 @@ fn naive_clients_never_wait_on_nagle() {
     ]);
     let mut server = Reap(child);
     let connect = || {
-        let stream = TcpStream::connect(addr).expect("connect");
+        let stream = dial(addr);
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
@@ -369,7 +377,7 @@ fn http_bodies_with_unusable_content_length_get_400_and_close() {
     ]);
     let mut server = Reap(child);
     let connect = || {
-        let stream = TcpStream::connect(addr).expect("connect");
+        let stream = dial(addr);
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
@@ -472,7 +480,7 @@ fn over_long_lines_get_malformed_frame_and_close() {
     ]);
     let mut server = Reap(child);
     let connect = || {
-        let stream = TcpStream::connect(addr).expect("connect");
+        let stream = dial(addr);
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
@@ -554,7 +562,7 @@ fn non_utf8_lines_get_malformed_frame_and_keep_the_connection() {
         "serve",
     ]);
     let mut server = Reap(child);
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = dial(addr);
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("timeout");
@@ -643,7 +651,7 @@ fn non_utf8_http_bodies_get_400_and_keep_the_connection() {
         "serve",
     ]);
     let mut server = Reap(child);
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = dial(addr);
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("timeout");
@@ -671,7 +679,7 @@ fn non_utf8_http_bodies_get_400_and_keep_the_connection() {
     assert!(body.contains("\"type\":\"opened\""), "{body}");
 
     drop((stream, reader));
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = dial(addr);
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let bye = rpc(&mut stream, &mut reader, "{\"type\":\"shutdown\"}");
     assert!(bye.contains("\"type\":\"bye\""), "{bye}");
@@ -701,7 +709,7 @@ fn deeply_nested_frames_get_malformed_frame_and_keep_the_connection() {
         "serve",
     ]);
     let mut server = Reap(child);
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = dial(addr);
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("timeout");
@@ -760,12 +768,10 @@ fn rejected_batches_do_not_stall_other_clients_on_a_durable_daemon() {
     ]);
     let mut server = Reap(child);
     let connect = || {
-        let stream = TcpStream::connect(addr).expect("connect");
+        let stream = dial(addr);
         stream
             .set_read_timeout(Some(Duration::from_secs(120)))
             .expect("timeout");
-        // `rpc` sends a line and its newline in two writes.
-        stream.set_nodelay(true).expect("nodelay");
         let reader = BufReader::new(stream.try_clone().expect("clone"));
         (stream, reader)
     };

@@ -59,6 +59,7 @@ impl Wire {
         stream
             .set_read_timeout(Some(Duration::from_secs(600)))
             .expect("read timeout");
+        stream.set_nodelay(true).expect("nodelay");
         Wire {
             reader: BufReader::new(stream.try_clone().expect("clone")),
             writer: stream,
@@ -68,9 +69,9 @@ impl Wire {
     }
 
     fn rpc(&mut self, line: &str) -> Json {
-        self.writer.write_all(line.as_bytes()).expect("send");
-        self.writer.write_all(b"\n").expect("send");
-        self.writer.flush().expect("flush");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
         let mut response = String::new();
         self.reader.read_line(&mut response).expect("recv");
         Json::parse(response.trim_end()).expect("response parses")

@@ -46,27 +46,6 @@ pub struct TypeNode {
     pub(crate) alive: bool,
 }
 
-impl TypeNode {
-    /// A new, live, empty type node. States that build nodes outside a
-    /// graph (the static analyzer's overlay) start from this.
-    pub fn fresh(name: Symbol) -> TypeNode {
-        TypeNode {
-            name,
-            is_abstract: false,
-            extent: None,
-            keys: Vec::new(),
-            supertypes: Vec::new(),
-            subtypes: Vec::new(),
-            attrs: Vec::new(),
-            rel_ends: Vec::new(),
-            ops: Vec::new(),
-            parent_links: Vec::new(),
-            child_links: Vec::new(),
-            alive: true,
-        }
-    }
-}
-
 /// An attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttrNode {
@@ -79,19 +58,6 @@ pub struct AttrNode {
     /// Optional size constraint.
     pub size: Option<u32>,
     pub(crate) alive: bool,
-}
-
-impl AttrNode {
-    /// A new, live attribute node (see [`TypeNode::fresh`]).
-    pub fn fresh(owner: TypeId, name: Symbol, ty: DomainType, size: Option<u32>) -> AttrNode {
-        AttrNode {
-            owner,
-            name,
-            ty,
-            size,
-            alive: true,
-        }
-    }
 }
 
 /// One end of a relationship.
@@ -116,11 +82,6 @@ pub struct RelNode {
 }
 
 impl RelNode {
-    /// A new, live relationship node (see [`TypeNode::fresh`]).
-    pub fn fresh(ends: [RelEnd; 2]) -> RelNode {
-        RelNode { ends, alive: true }
-    }
-
     /// The end at `idx` (0 or 1).
     pub fn end(&self, idx: u8) -> &RelEnd {
         &self.ends[idx as usize]
@@ -145,20 +106,6 @@ pub struct OpNode {
     pub(crate) alive: bool,
 }
 
-impl OpNode {
-    /// A new, live operation node (see [`TypeNode::fresh`]). The interned
-    /// name is derived from the signature, like [`SchemaGraph::add_operation`]
-    /// does.
-    pub fn fresh(owner: TypeId, op: Operation) -> OpNode {
-        OpNode {
-            owner,
-            name: Symbol::intern(&op.name),
-            op,
-            alive: true,
-        }
-    }
-}
-
 /// A part-of or instance-of link. The parent side (whole / generic entity)
 /// is collection-valued; the child side (component / instance entity) is
 /// single-valued — the implicit 1:N cardinality of the paper's extensions.
@@ -179,30 +126,6 @@ pub struct LinkNode {
     /// Traversal path on the child side (e.g. `wall_of`), interned.
     pub child_path: Symbol,
     pub(crate) alive: bool,
-}
-
-impl LinkNode {
-    /// A new, live link node (see [`TypeNode::fresh`]).
-    pub fn fresh(
-        kind: HierKind,
-        parent: TypeId,
-        parent_path: Symbol,
-        collection: CollectionKind,
-        order_by: Vec<Symbol>,
-        child: TypeId,
-        child_path: Symbol,
-    ) -> LinkNode {
-        LinkNode {
-            kind,
-            parent,
-            parent_path,
-            collection,
-            order_by,
-            child,
-            child_path,
-            alive: true,
-        }
-    }
 }
 
 /// Which side of a [`LinkNode`] a lookup landed on.
@@ -924,23 +847,14 @@ impl SchemaGraph {
         let mut report = CascadeReport::default();
         let name = self.ty(id).name;
 
-        // Relationships with an end here.
-        let incident_rels: Vec<RelId> = self
-            .rels()
-            .filter(|(_, r)| r.ends[0].owner == id || r.ends[1].owner == id)
-            .map(|(rid, _)| rid)
-            .collect();
-        for rid in incident_rels {
+        // Relationships with an end here, then hierarchy links touching
+        // this type, each in id order.
+        for rid in self.incident_rels(id) {
             report.merge(self.remove_relationship(rid)?);
         }
-
-        // Hierarchy links touching this type.
-        let incident_links: Vec<LinkId> = self
-            .links()
-            .filter(|(_, l)| l.parent == id || l.child == id)
-            .map(|(lid, _)| lid)
-            .collect();
-        for lid in incident_links {
+        let node = self.ty(id);
+        let links = sorted_unique(node.parent_links.iter().chain(&node.child_links).copied());
+        for lid in links {
             report.merge(self.remove_link(lid)?);
         }
 
@@ -1187,35 +1101,39 @@ impl SchemaGraph {
         }
         // Order-by lists of relationship ends whose *target* is `owner`,
         // i.e. ends opposite to ends owned by `owner`.
-        for r in 0..self.rels.len() {
-            if !self.rels[r].alive {
-                continue;
-            }
+        for rid in self.incident_rels(owner) {
+            let r = rid.index();
             for e in 0..2 {
                 if self.rels[r].ends[1 - e].owner == owner
                     && self.rels[r].ends[e].order_by.contains(&name)
                 {
                     let end_owner = self.ty(self.rels[r].ends[e].owner).name;
                     let path = self.rels[r].ends[e].path;
-                    self.touch_rel(RelId(r as u32));
+                    self.touch_rel(rid);
                     self.rels[r].ends[e].order_by.retain(|&a| a != name);
                     report.order_by_pruned.push((end_owner, path, name));
                 }
             }
         }
         // Order-by lists of links whose child type is `owner`.
-        for l in 0..self.links.len() {
-            if !self.links[l].alive {
-                continue;
-            }
-            if self.links[l].child == owner && self.links[l].order_by.contains(&name) {
+        for lid in sorted_unique(self.ty(owner).child_links.iter().copied()) {
+            let l = lid.index();
+            if self.links[l].order_by.contains(&name) {
                 let parent_name = self.ty(self.links[l].parent).name;
                 let path = self.links[l].parent_path;
-                self.touch_link(LinkId(l as u32));
+                self.touch_link(lid);
                 self.links[l].order_by.retain(|&a| a != name);
                 report.order_by_pruned.push((parent_name, path, name));
             }
         }
+    }
+
+    /// The live relationships with an end owned by `t`, found through its
+    /// adjacency list in id order, so a cascade reports them in the order
+    /// an arena scan would. The list itself is not sorted: a retargeted
+    /// end is pushed at the back, and a self-loop is registered twice.
+    fn incident_rels(&self, t: TypeId) -> Vec<RelId> {
+        sorted_unique(self.ty(t).rel_ends.iter().map(|&(r, _)| r))
     }
 
     // ------------------------------------------------------------------
@@ -1788,6 +1706,14 @@ impl SchemaGraph {
             _ => Err(ModelError::DeadType(id)),
         }
     }
+}
+
+/// `ids` sorted with duplicates removed.
+fn sorted_unique<I: Ord>(ids: impl Iterator<Item = I>) -> Vec<I> {
+    let mut v: Vec<I> = ids.collect();
+    v.sort_unstable();
+    v.dedup();
+    v
 }
 
 #[cfg(test)]

@@ -9,10 +9,9 @@
 //!
 //! Edges are visited in the graph's arena-vec order (the order mutators
 //! appended them), so every traversal returns exactly what the eager
-//! [`crate::query`] routine returns. That routine — the generic BFS in
-//! [`crate::view`] — is the reference; this copy exists only for the
-//! consistency recheck's zero-allocation hot path, and tests pin the two
-//! to each other under arbitrary mutation.
+//! [`crate::query`] routine returns. That routine is the reference; this
+//! copy exists only for the consistency recheck's zero-allocation hot
+//! path, and tests pin the two to each other under arbitrary mutation.
 
 use crate::graph::SchemaGraph;
 use crate::ids::{LinkId, TypeId};

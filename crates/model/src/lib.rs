@@ -16,7 +16,11 @@
 //! * [`lower`] — lossless conversion between `sws_odl::Schema` ASTs and
 //!   graphs,
 //! * [`query`] — generalization/aggregation/instance-of hierarchy queries
-//!   (ancestors, descendants, roots, paths, components),
+//!   (ancestors, descendants, visible members, roots, components): the
+//!   one traversal backend the precondition checker and every caller use,
+//! * [`index`] — [`ClosureScratch`], the allocation-free copy of those
+//!   walks for the consistency recheck, pinned to [`query`] by tests,
+//! * [`intern`] — interned names ([`Symbol`]),
 //! * [`wf`] — graph-level well-formedness checking,
 //! * [`diff`] — structural diff between two graphs,
 //! * [`error`] — mutation error type.
@@ -31,7 +35,6 @@ pub mod index;
 pub mod intern;
 pub mod lower;
 pub mod query;
-pub mod view;
 pub mod wf;
 
 pub use diff::{diff_graphs, MemberChange, SchemaDiff, TypeDiff};
@@ -45,5 +48,4 @@ pub use ids::{AttrId, LinkId, OpId, RelId, TypeId};
 pub use index::ClosureScratch;
 pub use intern::{SymKey, Symbol};
 pub use lower::{graph_to_schema, schema_to_graph, type_to_interface, LowerError};
-pub use view::SchemaView;
 pub use wf::{check_type_into, check_type_well_formed, check_well_formed, WfIssue, WfScratch};

@@ -2,22 +2,37 @@
 //! part-of / instance-of structure, roots, components, and the
 //! *semantic-stability* predicate the paper's move operations require.
 
-use crate::graph::SchemaGraph;
+use crate::graph::{SchemaGraph, TypeNode};
 use crate::ids::{LinkId, TypeId};
 use crate::intern::Symbol;
 use std::collections::{BTreeSet, VecDeque};
 use sws_odl::HierKind;
 
-/// All strict ancestors of `t` via supertype edges, in BFS order.
-/// (Delegates to the generic traversal in [`crate::view`]; the checker and
-/// the static analyzer run the same BFS over their own views.)
+/// All strict ancestors of `t` via supertype edges, in BFS order. Every
+/// query is computed fresh: there is no memo to invalidate.
 pub fn ancestors(g: &SchemaGraph, t: TypeId) -> Vec<TypeId> {
-    crate::view::ancestors_of(g, t)
+    bfs(g, t, |n| &n.supertypes)
 }
 
 /// All strict descendants of `t` via subtype edges, in BFS order.
 pub fn descendants(g: &SchemaGraph, t: TypeId) -> Vec<TypeId> {
-    crate::view::descendants_of(g, t)
+    bfs(g, t, |n| &n.subtypes)
+}
+
+/// Breadth-first walk from `t`'s `next` neighbours, `t` itself excluded
+/// unless a cycle reaches it.
+fn bfs(g: &SchemaGraph, t: TypeId, next: impl Fn(&TypeNode) -> &[TypeId]) -> Vec<TypeId> {
+    let mut out = Vec::new();
+    let mut seen = BTreeSet::new();
+    let mut queue: VecDeque<TypeId> = next(g.ty(t)).iter().copied().collect();
+    while let Some(current) = queue.pop_front() {
+        if !seen.insert(current) {
+            continue;
+        }
+        out.push(current);
+        queue.extend(next(g.ty(current)).iter().copied());
+    }
+    out
 }
 
 /// True if `a` is a strict ancestor of `b`.
@@ -140,7 +155,42 @@ pub fn hier_closure(g: &SchemaGraph, kind: HierKind, root: TypeId) -> (Vec<TypeI
 /// ancestors. Returns `(name, defining type)` pairs; for overridden
 /// operations only the nearest definition is kept.
 pub fn visible_members(g: &SchemaGraph, t: TypeId) -> Vec<(Symbol, TypeId)> {
-    crate::view::visible_members_of(g, t)
+    let mut out: Vec<(Symbol, TypeId)> = Vec::new();
+    let mut have: BTreeSet<Symbol> = BTreeSet::new();
+    let mut layer = vec![t];
+    let mut seen = BTreeSet::new();
+    while !layer.is_empty() {
+        let mut next = Vec::new();
+        for &current in &layer {
+            if !seen.insert(current) {
+                continue;
+            }
+            let node = g.ty(current);
+            let mut push = |name: Symbol| {
+                if have.insert(name) {
+                    out.push((name, current));
+                }
+            };
+            for &a in &node.attrs {
+                push(g.attr(a).name);
+            }
+            for &(r, e) in &node.rel_ends {
+                push(g.rel(r).end(e).path);
+            }
+            for &o in &node.ops {
+                push(g.op(o).name);
+            }
+            for &l in &node.parent_links {
+                push(g.link(l).parent_path);
+            }
+            for &l in &node.child_links {
+                push(g.link(l).child_path);
+            }
+            next.extend(node.supertypes.iter().copied());
+        }
+        layer = next;
+    }
+    out
 }
 
 #[cfg(test)]

@@ -39,7 +39,11 @@
 //! * `submit/durable_batchN` — p50/p90 of one accepted N-op submit at
 //!   head on the university schema, with the session saved to a real
 //!   temporary directory: the batch's records reach `session.ops` in one
-//!   fsynced append, so N ops cost one fsync, not N.
+//!   fsynced append, so N ops cost one fsync, not N;
+//! * `submit/historyN` — p50/p90 of one accepted single-op submit at head
+//!   on the university schema after N accepted `churn_stream` ops, which
+//!   keep the schema the same size: what a submit pays for the session's
+//!   length alone (see `docs/performance.md`, "One history window").
 //!
 //! `report.sizes` records the session-count sweep; the type counts are
 //! in the row labels. Override the iteration count with
@@ -58,7 +62,7 @@ use std::cell::Cell;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
-use sws_bench::edit_scripts::edit_stream;
+use sws_bench::edit_scripts::{churn_stream, edit_stream};
 use sws_bench::report::BenchReport;
 use sws_bench::timing::Runner;
 use sws_core::{print_op, ConceptKind};
@@ -75,6 +79,7 @@ const SESSIONS: [usize; 4] = [1, 4, 16, 64];
 const TYPES: [usize; 2] = [1_000, 10_000];
 const LAGS: [u64; 3] = [1, 16, 128];
 const DURABLE_BATCHES: [usize; 3] = [1, 2, 8];
+const HISTORY: [usize; 2] = [100, 10_000];
 
 /// p99 may wobble on a loaded CI host even when the service is flat
 /// across session counts; the ratio check gets this much absolute grace.
@@ -128,6 +133,7 @@ fn main() {
 
     stale_submits(&mut runner);
     durable_submits(&mut runner);
+    history_submits(&mut runner);
 
     for &n in &TYPES {
         let g = SyntheticSpec::sized(n, SEED).generate();
@@ -294,6 +300,43 @@ fn durable_submits(runner: &mut Runner) {
             "every append must land"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The `submit/history{n}` rows: `n` accepted single-op submits first,
+/// then the measured ones, all from one `churn_stream` at head.
+fn history_submits(runner: &mut Runner) {
+    let g = university::graph();
+    for n in HISTORY {
+        let service =
+            DesignService::new(Session::from_odl(university::SOURCE).expect("schema ingests"));
+        let opened = service.handle(Request::Open {
+            session: "s0".to_string(),
+        });
+        assert!(matches!(opened, Response::Opened { .. }), "{opened:?}");
+        // The history, then enough ops for the warm-up (at most 50
+        // iterations) and the measured iterations.
+        let script = churn_stream(&g, n + runner.iters() as usize + 64, SEED);
+        let rev = Cell::new(0u64);
+        let submit_next = || {
+            let (context, op) = &script[rev.get() as usize];
+            Request::Submit {
+                session: "s0".to_string(),
+                base_rev: rev.get(),
+                ops: vec![OpEnvelope {
+                    context: *context,
+                    statement: print_op(op),
+                }],
+            }
+        };
+        let accept = |request| match service.handle(request) {
+            Response::Accepted { rev: head, .. } => rev.set(head),
+            other => panic!("submit at head must be accepted, got {other:?}"),
+        };
+        for _ in 0..n {
+            accept(submit_next());
+        }
+        runner.bench_batched(&format!("submit/history{n}"), submit_next, accept);
     }
 }
 

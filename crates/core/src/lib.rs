@@ -18,7 +18,7 @@
 //!   *semantic stability* rule (moves only within the generalization
 //!   hierarchy established by the shrink wrap schema),
 //! * [`workspace`] — the design workspace: the integrated, customized user
-//!   schema, the operation log, and the apply pipeline
+//!   schema, the history window, and the apply pipeline
 //!   (permission → constraints → mutation → propagation → feedback),
 //! * [`impact`] and [`feedback`] — impact reports and cautionary feedback
 //!   (activities 9–11),
@@ -57,7 +57,7 @@ pub use explain::explain;
 pub use feedback::Feedback;
 pub use impact::{DirtySet, ImpactEntry, ImpactReport};
 pub use interop::{common_objects, CommonObject, InteropSummary};
-pub use mapping::{Construct, Disposition, MapEntry, Mapping};
+pub use mapping::{Construct, Disposition, MapEntry, Mapping, MoveTable};
 pub use odl_blocks::{OdlBlocks, OdlSnapshot};
 pub use oplang::{parse_script, parse_statement, print_op};
 pub use ops::{ModOp, OpError, OpKind};

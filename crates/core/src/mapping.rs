@@ -3,11 +3,12 @@
 //! between the shrink wrap and customized schema".
 //!
 //! The mapping is **derived** — from the shrink wrap schema, the customized
-//! working schema, and the operation log (which disambiguates *moved*
-//! constructs from deleted-and-re-added ones). Every shrink wrap construct
-//! receives a [`Disposition`]; constructs only in the custom schema are
-//! listed as [`Disposition::Added`].
+//! working schema, and a [`MoveTable`]: the fold of the operation log that
+//! disambiguates *moved* members from deleted-and-re-added ones. Every
+//! shrink wrap construct receives a [`Disposition`]; constructs only in
+//! the custom schema are listed as [`Disposition::Added`].
 
+use crate::ops::ModOp;
 use crate::workspace::Workspace;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -141,13 +142,12 @@ pub struct Mapping {
 }
 
 impl Mapping {
-    /// Derive the mapping for a workspace.
+    /// Derive the mapping for a workspace: the one entry point. Where
+    /// history left the shrink wrap's attributes and operations comes from
+    /// the workspace's [`MoveTable`] folded up to the head, so the result
+    /// is the same however much of the history was retired.
     pub fn derive(ws: &Workspace) -> Mapping {
-        derive_mapping(
-            ws.shrink_wrap(),
-            ws.working(),
-            ws.log().iter().map(|r| &r.op),
-        )
+        derive_mapping(ws.shrink_wrap(), ws.working(), &ws.move_table())
     }
 
     /// Per-disposition counts.
@@ -186,47 +186,199 @@ impl Mapping {
     }
 }
 
-/// Derive the mapping from graphs and the op log.
-pub fn derive_mapping<'a>(
-    shrink_wrap: &SchemaGraph,
-    working: &SchemaGraph,
-    log: impl Iterator<Item = &'a crate::ops::ModOp>,
-) -> Mapping {
-    let sw = graph_to_schema(shrink_wrap);
-    let cu = graph_to_schema(working);
+/// Where history left the shrink wrap's attributes and operations: the
+/// fold of applied ops that moved, deleted or re-added one. A member the
+/// table does not list is live on the type the shrink wrap declares it
+/// on, so the table holds only what history changed.
+///
+/// The fold keeps each entry's liveness, which is what keeps it exact:
+///
+/// * a delete, and a type deletion's cascade, retires the entry at that
+///   location;
+/// * a move matches only live entries;
+/// * an add of the same name at that location revives the entry.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MoveTable {
+    attrs: Members,
+    ops: Members,
+}
 
-    // Track moves by replaying the log symbolically.
-    let mut attr_loc: BTreeMap<(String, String), String> = BTreeMap::new();
-    let mut op_loc: BTreeMap<(String, String), String> = BTreeMap::new();
-    for iface in &sw.interfaces {
-        for a in &iface.attributes {
-            attr_loc.insert((iface.name.clone(), a.name.clone()), iface.name.clone());
-        }
-        for o in &iface.operations {
-            op_loc.insert((iface.name.clone(), o.name.clone()), iface.name.clone());
+/// Where a listed shrink-wrap member is now.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Place {
+    /// The type it is declared on now, or was declared on when deleted.
+    ty: String,
+    /// False once deleted; an add of the same name on `ty` revives it.
+    live: bool,
+}
+
+/// One member kind's listed entries: `(name, shrink-wrap type)` → place,
+/// keyed by name first so the entries sharing a name are one range.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Members(BTreeMap<(String, String), Place>);
+
+impl Members {
+    /// `(shrink-wrap type, place)` of every listed entry named `name`.
+    fn named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (&'a str, &'a Place)> + 'a {
+        self.0
+            .range((name.to_string(), String::new())..)
+            .take_while(move |((n, _), _)| n == name)
+            .map(|((_, home), place)| (home.as_str(), place))
+    }
+
+    /// The shrink-wrap type of the live entry named `name` on `ty`.
+    /// `declared` says whether the shrink wrap declares `name` on `ty`
+    /// (the unlisted entry that may still be there).
+    fn live_on(&self, ty: &str, name: &str, declared: bool) -> Option<String> {
+        let listed = self
+            .named(name)
+            .filter(|(_, place)| place.live && place.ty == ty)
+            .map(|(home, _)| home);
+        let unlisted =
+            (declared && !self.0.contains_key(&(name.to_string(), ty.to_string()))).then_some(ty);
+        listed.chain(unlisted).min().map(str::to_string)
+    }
+
+    /// Where the member `home::name` is now: `(type, live)`.
+    fn place(&self, home: &str, name: &str) -> (String, bool) {
+        match self.0.get(&(name.to_string(), home.to_string())) {
+            Some(place) => (place.ty.clone(), place.live),
+            None => (home.to_string(), true),
         }
     }
-    for op in log {
-        match op {
-            crate::ops::ModOp::ModifyAttribute { ty, name, new_ty } => {
-                if let Some(entry) = attr_loc
-                    .iter_mut()
-                    .find(|((_, n), loc)| n == name && *loc == ty)
-                {
-                    *entry.1 = new_ty.clone();
-                }
+
+    /// Record that `home::name` is on `ty`; a live entry back home is
+    /// unlisted.
+    fn set(&mut self, home: String, name: &str, ty: &str, live: bool) {
+        let key = (name.to_string(), home);
+        if live && ty == key.1 {
+            self.0.remove(&key);
+        } else {
+            let ty = ty.to_string();
+            self.0.insert(key, Place { ty, live });
+        }
+    }
+
+    /// The live entry named `name` on `ty` moved to `to`, or was deleted
+    /// there (`live` false).
+    fn relocate(&mut self, ty: &str, name: &str, declared: bool, to: &str, live: bool) {
+        if let Some(home) = self.live_on(ty, name, declared) {
+            self.set(home, name, to, live);
+        }
+    }
+
+    /// `name` was added on `ty`: the entry deleted there, if any, lives
+    /// again.
+    fn added(&mut self, ty: &str, name: &str) {
+        let revived = self
+            .named(name)
+            .find(|(_, place)| !place.live && place.ty == ty)
+            .map(|(home, _)| home.to_string());
+        if let Some(home) = revived {
+            self.set(home, name, ty, true);
+        }
+    }
+
+    /// Type `ty` was deleted: every live entry on it goes with it,
+    /// `declared` (the shrink wrap's members of `ty`) included.
+    fn type_deleted<'a>(&mut self, ty: &str, declared: impl Iterator<Item = &'a str>) {
+        for place in self.0.values_mut() {
+            if place.live && place.ty == ty {
+                place.live = false;
             }
-            crate::ops::ModOp::ModifyOperation { ty, name, new_ty } => {
-                if let Some(entry) = op_loc
-                    .iter_mut()
-                    .find(|((_, n), loc)| n == name && *loc == ty)
-                {
-                    *entry.1 = new_ty.clone();
-                }
+        }
+        for name in declared {
+            let key = (name.to_string(), ty.to_string());
+            self.0.entry(key).or_insert_with(|| Place {
+                ty: ty.to_string(),
+                live: false,
+            });
+        }
+    }
+}
+
+impl MoveTable {
+    /// Fold one applied op into the table. `shrink_wrap` is the schema
+    /// the table's entries are members of.
+    pub fn fold(&mut self, shrink_wrap: &SchemaGraph, op: &ModOp) {
+        let ty_id = |ty: &str| shrink_wrap.type_id(ty);
+        let has_attr = |ty: &str, name: &str| {
+            ty_id(ty).is_some_and(|id| shrink_wrap.find_attr(id, name).is_some())
+        };
+        let has_op = |ty: &str, name: &str| {
+            ty_id(ty).is_some_and(|id| shrink_wrap.find_op(id, name).is_some())
+        };
+        match op {
+            ModOp::ModifyAttribute { ty, name, new_ty } => {
+                self.attrs
+                    .relocate(ty, name, has_attr(ty, name), new_ty, true)
+            }
+            ModOp::DeleteAttribute { ty, name } => {
+                self.attrs.relocate(ty, name, has_attr(ty, name), ty, false)
+            }
+            ModOp::AddAttribute { ty, name, .. } => self.attrs.added(ty, name),
+            ModOp::ModifyOperation { ty, name, new_ty } => {
+                self.ops.relocate(ty, name, has_op(ty, name), new_ty, true)
+            }
+            ModOp::DeleteOperation { ty, name } => {
+                self.ops.relocate(ty, name, has_op(ty, name), ty, false)
+            }
+            ModOp::AddOperation { ty, name, .. } => self.ops.added(ty, name),
+            ModOp::DeleteTypeDefinition { ty } => {
+                let node = ty_id(ty).map(|id| shrink_wrap.ty(id));
+                let attrs = node.iter().flat_map(|n| &n.attrs);
+                self.attrs
+                    .type_deleted(ty, attrs.map(|&a| shrink_wrap.attr(a).name.as_str()));
+                let ops = node.iter().flat_map(|n| &n.ops);
+                self.ops
+                    .type_deleted(ty, ops.map(|&o| shrink_wrap.op(o).name.as_str()));
             }
             _ => {}
         }
     }
+
+    /// The table as text, one listed entry per line:
+    /// `<attribute|operation>\t<shrink-wrap type>\t<name>\t<type now>\t<live|deleted>`.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for (kind, members) in [("attribute", &self.attrs), ("operation", &self.ops)] {
+            for ((name, home), place) in &members.0 {
+                let state = if place.live { "live" } else { "deleted" };
+                let ty = &place.ty;
+                out.push_str(&format!("{kind}\t{home}\t{name}\t{ty}\t{state}\n"));
+            }
+        }
+        out
+    }
+
+    /// Parse [`Self::render`]'s text; `Err` carries the first bad line.
+    pub fn parse(text: &str) -> Result<MoveTable, String> {
+        let mut table = MoveTable::default();
+        for line in text.lines() {
+            let fields: Vec<&str> = line.split('\t').collect();
+            let [kind, home, name, ty, state] = fields[..] else {
+                return Err(line.to_string());
+            };
+            let members = match kind {
+                "attribute" => &mut table.attrs,
+                "operation" => &mut table.ops,
+                _ => return Err(line.to_string()),
+            };
+            let live = match state {
+                "live" => true,
+                "deleted" => false,
+                _ => return Err(line.to_string()),
+            };
+            members.set(home.to_string(), name, ty, live);
+        }
+        Ok(table)
+    }
+}
+
+/// Derive the mapping from graphs and the move table at the head.
+fn derive_mapping(shrink_wrap: &SchemaGraph, working: &SchemaGraph, moves: &MoveTable) -> Mapping {
+    let sw = graph_to_schema(shrink_wrap);
+    let cu = graph_to_schema(working);
 
     let mut entries = Vec::new();
 
@@ -279,10 +431,11 @@ pub fn derive_mapping<'a>(
     // Attributes.
     for iface in &sw.interfaces {
         for attr in &iface.attributes {
-            let final_ty = attr_loc[&(iface.name.clone(), attr.name.clone())].clone();
+            let (final_ty, live) = moves.attrs.place(&iface.name, &attr.name);
             let found = cu
                 .interface(&final_ty)
-                .and_then(|i| i.attribute(&attr.name));
+                .and_then(|i| i.attribute(&attr.name))
+                .filter(|_| live);
             let disposition = match found {
                 None => Disposition::Deleted,
                 Some(new_attr) => {
@@ -295,7 +448,7 @@ pub fn derive_mapping<'a>(
                     }
                     if final_ty != iface.name {
                         Disposition::Moved {
-                            to: final_ty.clone(),
+                            to: final_ty,
                             details,
                         }
                     } else if details.is_empty() {
@@ -315,8 +468,11 @@ pub fn derive_mapping<'a>(
     // Operations.
     for iface in &sw.interfaces {
         for op in &iface.operations {
-            let final_ty = op_loc[&(iface.name.clone(), op.name.clone())].clone();
-            let found = cu.interface(&final_ty).and_then(|i| i.operation(&op.name));
+            let (final_ty, live) = moves.ops.place(&iface.name, &op.name);
+            let found = cu
+                .interface(&final_ty)
+                .and_then(|i| i.operation(&op.name))
+                .filter(|_| live);
             let disposition = match found {
                 None => Disposition::Deleted,
                 Some(new_op) => {
@@ -335,7 +491,7 @@ pub fn derive_mapping<'a>(
                     }
                     if final_ty != iface.name {
                         Disposition::Moved {
-                            to: final_ty.clone(),
+                            to: final_ty,
                             details,
                         }
                     } else if details.is_empty() {
@@ -357,7 +513,7 @@ pub fn derive_mapping<'a>(
     map_links(&sw, &cu, &mut entries);
 
     // Additions: custom constructs with no shrink wrap counterpart.
-    map_additions(&sw, &cu, &attr_loc, &op_loc, &mut entries);
+    map_additions(&sw, &cu, moves, &mut entries);
 
     Mapping { entries }
 }
@@ -501,13 +657,7 @@ fn map_links(sw: &Schema, cu: &Schema, entries: &mut Vec<MapEntry>) {
     }
 }
 
-fn map_additions(
-    sw: &Schema,
-    cu: &Schema,
-    attr_loc: &BTreeMap<(String, String), String>,
-    op_loc: &BTreeMap<(String, String), String>,
-    entries: &mut Vec<MapEntry>,
-) {
+fn map_additions(sw: &Schema, cu: &Schema, moves: &MoveTable, entries: &mut Vec<MapEntry>) {
     for iface in &cu.interfaces {
         if sw.interface(&iface.name).is_none() {
             entries.push(MapEntry {
@@ -527,12 +677,14 @@ fn map_additions(
                 });
             }
         }
+        let sw_iface = sw.interface(&iface.name);
         for attr in &iface.attributes {
             // Covered if some shrink wrap attribute resolves here.
-            let covered = attr_loc
-                .iter()
-                .any(|((_, name), loc)| name == &attr.name && loc == &iface.name)
-                && sw_has_attr_named(sw, &attr.name);
+            let declared = sw_iface.is_some_and(|i| i.attribute(&attr.name).is_some());
+            let covered = moves
+                .attrs
+                .live_on(&iface.name, &attr.name, declared)
+                .is_some();
             if !covered {
                 entries.push(MapEntry {
                     construct: Construct::Attribute(iface.name.clone(), attr.name.clone()),
@@ -541,10 +693,8 @@ fn map_additions(
             }
         }
         for op in &iface.operations {
-            let covered = op_loc
-                .iter()
-                .any(|((_, name), loc)| name == &op.name && loc == &iface.name)
-                && sw_has_op_named(sw, &op.name);
+            let declared = sw_iface.is_some_and(|i| i.operation(&op.name).is_some());
+            let covered = moves.ops.live_on(&iface.name, &op.name, declared).is_some();
             if !covered {
                 entries.push(MapEntry {
                     construct: Construct::Operation(iface.name.clone(), op.name.clone()),
@@ -594,14 +744,6 @@ fn map_additions(
             });
         }
     }
-}
-
-fn sw_has_attr_named(sw: &Schema, name: &str) -> bool {
-    sw.interfaces.iter().any(|i| i.attribute(name).is_some())
-}
-
-fn sw_has_op_named(sw: &Schema, name: &str) -> bool {
-    sw.interfaces.iter().any(|i| i.operation(name).is_some())
 }
 
 #[cfg(test)]
@@ -750,6 +892,90 @@ mod tests {
             .find(|e| matches!(&e.construct, Construct::Type(t) if t == "Department"))
             .unwrap();
         assert!(matches!(&dept.disposition, Disposition::Modified(_)));
+    }
+
+    fn attribute<'a>(m: &'a Mapping, ty: &str, name: &str) -> &'a Disposition {
+        &m.entries
+            .iter()
+            .find(|e| matches!(&e.construct, Construct::Attribute(t, a) if t == ty && a == name))
+            .expect("a shrink wrap attribute")
+            .disposition
+    }
+
+    /// Derive the mapping with the whole history in the window, then again
+    /// with all of it retired into the move table: the two must agree.
+    fn derive_both_ways(ws: &mut Workspace) -> Mapping {
+        let windowed = Mapping::derive(ws);
+        ws.retire(ws.total_ops());
+        assert!(ws.log().is_empty());
+        assert_eq!(Mapping::derive(ws), windowed);
+        windowed
+    }
+
+    #[test]
+    fn a_move_never_credits_a_deleted_member() {
+        let src = r#"
+        interface R { attribute long r; }
+        interface A : R { attribute long x; }
+        interface B : R { attribute long x; }"#;
+        let mut ws = Workspace::new(schema_to_graph(&parse_schema(src).unwrap()).unwrap());
+        let delete = ModOp::DeleteAttribute {
+            ty: "A".into(),
+            name: "x".into(),
+        };
+        ws.apply(ConceptKind::WagonWheel, delete).unwrap();
+        for (ty, new_ty) in [("B", "R"), ("R", "A"), ("A", "R")] {
+            let op = ModOp::ModifyAttribute {
+                ty: ty.into(),
+                name: "x".into(),
+                new_ty: new_ty.into(),
+            };
+            ws.apply(ConceptKind::Generalization, op).unwrap();
+        }
+        let m = derive_both_ways(&mut ws);
+        assert_eq!(*attribute(&m, "A", "x"), Disposition::Deleted);
+        assert_eq!(
+            *attribute(&m, "B", "x"),
+            Disposition::Moved {
+                to: "R".into(),
+                details: vec![]
+            }
+        );
+        assert_eq!(m.summary().added, 0);
+    }
+
+    #[test]
+    fn re_adding_a_deleted_member_revives_it() {
+        let mut ws = workspace();
+        let ops = [
+            ModOp::DeleteAttribute {
+                ty: "Employee".into(),
+                name: "badge".into(),
+            },
+            ModOp::AddAttribute {
+                ty: "Employee".into(),
+                domain: sws_odl::DomainType::Long,
+                size: None,
+                name: "badge".into(),
+            },
+        ];
+        ws.apply_script(ConceptKind::WagonWheel, ops).unwrap();
+        let m = derive_both_ways(&mut ws);
+        assert_eq!(*attribute(&m, "Employee", "badge"), Disposition::Unchanged);
+        assert_eq!(m.summary().added, 0);
+        // A type deletion retires its members; re-adding the type alone
+        // does not bring them back.
+        let ops = [
+            ModOp::DeleteTypeDefinition {
+                ty: "Employee".into(),
+            },
+            ModOp::AddTypeDefinition {
+                ty: "Employee".into(),
+            },
+        ];
+        ws.apply_script(ConceptKind::WagonWheel, ops).unwrap();
+        let m = derive_both_ways(&mut ws);
+        assert_eq!(*attribute(&m, "Employee", "badge"), Disposition::Deleted);
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub struct DesignReport {
     pub shrink_wrap_constructs: usize,
     /// Custom schema size (constructs).
     pub custom_constructs: usize,
-    /// Number of operations applied.
+    /// Number of operations applied over the whole session (the op log
+    /// lists the history window's).
     pub ops_applied: usize,
     /// The custom schema as extended ODL.
     pub custom_odl: String,
@@ -32,7 +33,7 @@ pub struct DesignReport {
     pub consistency: ConsistencyReport,
     /// Repair advice for the consistency findings.
     pub advice: Vec<Suggestion>,
-    /// Rendered op log lines with impact counts.
+    /// Rendered op log lines (the history window) with impact counts.
     pub log_lines: Vec<String>,
     /// Counter/timing summary captured from the active trace recorder, if
     /// tracing was enabled during the session.
@@ -69,7 +70,7 @@ impl DesignReport {
             schema_name: ws.shrink_wrap().name().to_string(),
             shrink_wrap_constructs: ws.shrink_wrap().construct_count(),
             custom_constructs: ws.working().construct_count(),
-            ops_applied: ws.log().len(),
+            ops_applied: ws.total_ops() as usize,
             custom_odl: ws.custom_odl().text(),
             mapping: Mapping::derive(ws),
             consistency,

@@ -7,8 +7,12 @@
 //!   stability and for the mapping),
 //! * the **working schema** — the integrated, customized user schema all
 //!   concept-schema modifications land in,
-//! * the **operation log** — every applied operation with its
-//!   concept-schema context and impact, replayable and persistable.
+//! * the **history window** — every applied operation someone can still
+//!   use (to undo it, or to extend a directory's durable op-log tail),
+//!   with its concept-schema context, impact and undo patch,
+//! * a [`MoveTable`] — where the ops retired from the window left the
+//!   shrink wrap's attributes and operations, all the mapping needs of
+//!   older history.
 //!
 //! Applying an operation runs the pipeline: permission check (Table 1) →
 //! precondition constraints → mutation + propagation → cautionary feedback.
@@ -17,11 +21,11 @@
 //! apply; nothing memoizes hierarchy traversals. Three incremental
 //! structures ride along (see `docs/performance.md`):
 //!
-//! * an **undo log** of [`UndoPatch`]es, one per applied operation, so
-//!   rejection cleanup, [`Workspace::undo_last`] and [`Workspace::reset`]
-//!   replay inverse images instead of cloning the whole graph — the only
-//!   undo mechanism in the system (designer undo/redo and the server's
-//!   batch rollback both go through it);
+//! * an [`UndoPatch`] in every window entry, so rejection cleanup,
+//!   [`Workspace::undo_last`] and [`Workspace::reset`] replay inverse
+//!   images instead of cloning the whole graph — the only undo mechanism
+//!   in the system (designer undo/redo and the server's batch rollback
+//!   both go through it);
 //! * a [`ConsistencyState`] holding per-type consistency findings, kept
 //!   current incrementally from each operation's
 //!   [`DirtySet`]. Consistency maintenance is
@@ -43,13 +47,15 @@ use crate::consistency::{ConsistencyReport, ConsistencyState};
 use crate::constraints::check_preconditions;
 use crate::feedback::{cautionary, Feedback};
 use crate::impact::{DirtySet, ImpactReport};
+use crate::mapping::MoveTable;
 use crate::odl_blocks::{OdlBlocks, OdlSnapshot};
 use crate::ops::apply::apply_op;
 use crate::ops::{ModOp, OpError, PermissionMatrix};
 use std::cell::{Cell, RefCell};
 use sws_model::{SchemaGraph, UndoPatch};
 
-/// One log record: an operation that was applied.
+/// One history-window entry: an operation that was applied, and the
+/// patch that takes it back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppliedOp {
     /// The operation.
@@ -58,6 +64,7 @@ pub struct AppliedOp {
     pub context: ConceptKind,
     /// The propagation it triggered.
     pub impact: ImpactReport,
+    patch: UndoPatch,
 }
 
 /// The design workspace. See the module docs.
@@ -65,14 +72,15 @@ pub struct AppliedOp {
 pub struct Workspace {
     shrink_wrap: SchemaGraph,
     working: SchemaGraph,
-    log: Vec<AppliedOp>,
-    /// One undo patch per log entry, in application order.
-    undo: Vec<UndoPatch>,
+    /// The history window, oldest first.
+    window: Vec<AppliedOp>,
+    /// Global sequence number of the first window entry: the ops before
+    /// it are folded into `moves` (or baked into the snapshot the
+    /// workspace resumed from).
+    base_seq: u64,
+    /// Where the ops before `base_seq` left the shrink wrap's members.
+    moves: MoveTable,
     matrix: PermissionMatrix,
-    /// True when the working schema was seeded from a checkpoint snapshot
-    /// instead of replaying ops from the shrink wrap — the log then only
-    /// covers the tail, so undo cannot reach back to the shrink wrap.
-    resumed: bool,
     /// Incrementally-maintained consistency findings; interior mutability
     /// so read paths (`consistency`, `DesignReport::generate`) can sync
     /// lazily from `&self`.
@@ -89,28 +97,30 @@ impl Workspace {
     /// begins as a copy of it.
     pub fn new(shrink_wrap: SchemaGraph) -> Self {
         let working = shrink_wrap.clone();
-        Workspace::build(shrink_wrap, working, false)
+        Workspace::resume(shrink_wrap, working, 0, MoveTable::default())
     }
 
     /// Resume a design session from a checkpoint snapshot: the working
     /// schema starts at `working` (the snapshot image, already carrying
-    /// every checkpointed op) instead of a copy of the shrink wrap, and
-    /// the log records only the ops replayed after it.
-    pub fn resume(shrink_wrap: SchemaGraph, working: SchemaGraph) -> Self {
-        Workspace::build(shrink_wrap, working, true)
-    }
-
-    fn build(shrink_wrap: SchemaGraph, working: SchemaGraph, resumed: bool) -> Self {
+    /// the first `base_seq` ops, whose fold is `moves`) instead of a copy
+    /// of the shrink wrap, and the window holds only the ops applied
+    /// after it.
+    pub fn resume(
+        shrink_wrap: SchemaGraph,
+        working: SchemaGraph,
+        base_seq: u64,
+        moves: MoveTable,
+    ) -> Self {
         Workspace {
             shrink_wrap,
             working,
-            log: Vec::new(),
-            undo: Vec::new(),
+            window: Vec::new(),
+            base_seq,
+            moves,
             matrix: PermissionMatrix::new(),
             state: RefCell::new(ConsistencyState::new()),
             odl: RefCell::new(OdlBlocks::new()),
             concepts: Cell::new(None),
-            resumed,
         }
     }
 
@@ -124,11 +134,6 @@ impl Workspace {
         }
     }
 
-    /// Was this workspace seeded from a checkpoint snapshot?
-    pub fn is_resumed(&self) -> bool {
-        self.resumed
-    }
-
     /// The immutable shrink wrap schema.
     pub fn shrink_wrap(&self) -> &SchemaGraph {
         &self.shrink_wrap
@@ -139,9 +144,50 @@ impl Workspace {
         &self.working
     }
 
-    /// The operation log, in application order.
+    /// The history window, in application order: every applied op not
+    /// yet retired. Its first entry has sequence number
+    /// [`Self::base_seq`].
     pub fn log(&self) -> &[AppliedOp] {
-        &self.log
+        &self.window
+    }
+
+    /// Global sequence number of the first window entry: how many ops
+    /// were retired or resumed from before it.
+    pub fn base_seq(&self) -> u64 {
+        self.base_seq
+    }
+
+    /// Total ops applied over the whole session: the retired ones plus
+    /// the window.
+    pub fn total_ops(&self) -> u64 {
+        self.base_seq + self.window.len() as u64
+    }
+
+    /// The move table at the head: the retired ops' fold with the window
+    /// folded on top. What [`Mapping::derive`](crate::Mapping::derive)
+    /// and a checkpoint snapshot read.
+    pub fn move_table(&self) -> MoveTable {
+        let mut moves = self.moves.clone();
+        for record in &self.window {
+            moves.fold(&self.shrink_wrap, &record.op);
+        }
+        moves
+    }
+
+    /// Retire every window entry with a sequence number below `seq`: fold
+    /// its op into the move table and drop its patch, so it can no longer
+    /// be undone. Returns how many entries were retired.
+    pub fn retire(&mut self, seq: u64) -> usize {
+        let n = (seq.saturating_sub(self.base_seq) as usize).min(self.window.len());
+        if n == 0 {
+            return 0;
+        }
+        for record in self.window.drain(..n) {
+            self.moves.fold(&self.shrink_wrap, &record.op);
+        }
+        self.base_seq += n as u64;
+        sws_trace::counter("ws.retired", n as u64);
+        n
     }
 
     /// Decompose the *current working schema* into concept schemas.
@@ -192,7 +238,6 @@ impl Workspace {
         let patch = self.working.commit_undo();
         sws_trace::counter("ws.undo_entries", patch.touched() as u64);
         self.record_patch(&patch);
-        self.undo.push(patch);
         let impact = ImpactReport::from_cascade(&outcome.cascade, &outcome.notes);
         self.state
             .borrow_mut()
@@ -203,10 +248,11 @@ impl Workspace {
         sp.record("infos", infos.len());
         sp.record("impacted", impact.len());
         sws_trace::counter("ws.ops_applied", 1);
-        self.log.push(AppliedOp {
+        self.window.push(AppliedOp {
             op: op.clone(),
             context,
             impact: impact.clone(),
+            patch,
         });
         Ok(Feedback {
             op,
@@ -345,34 +391,34 @@ impl Workspace {
         self.consistency()
     }
 
-    /// Take back the last applied operation: revert its undo patch, pop
-    /// its log record, and reseed the incremental consistency state with
+    /// Take back the last applied operation: pop its window entry, revert
+    /// its undo patch, and reseed the incremental consistency state with
     /// the same dirty names the forward apply recorded (the inverse touches
-    /// exactly what the op touched). Returns the popped record, or `None`
-    /// when the log is empty.
+    /// exactly what the op touched). Returns the popped entry, or `None`
+    /// when the window is empty.
     pub fn undo_last(&mut self) -> Option<AppliedOp> {
-        let patch = self.undo.pop()?;
-        let record = self.log.pop().expect("one log record per undo patch");
-        self.record_patch(&patch);
-        self.working.revert(&patch);
+        let record = self.window.pop()?;
+        self.record_patch(&record.patch);
+        self.working.revert(&record.patch);
         self.state
             .borrow_mut()
             .record(&DirtySet::from_applied(&record.op, &record.impact));
         Some(record)
     }
 
-    /// Reset the working schema back to the shrink wrap schema by undoing
-    /// every logged operation, last first.
+    /// Undo every window entry, last first: back to the shrink wrap
+    /// schema when nothing was retired, else to the state at
+    /// [`Self::base_seq`].
     pub fn reset(&mut self) {
-        let _sp = sws_trace::span!("ws.reset", patches = self.undo.len());
+        let _sp = sws_trace::span!("ws.reset", patches = self.window.len());
         while self.undo_last().is_some() {}
         // Oracle: undo replay must land on a graph structurally identical
         // to the graph the session started from — the shrink wrap copy,
-        // unless the workspace was resumed from a checkpoint snapshot (the
-        // undo journal then only reaches back to the snapshot image).
+        // unless the window does not reach back to it.
         #[cfg(test)]
         debug_assert!(
-            self.resumed || sws_model::diff_graphs(&self.shrink_wrap, &self.working).is_empty(),
+            self.base_seq > 0
+                || sws_model::diff_graphs(&self.shrink_wrap, &self.working).is_empty(),
             "undo replay diverged from the shrink wrap schema:\n{:#?}",
             sws_model::diff_graphs(&self.shrink_wrap, &self.working)
         );
@@ -642,6 +688,28 @@ mod tests {
         // structural identity from the outside too.
         assert!(sws_model::diff_graphs(ws.shrink_wrap(), ws.working()).is_empty());
         assert!(ws.log().is_empty());
+        assert_eq!(
+            ws.consistency(),
+            check_consistency(ws.working(), ws.shrink_wrap())
+        );
+    }
+
+    #[test]
+    fn retired_entries_leave_the_window_but_not_the_schema() {
+        let mut ws = workspace();
+        for ty in ["X1", "X2", "X3"] {
+            let op = ModOp::AddTypeDefinition { ty: ty.into() };
+            ws.apply(ConceptKind::WagonWheel, op).unwrap();
+        }
+        assert_eq!(ws.retire(2), 2);
+        assert_eq!(ws.retire(1), 0, "already retired");
+        assert_eq!((ws.base_seq(), ws.log().len(), ws.total_ops()), (2, 1, 3));
+        // Undo reaches back to the window's start and no further.
+        ws.reset();
+        assert_eq!(ws.total_ops(), 2);
+        assert!(ws.undo_last().is_none());
+        assert!(ws.working().type_id("X2").is_some());
+        assert!(ws.working().type_id("X3").is_none());
         assert_eq!(
             ws.consistency(),
             check_consistency(ws.working(), ws.shrink_wrap())

@@ -1071,6 +1071,56 @@ mod tests {
     }
 
     #[test]
+    fn the_history_window_holds_only_what_can_still_be_used() {
+        use sws_repository::io::MemIo;
+        const SUBMITS: u64 = 10_000;
+        const K: u64 = 64;
+        // One type added and deleted in turn: the schema stays put while
+        // the history grows.
+        let submit = |svc: &DesignService, rev: u64| {
+            let stmt = if rev.is_multiple_of(2) {
+                "add_type_definition(Churn)"
+            } else {
+                "delete_type_definition(Churn)"
+            };
+            let resp = svc.handle(Request::Submit {
+                session: "alice".into(),
+                base_rev: rev,
+                ops: vec![wagon(stmt)],
+            });
+            assert!(matches!(resp, Response::Accepted { .. }), "{resp:?}");
+        };
+        let window = |svc: &DesignService| {
+            svc.with_session(|s| s.repository().workspace().log().len() as u64)
+        };
+
+        // No directory: nothing outlives its own batch.
+        let svc = service();
+        open(&svc, "alice");
+        for rev in 0..SUBMITS {
+            submit(&svc, rev);
+            assert!(window(&svc) <= 1, "after {} submits", rev + 1);
+        }
+
+        // A directory checkpointed every K ops: the window holds the live
+        // tail, at most K ops plus the batch that reached K.
+        let mut session = Session::from_odl(SRC).expect("test schema parses");
+        session.set_io(Box::new(MemIo::new()));
+        session.set_checkpoint_interval(Some(K));
+        session
+            .save(std::path::Path::new("/mem/window"))
+            .expect("initial save");
+        let svc = DesignService::new(session);
+        open(&svc, "alice");
+        for rev in 0..SUBMITS {
+            submit(&svc, rev);
+            assert!(window(&svc) <= K + 1, "after {} submits", rev + 1);
+            svc.maintain();
+        }
+        assert_eq!(svc.with_session(|s| s.repository().total_ops()), SUBMITS);
+    }
+
+    #[test]
     fn rejected_batch_applies_nothing() {
         let svc = service();
         open(&svc, "alice");

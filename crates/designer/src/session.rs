@@ -63,8 +63,13 @@ impl From<RepoError> for SessionError {
     }
 }
 
+/// How many steps back a session can undo. Older steps leave the undo
+/// history, and their ops leave the workspace's history window unless an
+/// attached directory's live tail still needs them.
+pub const UNDO_DEPTH: usize = 256;
+
 /// One undoable step of a session. An op step holds nothing: its inverse
-/// is the workspace's undo journal entry, reverted by
+/// is the patch in the workspace's history-window entry, reverted by
 /// [`Repository::undo_last`]. An alias step holds the local-name table as
 /// it was before the change.
 #[derive(Debug)]
@@ -87,9 +92,10 @@ pub struct Session {
     repo: Repository,
     context: ConceptKind,
     focus: Option<String>,
-    /// Steps issued in this session, oldest first. Ops replayed by
-    /// [`Session::load`] and history dropped by
-    /// [`Session::clear_history`] are not in it, so undo never reaches them.
+    /// Steps issued in this session, oldest first, at most
+    /// [`UNDO_DEPTH`]. Ops replayed by [`Session::load`] and history
+    /// dropped by [`Session::clear_history`] are not in it, so undo never
+    /// reaches them.
     undo: Vec<Step>,
     redo: Vec<Redo>,
     /// Directory each applied op is durably appended to. Attached by
@@ -160,6 +166,7 @@ impl Session {
         }
         self.undo.push(Step::Alias(before));
         self.redo.clear();
+        self.retire();
         // Aliases live outside the op log: autosave needs a full rewrite,
         // not an append.
         self.autosave_full();
@@ -214,7 +221,8 @@ impl Session {
     /// are reverted in memory through the undo journal, nothing is written,
     /// and `Err((i, error))` comes back. Once all are in, an attached
     /// directory gets their records in one fsynced append, which completes
-    /// before the checkpoint interval is consulted.
+    /// before the checkpoint interval is consulted; then the history
+    /// window is trimmed (see [`Self::retire`]).
     pub fn issue_batch(
         &mut self,
         ops: &[(ConceptKind, ModOp)],
@@ -244,7 +252,25 @@ impl Session {
                 self.maybe_autocheckpoint(&dir);
             }
         }
+        self.retire();
         Ok(feedback)
+    }
+
+    /// Retire every history-window entry no one can use any more: its op
+    /// is not undoable (the undo history keeps at most [`UNDO_DEPTH`]
+    /// steps) and not in the attached directory's live tail (sequence
+    /// numbers from [`Repository::tail_start`] on, which a save rewrites
+    /// and a checkpoint archives from memory). A retired entry's patch is
+    /// dropped and its op folded into the workspace's move table.
+    fn retire(&mut self) {
+        let excess = self.undo.len().saturating_sub(UNDO_DEPTH);
+        self.undo.drain(..excess);
+        let undoable = self.undo.iter().filter(|s| matches!(s, Step::Op)).count() as u64;
+        let mut keep_from = self.repo.total_ops() - undoable;
+        if self.autosave_dir.is_some() {
+            keep_from = keep_from.min(self.repo.tail_start());
+        }
+        self.repo.workspace_mut().retire(keep_from);
     }
 
     /// Checkpoint now, if enough ops accumulated since the last one.
@@ -271,16 +297,17 @@ impl Session {
 
     /// Checkpoint the session directory now: snapshot the working schema,
     /// archive the replayed tail, and truncate the log (see
-    /// [`Repository::checkpoint_with`]). Requires an attached directory.
+    /// [`Repository::checkpoint_with`]), then retire the window entries
+    /// the tail no longer needs. Requires an attached directory.
     pub fn checkpoint(&mut self) -> Result<Option<CheckpointOutcome>, SessionError> {
         let dir = self.autosave_dir.clone().ok_or_else(|| {
             SessionError::Repo(RepoError::Io(std::io::Error::other(
                 "no session directory attached; `save <dir>` first",
             )))
         })?;
-        self.repo
-            .checkpoint_with(self.io.as_ref(), &dir)
-            .map_err(SessionError::from)
+        let outcome = self.repo.checkpoint_with(self.io.as_ref(), &dir);
+        self.retire();
+        outcome.map_err(SessionError::from)
     }
 
     /// The auto-checkpoint interval (ops between checkpoints), if enabled.
@@ -339,17 +366,20 @@ impl Session {
         Ok(())
     }
 
-    /// Drop the undo/redo history. Long-running hosts like `swsd serve`
-    /// call this after each committed batch: their unit of change is the
-    /// batch, so a committed batch must not become undoable.
+    /// Drop the undo/redo history, and with it every history-window entry
+    /// the attached directory's live tail does not need. Long-running
+    /// hosts like `swsd serve` call this after each committed batch: their
+    /// unit of change is the batch, so a committed batch must not become
+    /// undoable.
     pub fn clear_history(&mut self) {
         self.undo.clear();
         self.redo.clear();
+        self.retire();
     }
 
     /// Derive the mapping report.
     pub fn mapping(&self) -> Mapping {
-        self.repo.mapping()
+        Mapping::derive(self.repo.workspace())
     }
 
     /// Run the consistency checks.
@@ -358,9 +388,11 @@ impl Session {
     }
 
     /// Save the session and attach `dir` for autosave: every subsequently
-    /// issued op is durably appended to its on-disk log.
+    /// issued op is durably appended to its on-disk log. A directory whose
+    /// live tail the history window cannot extend gets a snapshot of the
+    /// head instead (see [`Repository::save_with`]).
     pub fn save(&mut self, dir: &Path) -> Result<(), SessionError> {
-        self.repo.save_with(self.io.as_ref(), dir)?;
+        self.repo.save_attached(self.io.as_ref(), dir)?;
         self.autosave_dir = Some(dir.to_path_buf());
         Ok(())
     }
@@ -415,7 +447,7 @@ impl Session {
         match self.autosave_dir.clone() {
             Some(dir) => self
                 .repo
-                .save_with(self.io.as_ref(), &dir)
+                .save_attached(self.io.as_ref(), &dir)
                 .map_err(SessionError::from),
             None => Ok(()),
         }
@@ -424,7 +456,7 @@ impl Session {
     /// Full-directory autosave (undo/redo/alias paths); best-effort.
     fn autosave_full(&mut self) {
         if let Some(dir) = self.autosave_dir.clone() {
-            if let Err(e) = self.repo.save_with(self.io.as_ref(), &dir) {
+            if let Err(e) = self.repo.save_attached(self.io.as_ref(), &dir) {
                 self.disable_autosave(&dir, &SessionError::Repo(e));
             }
         }
@@ -671,6 +703,92 @@ mod tests {
         assert_eq!(salvaged.repository().custom_schema_odl(), live);
         assert!(salvaged.recovery().unwrap().is_clean());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn saving_a_resumed_session_keeps_its_checkpointed_ops() {
+        let root = std::env::temp_dir().join(format!("sws_resumed_save_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (a, b) = (root.join("a"), root.join("b"));
+        let mut s = session();
+        s.save(&a).unwrap();
+        for ty in ["Project", "Task", "Sprint"] {
+            s.issue_str(&format!("add_type_definition({ty})")).unwrap();
+        }
+        s.checkpoint().unwrap().unwrap();
+        let live = s.repository().custom_schema_odl();
+
+        // Resumed from the snapshot, the window holds none of the three
+        // ops: the save into a fresh directory must cover them anyway.
+        let mut resumed = Session::load(&a).unwrap();
+        assert!(resumed.repository().workspace().log().is_empty());
+        resumed.save(&b).unwrap();
+        let strict = Session::load_strict(&b).unwrap();
+        assert_eq!(strict.repository().custom_schema_odl(), live);
+        assert_eq!(strict.repository().total_ops(), 3);
+        let salvaged = Session::load(&b).unwrap();
+        let report = salvaged.recovery().unwrap();
+        assert!(report.is_clean() && !report.data_loss(), "{report:?}");
+        assert_eq!(salvaged.repository().total_ops(), 3);
+
+        // The copy carries on from its own snapshot.
+        resumed.issue_str("add_type_definition(Epic)").unwrap();
+        let salvaged = Session::load(&b).unwrap();
+        assert_eq!(salvaged.repository().total_ops(), 4);
+        assert!(!salvaged.recovery().unwrap().data_loss());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn report_and_map_agree_after_a_checkpoint_and_reload() {
+        let dir = std::env::temp_dir().join(format!("sws_report_map_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = session();
+        s.save(&dir).unwrap();
+        s.set_context(ConceptKind::Generalization);
+        s.issue_str("modify_attribute(Employee, badge, Person)")
+            .unwrap();
+        s.checkpoint().unwrap().unwrap();
+        let reloaded = Session::load(&dir).unwrap();
+        let map = reloaded.mapping();
+        let report = sws_core::DesignReport::generate(reloaded.repository().workspace());
+        assert_eq!(report.mapping, map);
+        let text = map.render();
+        assert!(
+            text.contains("attribute `Employee::badge`: moved to `Person`"),
+            "{text}"
+        );
+        assert!(text.contains("reuse 100.0%"), "{text}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn undo_reaches_back_at_most_undo_depth_steps() {
+        let mut s = session();
+        let extra = 10;
+        for i in 0..UNDO_DEPTH + extra {
+            s.issue_str(&format!("add_type_definition(T{i})")).unwrap();
+        }
+        let ws = s.repository().workspace();
+        assert_eq!(ws.log().len(), UNDO_DEPTH, "older ops are retired");
+        assert_eq!(ws.base_seq(), extra as u64);
+        for _ in 0..UNDO_DEPTH {
+            s.undo().unwrap();
+        }
+        assert!(matches!(s.undo(), Err(SessionError::NothingToUndo)));
+        assert!(s.repository().workspace().working().type_id("T9").is_some());
+        assert!(s
+            .repository()
+            .workspace()
+            .working()
+            .type_id("T10")
+            .is_none());
+        // Everything redone, the mapping sees all the ops, retired or not.
+        for _ in 0..UNDO_DEPTH {
+            s.redo().unwrap();
+        }
+        let added = s.mapping().summary().added;
+        assert_eq!(added, UNDO_DEPTH + extra);
     }
 
     #[test]

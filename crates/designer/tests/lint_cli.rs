@@ -29,17 +29,20 @@ fn run_swsd(args: &[&str], stdin: &str) -> (String, String, i32) {
     )
 }
 
-/// Write `name` with `contents` into a per-process temp dir.
-fn fixture(name: &str, contents: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("swsd_lint_cli_{}", std::process::id()));
+/// Write `name` with `contents` into a temp dir of `test`'s own: tests
+/// run in parallel, and one rewriting a file another's `swsd` child is
+/// reading would race.
+fn fixture(test: &str, name: &str, contents: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("swsd_lint_cli_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(name);
     std::fs::write(&path, contents).expect("fixture write");
     path
 }
 
-fn schema_file() -> PathBuf {
+fn schema_file(test: &str) -> PathBuf {
     fixture(
+        test,
         "uni.odl",
         "interface Person { attribute string name; }\n\
          interface Employee : Person { attribute long badge; }\n",
@@ -48,8 +51,9 @@ fn schema_file() -> PathBuf {
 
 #[test]
 fn lint_clean_script_exits_zero() {
-    let schema = schema_file();
+    let schema = schema_file("lint_clean_script_exits_zero");
     let script = fixture(
+        "lint_clean_script_exits_zero",
         "clean.ops",
         "add_type_definition(Course);\nadd_attribute(Course, string(16), room);\n",
     );
@@ -68,8 +72,9 @@ fn lint_clean_script_exits_zero() {
 
 #[test]
 fn lint_findings_exit_eight_with_stable_codes() {
-    let schema = schema_file();
+    let schema = schema_file("lint_findings_exit_eight_with_stable_codes");
     let script = fixture(
+        "lint_findings_exit_eight_with_stable_codes",
         "bad.ops",
         "add_type_definition(T);\ndelete_type_definition(T);\nadd_attribute(T, long, x);\n",
     );
@@ -90,8 +95,12 @@ fn lint_findings_exit_eight_with_stable_codes() {
 
 #[test]
 fn lint_json_is_one_checksummed_line() {
-    let schema = schema_file();
-    let script = fixture("json.ops", "delete_type_definition(Ghost);\n");
+    let schema = schema_file("lint_json_is_one_checksummed_line");
+    let script = fixture(
+        "lint_json_is_one_checksummed_line",
+        "json.ops",
+        "delete_type_definition(Ghost);\n",
+    );
     let (stdout, _, code) = run_swsd(
         &[
             "--lint=json",
@@ -112,9 +121,13 @@ fn lint_json_is_one_checksummed_line() {
 
 #[test]
 fn lint_context_flag_changes_the_permission_verdict() {
-    let schema = schema_file();
+    let schema = schema_file("lint_context_flag_changes_the_permission_verdict");
     // add_supertype is legal in a generalization, banned in a wagon wheel.
-    let script = fixture("ctx.ops", "add_supertype(Employee, Person);\n");
+    let script = fixture(
+        "lint_context_flag_changes_the_permission_verdict",
+        "ctx.ops",
+        "add_supertype(Employee, Person);\n",
+    );
     let (stdout, _, code) = run_swsd(
         &[
             "--schema",
@@ -145,8 +158,12 @@ fn lint_context_flag_changes_the_permission_verdict() {
 
 #[test]
 fn lint_parse_error_exits_three() {
-    let schema = schema_file();
-    let script = fixture("broken.ops", "this is not an op(\n");
+    let schema = schema_file("lint_parse_error_exits_three");
+    let script = fixture(
+        "lint_parse_error_exits_three",
+        "broken.ops",
+        "this is not an op(\n",
+    );
     let (_, stderr, code) = run_swsd(
         &[
             "--schema",
@@ -161,7 +178,7 @@ fn lint_parse_error_exits_three() {
 
 #[test]
 fn repl_lint_analyzes_without_applying() {
-    let schema = schema_file();
+    let schema = schema_file("repl_lint_analyzes_without_applying");
     let stdin = "\
 lint add_attribute(Person, double, salary); delete_attribute(Person, salary)
 odl

@@ -71,7 +71,6 @@ pub use snapshot::{snapshot_file, Snapshot, SnapshotError};
 
 use sws_core::concept::normalize_single_root;
 use sws_core::consistency::ConsistencyReport;
-use sws_core::mapping::derive_mapping;
 use sws_core::oplang::{parse_statement, print_op};
 use sws_core::{
     AliasError, AliasTable, AppliedOp, ConceptKind, Mapping, ModOp, OpError, Workspace,
@@ -255,13 +254,6 @@ pub struct Repository {
     created_roots: Vec<String>,
     /// Local names (§5 extension): canonical → designer-chosen.
     aliases: AliasTable,
-    /// Global sequence number of the first in-memory log record: the
-    /// coverage of the snapshot this session resumed from (0 when the
-    /// session replayed from the shrink wrap).
-    base_seq: u64,
-    /// Move ops from the archived prefix `[0, base_seq)`, preserved by the
-    /// snapshot so [`Self::mapping`] can still derive move dispositions.
-    seed_moves: Vec<(ConceptKind, ModOp)>,
     /// Checkpoint state as committed on disk (generation + retained
     /// snapshots); default for never-checkpointed sessions.
     checkpoint: CheckpointMeta,
@@ -269,6 +261,10 @@ pub struct Repository {
     /// never changes, so every save and checkpoint writes these bytes.
     shrink_wrap_odl: OnceCell<String>,
 }
+
+/// A write that passed its commit point: the checkpoint state it
+/// committed, and how the cleanup after the commit went.
+type Committed<T> = (CheckpointMeta, Result<T, RepoError>);
 
 /// What [`Repository::checkpoint_with`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -290,29 +286,26 @@ impl Repository {
     /// hierarchies (paper §3.2) and open a fresh workspace on the result.
     pub fn ingest(mut shrink_wrap: SchemaGraph) -> Self {
         let created_roots = normalize_single_root(&mut shrink_wrap);
-        Repository {
-            workspace: Workspace::new(shrink_wrap),
-            created_roots,
-            aliases: AliasTable::new(),
-            base_seq: 0,
-            seed_moves: Vec::new(),
-            checkpoint: CheckpointMeta::default(),
-            shrink_wrap_odl: OnceCell::new(),
-        }
+        let workspace = Workspace::new(shrink_wrap);
+        Repository::with_workspace(workspace, created_roots)
     }
 
     /// Ingest a shrink wrap schema and resume the workspace from a
-    /// checkpointed working image instead of a copy of the shrink wrap.
-    /// The caller seeds `base_seq` / `seed_moves` / `checkpoint` from the
+    /// checkpointed working image covering `snap.ops` ops instead of a
+    /// copy of the shrink wrap. The caller seeds `checkpoint` from the
     /// snapshot it verified.
-    fn ingest_resumed(mut shrink_wrap: SchemaGraph, working: SchemaGraph) -> Self {
+    fn ingest_resumed(mut shrink_wrap: SchemaGraph, working: SchemaGraph, snap: &Snapshot) -> Self {
         let created_roots = normalize_single_root(&mut shrink_wrap);
+        let moves = snap.moved.clone();
+        let workspace = Workspace::resume(shrink_wrap, working, snap.ops, moves);
+        Repository::with_workspace(workspace, created_roots)
+    }
+
+    fn with_workspace(workspace: Workspace, created_roots: Vec<String>) -> Self {
         Repository {
-            workspace: Workspace::resume(shrink_wrap, working),
+            workspace,
             created_roots,
             aliases: AliasTable::new(),
-            base_seq: 0,
-            seed_moves: Vec::new(),
             checkpoint: CheckpointMeta::default(),
             shrink_wrap_odl: OnceCell::new(),
         }
@@ -398,21 +391,6 @@ impl Repository {
             .get_or_init(|| print_schema(&graph_to_schema(self.workspace.shrink_wrap())))
     }
 
-    /// Derive the shrink-wrap ↔ custom mapping. Move ops archived by a
-    /// checkpoint are replayed symbolically from the snapshot's preserved
-    /// `moves` section, ahead of the live log — the result is identical to
-    /// a full-log derivation.
-    pub fn mapping(&self) -> Mapping {
-        derive_mapping(
-            self.workspace.shrink_wrap(),
-            self.workspace.working(),
-            self.seed_moves
-                .iter()
-                .map(|(_, op)| op)
-                .chain(self.workspace.log().iter().map(|r| &r.op)),
-        )
-    }
-
     /// Take back the last in-memory op through the workspace's undo
     /// journal (see [`Workspace::undo_last`]). Committed snapshots that
     /// covered the undone op describe a history that no longer exists:
@@ -426,15 +404,10 @@ impl Repository {
         Some(record)
     }
 
-    /// Total committed ops across the whole session: the archived prefix
-    /// plus the in-memory log.
+    /// Total committed ops across the whole session: the retired or
+    /// snapshotted prefix plus the workspace's history window.
     pub fn total_ops(&self) -> u64 {
-        self.base_seq + self.workspace.log().len() as u64
-    }
-
-    /// Global sequence number of the first in-memory log record.
-    pub fn base_seq(&self) -> u64 {
-        self.base_seq
+        self.workspace.total_ops()
     }
 
     /// Checkpoint state (generation + retained snapshots) as committed.
@@ -444,7 +417,7 @@ impl Repository {
 
     /// Sequence number the durable op-log tail starts at.
     pub fn tail_start(&self) -> u64 {
-        self.checkpoint.tail_start().max(self.base_seq)
+        self.checkpoint.tail_start()
     }
 
     /// Run the consistency checks on the custom schema (served by the
@@ -453,8 +426,8 @@ impl Repository {
         self.workspace.consistency()
     }
 
-    /// The op log in the human-readable line format (no checksums), as
-    /// shown by the `log` REPL command.
+    /// The history window in the human-readable line format (no
+    /// checksums), as shown by the `log` REPL command.
     pub fn render_log(&self) -> String {
         let mut out = String::new();
         for record in self.workspace.log() {
@@ -466,20 +439,23 @@ impl Repository {
         out
     }
 
-    /// The whole in-memory op log in the durable checksummed-line format.
+    /// The whole history window in the durable checksummed-line format.
     pub fn render_durable_log(&self) -> String {
-        self.render_log_from(self.base_seq)
+        self.render_log_from(self.workspace.base_seq())
     }
 
-    /// Render the durable form of every in-memory record with a global
-    /// sequence number `>= from_seq`.
+    /// Render the durable form of every window entry with a global
+    /// sequence number `>= from_seq`, which the window must reach back to.
     fn render_log_from(&self, from_seq: u64) -> String {
+        let base = self.workspace.base_seq();
+        debug_assert!(
+            from_seq >= base,
+            "the window starts at {base}, not {from_seq}"
+        );
+        let skip = from_seq.saturating_sub(base) as usize;
         let mut out = String::new();
-        for (i, record) in self.workspace.log().iter().enumerate() {
-            let seq = self.base_seq + i as u64;
-            if seq < from_seq {
-                continue;
-            }
+        for (i, record) in self.workspace.log().iter().enumerate().skip(skip) {
+            let seq = base + i as u64;
             out.push_str(&durable_log_line(seq, record.context, &record.op));
         }
         out
@@ -495,11 +471,38 @@ impl Repository {
     /// atomically (write-temp → fsync → rename); the `MANIFEST` — the
     /// commit record carrying per-file checksums and checkpoint state —
     /// is written last.
+    ///
+    /// The op-log tail is rewritten from where the directory's live tail
+    /// starts. When the history window no longer reaches back that far
+    /// (older entries were retired, or the directory is new to a session
+    /// resumed from a snapshot), the save instead writes a snapshot
+    /// covering the head and leaves the tail empty, as a checkpoint does.
     pub fn save_with(&self, io: &dyn RepoIo, dir: &Path) -> Result<(), RepoError> {
+        self.write_save(io, dir)?.1
+    }
+
+    /// [`Self::save_with`], then take the checkpoint state the save
+    /// committed as this repository's own: what a session does for the
+    /// directory it attaches, so later checkpoints and saves there
+    /// continue from it.
+    pub fn save_attached(&mut self, io: &dyn RepoIo, dir: &Path) -> Result<(), RepoError> {
+        let (meta, cleanup) = self.write_save(io, dir)?;
+        self.checkpoint = meta;
+        cleanup
+    }
+
+    /// The save behind [`Self::save_with`]: the checkpoint state it
+    /// committed, then how the post-commit cleanup of a snapshot save went.
+    fn write_save(&self, io: &dyn RepoIo, dir: &Path) -> Result<Committed<()>, RepoError> {
         let mut sp = sws_trace::span!("repo.save");
         io.create_dir_all(dir)?;
         let meta = self.effective_checkpoint(io, dir);
-        let tail_start = meta.tail_start().max(self.base_seq);
+        if meta.tail_start() < self.workspace.base_seq() {
+            let (meta, cleanup) = self.commit_snapshot(io, dir, meta, "")?;
+            sws_trace::counter("repo.save.snapshots", 1);
+            sp.record("verdict", "snapshot");
+            return Ok((meta, cleanup.map(drop)));
+        }
         // The op log is self-validating per line and append-only, so it is
         // not manifested: appends must not invalidate the manifest. The
         // shrink wrap goes second-to-last on purpose: loading requires it,
@@ -508,12 +511,12 @@ impl Repository {
         // truncated op log.
         io.write_atomic(
             &dir.join(SESSION_FILE),
-            self.render_log_from(tail_start).as_bytes(),
+            self.render_log_from(meta.tail_start()).as_bytes(),
         )?;
         let custom = self.workspace.custom_odl().text();
         let files = self.write_derived_and_manifest(io, dir, &meta, &custom)?;
         sp.record("files", files + 2);
-        Ok(())
+        Ok((meta, Ok(())))
     }
 
     /// The checkpoint state a save may legitimately commit right now:
@@ -550,7 +553,7 @@ impl Repository {
             Ok(())
         };
         write(CUSTOM_FILE, custom)?;
-        write(MAPPING_FILE, &self.mapping().render())?;
+        write(MAPPING_FILE, &Mapping::derive(&self.workspace).render())?;
         if !self.aliases.is_empty() {
             write(ALIASES_FILE, &self.aliases.render())?;
         }
@@ -576,7 +579,8 @@ impl Repository {
     /// 1. `snapshot.<gen>` written atomically (an orphan until committed);
     /// 2. the tail's records appended to `session.ops.archive` (duplicate
     ///    appends after a crashed attempt are resolved by sequence
-    ///    numbers, last occurrence wins);
+    ///    numbers, last occurrence wins) — when the history window still
+    ///    holds them all; otherwise the snapshot alone covers them;
     /// 3. derived files + the v2 MANIFEST naming the snapshot — the
     ///    **commit point**: a crash before this loads the old state, after
     ///    it the new;
@@ -592,35 +596,66 @@ impl Repository {
     ) -> Result<Option<CheckpointOutcome>, RepoError> {
         let total = self.total_ops();
         let meta = self.effective_checkpoint(io, dir);
-        let tail_start = meta.tail_start().max(self.base_seq);
+        let tail_start = meta.tail_start();
         if total == tail_start {
             return Ok(None);
         }
         let mut sp = sws_trace::span!("repo.checkpoint", ops = total);
         io.create_dir_all(dir)?;
+        let (archived, archived_ops) = if tail_start >= self.workspace.base_seq() {
+            (self.render_log_from(tail_start), total - tail_start)
+        } else {
+            (String::new(), 0)
+        };
+        let (new_meta, cleanup) = self.commit_snapshot(io, dir, meta, &archived)?;
+        let generation = new_meta.generation;
+        self.checkpoint = new_meta;
+        sws_trace::counter("repo.checkpoint.written", 1);
+        sws_trace::counter("repo.checkpoint.ops_covered", total);
+        sws_trace::counter("repo.checkpoint.archived_bytes", archived.len() as u64);
+        let pruned = cleanup?;
+        sws_trace::counter("repo.checkpoint.pruned", pruned.len() as u64);
+        sp.record("generation", generation as usize);
+        Ok(Some(CheckpointOutcome {
+            generation,
+            ops_covered: total,
+            archived_ops,
+            archived_bytes: archived.len() as u64,
+            pruned,
+        }))
+    }
 
-        // 1. The snapshot image: working schema + the move ops the mapping
-        //    derivation needs, covering every op up to `total`.
-        let generation = self.checkpoint.generation + 1;
-        let mut moves = self.seed_moves.clone();
-        for record in self.workspace.log() {
-            if is_move_op(&record.op) {
-                moves.push((record.context, record.op.clone()));
-            }
-        }
+    /// Steps 1–5 of [`Self::checkpoint_with`] on top of `meta`, the
+    /// directory's effective checkpoint state: a snapshot of the head,
+    /// `archived` appended to the archive (skipped when empty), the
+    /// commit, the tail truncation and the pruning. An error before the
+    /// commit point is the outer one; past it, the committed state comes
+    /// back with the cleanup's outcome (the pruned snapshot files).
+    fn commit_snapshot(
+        &self,
+        io: &dyn RepoIo,
+        dir: &Path,
+        meta: CheckpointMeta,
+        archived: &str,
+    ) -> Result<Committed<Vec<String>>, RepoError> {
+        let total = self.total_ops();
+        // 1. The snapshot image: working schema + the move table the
+        //    mapping derivation needs, covering every op up to `total`.
+        let generation = meta.generation + 1;
         let snap = Snapshot {
             generation,
             ops: total,
             // Assembled once: the snapshot and `custom.odl` share it.
             working_odl: self.workspace.custom_odl().text(),
-            moves,
+            moved: self.workspace.move_table(),
         };
         let snap_bytes = snap.render();
         io.write_atomic(&dir.join(snapshot_file(generation)), snap_bytes.as_bytes())?;
 
         // 2. Archive the records the truncation will drop from the tail.
-        let archived = self.render_log_from(tail_start);
-        io.append_sync(&dir.join(ARCHIVE_FILE), archived.as_bytes())?;
+        if !archived.is_empty() {
+            io.append_sync(&dir.join(ARCHIVE_FILE), archived.as_bytes())?;
+        }
 
         // 3. Commit: derived files, then the v2 manifest naming the new
         //    snapshot (and retaining the previous newest as a fallback).
@@ -644,27 +679,18 @@ impl Repository {
             snapshots: retained,
         };
         self.write_derived_and_manifest(io, dir, &new_meta, &snap.working_odl)?;
-        self.checkpoint = new_meta;
-        sws_trace::counter("repo.checkpoint.written", 1);
-        sws_trace::counter("repo.checkpoint.ops_covered", total);
-        sws_trace::counter("repo.checkpoint.archived_bytes", archived.len() as u64);
 
         // 4–5. Post-commit cleanup. Failures here are reported but cannot
         // un-commit: stale tail records are skipped by sequence number and
         // orphan snapshots are ignored by the manifest.
-        io.write_atomic(&dir.join(SESSION_FILE), b"")?;
-        for name in &pruned {
-            io.remove(&dir.join(name))?;
-        }
-        sws_trace::counter("repo.checkpoint.pruned", pruned.len() as u64);
-        sp.record("generation", generation as usize);
-        Ok(Some(CheckpointOutcome {
-            generation,
-            ops_covered: total,
-            archived_ops: total - tail_start,
-            archived_bytes: archived.len() as u64,
-            pruned,
-        }))
+        let cleanup = (|| {
+            io.write_atomic(&dir.join(SESSION_FILE), b"")?;
+            for name in &pruned {
+                io.remove(&dir.join(name))?;
+            }
+            Ok(pruned)
+        })();
+        Ok((new_meta, cleanup))
     }
 
     /// Load a session from `dir` strictly: replay the whole op log through
@@ -795,7 +821,7 @@ impl Repository {
                         "checksum disagrees with MANIFEST".into(),
                     ));
                 }
-                let snap = Snapshot::parse(&bytes)
+                let snap = Snapshot::parse(&bytes, &graph)
                     .map_err(|e| (DamageKind::Unparseable, e.to_string()))?;
                 if snap.generation != snap_ref.generation || snap.ops != snap_ref.ops {
                     return Err((
@@ -814,9 +840,7 @@ impl Repository {
             let newest = i + 1 == manifest_ckpt.snapshots.len();
             match read_snapshot(snap_ref) {
                 Ok((snap, wgraph)) => {
-                    let mut r = Repository::ingest_resumed(graph.clone(), wgraph);
-                    r.base_seq = snap.ops;
-                    r.seed_moves = snap.moves;
+                    let mut r = Repository::ingest_resumed(graph.clone(), wgraph, &snap);
                     // Layers above this one are damaged: the committed
                     // state this session may build on ends here.
                     r.checkpoint = CheckpointMeta {
@@ -898,8 +922,9 @@ impl Repository {
         for r in &mut tail_records {
             r.from_tail = true;
         }
-        let records = merge_records(archive, tail_records, repo.base_seq);
-        let (applied, stop) = replay_records(&mut repo.workspace, &records, repo.base_seq);
+        let base_seq = repo.workspace.base_seq();
+        let records = merge_records(archive, tail_records, base_seq);
+        let (applied, stop) = replay_records(&mut repo.workspace, &records, base_seq);
         let ops_replayed = applied;
         if let Some(stop) = stop {
             let (index, reason) = match &stop {
@@ -1193,17 +1218,6 @@ pub(crate) fn parse_log_body(line: &str) -> Option<(ConceptKind, ModOp)> {
     let context = ConceptKind::from_tag(tag)?;
     let op = parse_statement(stmt.trim()).ok()?;
     Some((context, op))
-}
-
-/// Is this op one of the *move* operations whose symbolic replay derives
-/// the shrink-wrap ↔ custom mapping? A checkpoint snapshot preserves the
-/// covered prefix's move ops verbatim so mapping derivation keeps working
-/// after the prefix itself is archived.
-fn is_move_op(op: &ModOp) -> bool {
-    matches!(
-        op,
-        ModOp::ModifyAttribute { .. } | ModOp::ModifyOperation { .. }
-    )
 }
 
 /// One scanned op-log record with its resolved global sequence number.
@@ -1798,7 +1812,9 @@ mod tests {
     fn reports_available() {
         let repo = repo();
         assert!(repo.custom_schema_odl().contains("interface Person"));
-        assert!(repo.mapping().render().contains("reuse 100.0%"));
+        assert!(Mapping::derive(repo.workspace())
+            .render()
+            .contains("reuse 100.0%"));
         // Person/Employee carry no keys — consistency may warn, but must run.
         let _ = repo.consistency();
     }
@@ -1840,8 +1856,7 @@ mod tests {
             graph_to_schema(repo.workspace().working())
         );
         assert_eq!(loaded.total_ops(), 3);
-        assert_eq!(loaded.base_seq(), 3);
-        assert!(loaded.workspace().is_resumed());
+        assert_eq!(loaded.workspace().base_seq(), 3);
 
         // Appends after the checkpoint land in the tail and replay on top.
         append_log_line(
@@ -1872,7 +1887,7 @@ mod tests {
     }
 
     #[test]
-    fn mapping_survives_checkpoint_via_preserved_moves() {
+    fn mapping_survives_checkpoint_via_the_move_table() {
         let mut repo = Repository::ingest_odl(
             r#"
             interface Person { attribute string name; }
@@ -1889,14 +1904,15 @@ mod tests {
                 },
             )
             .unwrap();
-        let before = repo.mapping().render();
+        let mapping = |repo: &Repository| Mapping::derive(repo.workspace()).render();
+        let before = mapping(&repo);
         let dir = tmpdir("ckpt_mapping");
         repo.save(&dir).unwrap();
         repo.checkpoint(&dir).unwrap().unwrap();
-        assert_eq!(repo.mapping().render(), before);
+        assert_eq!(mapping(&repo), before);
         let loaded = Repository::load(&dir).unwrap();
         assert!(loaded.workspace().log().is_empty());
-        assert_eq!(loaded.mapping().render(), before);
+        assert_eq!(mapping(&loaded), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

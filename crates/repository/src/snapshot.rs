@@ -2,16 +2,16 @@
 //! working schema at a checkpoint, so load becomes snapshot + short tail
 //! instead of a full op-log replay.
 //!
-//! Format (`snapshot.v1`, tab-separated, byte-framed, self-checksummed):
+//! Format (`snapshot.v2`, tab-separated, byte-framed, self-checksummed):
 //!
 //! ```text
-//! sws-snapshot v1
+//! sws-snapshot v2
 //! section\tmeta\t<len>\t<checksum-hex16>
 //! <len bytes of meta payload>
 //! section\tworking\t<len>\t<checksum-hex16>
 //! <len bytes of canonical working-schema ODL>
-//! section\tmoves\t<len>\t<checksum-hex16>
-//! <len bytes of move-op lines>
+//! section\tmoved\t<len>\t<checksum-hex16>
+//! <len bytes of move-table lines>
 //! end\t<checksum-hex16 of everything above>
 //! ```
 //!
@@ -22,20 +22,24 @@
 //!
 //! The `meta` payload records the checkpoint `generation` and `ops`, the
 //! number of committed ops the snapshot covers (its global sequence
-//! coverage). The `moves` payload preserves the covered prefix's
-//! `modify_attribute` / `modify_operation` ops verbatim: the shrink-wrap ↔
-//! custom mapping is derived by symbolically replaying exactly those ops,
-//! so a snapshot load must still know them even though the graph ops
-//! themselves are never replayed again.
+//! coverage). The `moved` payload is the [`MoveTable`] at coverage
+//! ([`MoveTable::render`]): the shrink-wrap ↔ custom mapping needs to know
+//! where history left the shrink wrap's attributes and operations, and
+//! the graph ops themselves are never replayed again.
+//!
+//! A `snapshot.v1` file carries a `moves` section instead: the covered
+//! prefix's `modify_attribute` / `modify_operation` ops verbatim. It still
+//! loads: [`Snapshot::parse`] folds those ops into a table against the
+//! shrink wrap.
 
 use std::fmt;
 
 use crate::checksum::{checksum, from_hex, to_hex};
-use sws_core::oplang::print_op;
-use sws_core::{ConceptKind, ModOp};
+use sws_core::MoveTable;
+use sws_model::SchemaGraph;
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// File name of the snapshot at checkpoint `generation`.
 pub fn snapshot_file(generation: u64) -> String {
@@ -52,8 +56,8 @@ pub struct Snapshot {
     pub ops: u64,
     /// Canonical extended-ODL text of the working schema at coverage.
     pub working_odl: String,
-    /// Move ops from the covered prefix, in order, for mapping derivation.
-    pub moves: Vec<(ConceptKind, ModOp)>,
+    /// The move table at coverage.
+    pub moved: MoveTable,
 }
 
 /// Why a snapshot failed to parse or verify.
@@ -106,22 +110,17 @@ impl Snapshot {
         let meta = format!("generation\t{}\nops\t{}\n", self.generation, self.ops);
         section(&mut body, "meta", &meta);
         section(&mut body, "working", &self.working_odl);
-        let mut moves = String::new();
-        for (context, op) in &self.moves {
-            moves.push_str(context.tag());
-            moves.push('\t');
-            moves.push_str(&print_op(op));
-            moves.push('\n');
-        }
-        section(&mut body, "moves", &moves);
+        section(&mut body, "moved", &self.moved.render());
         let trailer = to_hex(checksum(body.as_bytes()));
         body.push_str(&format!("end\t{trailer}\n"));
         body
     }
 
-    /// Parse the on-disk format, verifying the trailer and every section
-    /// checksum. Never panics on arbitrary damaged input.
-    pub fn parse(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+    /// Parse the on-disk format (v1 or v2), verifying the trailer and
+    /// every section checksum. A v1 snapshot's move ops are folded into
+    /// its table against `shrink_wrap`, the schema the session started
+    /// from. Never panics on arbitrary damaged input.
+    pub fn parse(bytes: &[u8], shrink_wrap: &SchemaGraph) -> Result<Snapshot, SnapshotError> {
         // Trailer first: the final newline-terminated line must be
         // `end\t<hex>` and must cover every byte before it.
         let trimmed = bytes.strip_suffix(b"\n").unwrap_or(bytes);
@@ -158,7 +157,7 @@ impl Snapshot {
         let mut generation = None;
         let mut ops = None;
         let mut working_odl = None;
-        let mut moves = None;
+        let mut moved = None;
         let mut at = header_end + 1;
         while at < body.len() {
             let line_end = body[at..]
@@ -213,24 +212,30 @@ impl Snapshot {
                     }
                 }
                 "working" => working_odl = Some(text.to_string()),
-                "moves" => {
-                    let mut parsed = Vec::new();
+                "moved" if version >= 2 => {
+                    let table = MoveTable::parse(text)
+                        .map_err(|line| bad(&format!("malformed move-table line {line:?}")))?;
+                    moved = Some(table);
+                }
+                "moves" if version < 2 => {
+                    let mut table = MoveTable::default();
                     for line in text.lines() {
-                        let record = crate::parse_log_body(line)
+                        let (_, op) = crate::parse_log_body(line)
                             .ok_or_else(|| bad(&format!("malformed move record {line:?}")))?;
-                        parsed.push(record);
+                        table.fold(shrink_wrap, &op);
                     }
-                    moves = Some(parsed);
+                    moved = Some(table);
                 }
                 // Unknown sections within a known version are tolerated.
                 _ => {}
             }
         }
+        let moves_section = if version >= 2 { "moved" } else { "moves" };
         Ok(Snapshot {
             generation: generation.ok_or(SnapshotError::MissingSection("meta"))?,
             ops: ops.ok_or(SnapshotError::MissingSection("meta"))?,
             working_odl: working_odl.ok_or(SnapshotError::MissingSection("working"))?,
-            moves: moves.ok_or(SnapshotError::MissingSection("moves"))?,
+            moved: moved.ok_or(SnapshotError::MissingSection(moves_section))?,
         })
     }
 }
@@ -239,19 +244,29 @@ impl Snapshot {
 mod tests {
     use super::*;
 
+    fn shrink_wrap() -> SchemaGraph {
+        let src = "interface Person { long age(); } \
+                   interface Employee : Person { attribute long badge; }";
+        sws_model::schema_to_graph(&sws_odl::parse_schema(src).unwrap()).unwrap()
+    }
+
+    fn parse(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+        Snapshot::parse(bytes, &shrink_wrap())
+    }
+
     fn sample() -> Snapshot {
+        let mut moved = MoveTable::default();
+        for op in [
+            "modify_attribute(Employee, badge, Person)",
+            "delete_operation(Person, age)",
+        ] {
+            moved.fold(&shrink_wrap(), &sws_core::parse_statement(op).unwrap());
+        }
         Snapshot {
             generation: 3,
             ops: 120,
             working_odl: "interface Person {\n    attribute string name;\n}\n".into(),
-            moves: vec![(
-                ConceptKind::Generalization,
-                ModOp::ModifyAttribute {
-                    ty: "Employee".into(),
-                    name: "badge".into(),
-                    new_ty: "Person".into(),
-                },
-            )],
+            moved,
         }
     }
 
@@ -259,9 +274,10 @@ mod tests {
     fn render_parse_round_trip() {
         let snap = sample();
         let text = snap.render();
-        assert!(text.starts_with("sws-snapshot v1\n"));
-        let parsed = Snapshot::parse(text.as_bytes()).unwrap();
-        assert_eq!(parsed, snap);
+        assert!(text.starts_with("sws-snapshot v2\n"));
+        assert!(text.contains("attribute\tEmployee\tbadge\tPerson\tlive\n"));
+        assert!(text.contains("operation\tPerson\tage\tPerson\tdeleted\n"));
+        assert_eq!(parse(text.as_bytes()).unwrap(), snap);
     }
 
     #[test]
@@ -270,9 +286,38 @@ mod tests {
             generation: 1,
             ops: 0,
             working_odl: String::new(),
-            moves: Vec::new(),
+            moved: MoveTable::default(),
         };
-        assert_eq!(Snapshot::parse(snap.render().as_bytes()).unwrap(), snap);
+        assert_eq!(parse(snap.render().as_bytes()).unwrap(), snap);
+    }
+
+    /// A v1 file as the previous format wrote it: a `moves` section of
+    /// move ops, folded against the shrink wrap.
+    #[test]
+    fn a_v1_snapshot_parses_by_folding_its_move_ops() {
+        let mut body = String::from("sws-snapshot v1\n");
+        for (name, payload) in [
+            ("meta", "generation\t1\nops\t2\n"),
+            ("working", ""),
+            (
+                "moves",
+                "generalization\tmodify_attribute(Employee, badge, Person)\n",
+            ),
+        ] {
+            body.push_str(&format!(
+                "section\t{name}\t{}\t{}\n{payload}\n",
+                payload.len(),
+                to_hex(checksum(payload.as_bytes()))
+            ));
+        }
+        let trailer = to_hex(checksum(body.as_bytes()));
+        body.push_str(&format!("end\t{trailer}\n"));
+        let snap = parse(body.as_bytes()).unwrap();
+        assert_eq!((snap.generation, snap.ops), (1, 2));
+        assert_eq!(
+            snap.moved.render(),
+            "attribute\tEmployee\tbadge\tPerson\tlive\n"
+        );
     }
 
     #[test]
@@ -283,11 +328,11 @@ mod tests {
         // section are still intact and verifiable, so that parse succeeds.
         for cut in 0..text.len() - 1 {
             assert!(
-                Snapshot::parse(&text.as_bytes()[..cut]).is_err(),
+                parse(&text.as_bytes()[..cut]).is_err(),
                 "cut at {cut} parsed"
             );
         }
-        assert!(Snapshot::parse(&text.as_bytes()[..text.len() - 1]).is_ok());
+        assert!(parse(&text.as_bytes()[..text.len() - 1]).is_ok());
     }
 
     #[test]
@@ -297,10 +342,7 @@ mod tests {
         for i in 0..bytes.len() {
             let mut tampered = bytes.to_vec();
             tampered[i] ^= 0x01;
-            assert!(
-                Snapshot::parse(&tampered).is_err(),
-                "flip at byte {i} parsed"
-            );
+            assert!(parse(&tampered).is_err(), "flip at byte {i} parsed");
         }
     }
 
@@ -310,7 +352,7 @@ mod tests {
         let trailer = to_hex(checksum(snap_text.as_bytes()));
         snap_text.push_str(&format!("end\t{trailer}\n"));
         assert_eq!(
-            Snapshot::parse(snap_text.as_bytes()),
+            parse(snap_text.as_bytes()),
             Err(SnapshotError::UnsupportedVersion(99))
         );
     }

@@ -65,7 +65,7 @@ fn drive(mut ws: Workspace, script: &[(ConceptKind, ModOp)], name: &str) {
     }
     ws.reset();
     assert_reads_match(&ws, &format!("{name} reset"));
-    if !ws.is_resumed() {
+    if ws.base_seq() == 0 {
         assert_eq!(ws.custom_odl().text(), full_render(ws.shrink_wrap()));
     }
 }
@@ -149,7 +149,12 @@ fn session_rollback_and_resume_keep_the_blocks_exact() {
         let op = parse_statement(statement).expect("statement parses");
         ws.apply(ConceptKind::WagonWheel, op).expect("op applies");
     }
-    let resumed = Workspace::resume(ws.shrink_wrap().clone(), ws.working().clone());
+    let resumed = Workspace::resume(
+        ws.shrink_wrap().clone(),
+        ws.working().clone(),
+        ws.total_ops(),
+        ws.move_table(),
+    );
     assert_eq!(resumed.custom_odl().text(), ws.custom_odl().text());
     let script = edit_stream(resumed.working(), 12, 9);
     drive(resumed, &script, "resumed");

@@ -21,6 +21,11 @@
 //!   N-type synthetic schema. Every accepted submit publishes a new read
 //!   view, so these rows show whether that publish scales with the
 //!   schema (see `docs/performance.md`, "The publish path");
+//! * `submit_add_type/typesN` — p50/p90 of one accepted
+//!   `add_type_definition` of a fresh name at head on the same schema:
+//!   the op the mixed `submit/typesN` stream hides, and the one that
+//!   runs the consistency resync's existence step and moves the concept
+//!   count;
 //! * `export/typesN` — p50/p90 of one `export` on the same schema right
 //!   after an accepted submit: `handle(Export)`, which assembles the ODL
 //!   from the view's blocks, plus `render_response`, which escapes it into
@@ -176,6 +181,24 @@ fn main() {
             |request| render_response(&service.handle(request)),
         );
         export_over_loopback(&mut runner, &service, n, || accept(submit_next()));
+        // Last, so the rows above run on the schema as generated.
+        let fresh = Cell::new(0u64);
+        runner.bench_batched(
+            &format!("submit_add_type/types{n}"),
+            || {
+                let t = fresh.get();
+                fresh.set(t + 1);
+                Request::Submit {
+                    session: "s0".to_string(),
+                    base_rev: rev.get(),
+                    ops: vec![OpEnvelope {
+                        context: ConceptKind::WagonWheel,
+                        statement: format!("add_type_definition(Fresh{t})"),
+                    }],
+                }
+            },
+            accept,
+        );
     }
 
     let mut report = BenchReport::from_runner("serve", SEED, &runner);

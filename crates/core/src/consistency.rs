@@ -26,13 +26,15 @@
 //! **allocation-free**: type names are interned [`Symbol`]s (equality is an
 //! integer compare), the traversal scratch is warmed before the
 //! `core.consistency.recheck` span opens, and a clean type produces three
-//! empty (never-allocated) finding vectors. The existence scan that
-//! follows an add-type or delete-type op walks the type arena in place and
-//! allocates only for the types it finds. `tests/alloc_attribution.rs`
-//! pins both at zero allocations.
+//! empty (never-allocated) finding vectors. The existence step that
+//! follows an add-type or delete-type op reads a reverse reference index —
+//! from a type name to the live types whose attribute domains or operation
+//! signatures name it — kept current for the types each op touched, and
+//! allocates only for the referencing types it finds.
+//! `tests/alloc_attribution.rs` pins both at zero allocations.
 
 use crate::impact::DirtySet;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use sws_model::{check_type_into, SchemaGraph, Symbol, TypeId, WfIssue, WfScratch};
 use sws_odl::HierKind;
@@ -316,6 +318,11 @@ pub struct ConsistencyState {
     full_pending: bool,
     /// Reusable traversal scratch for the serial recheck path.
     scratch: WfScratch,
+    /// Who references whom, for the existence step.
+    index: ReferenceIndex,
+    /// Types whose index entries may be out of date: the touched types of
+    /// every op applied or undone since the last sync.
+    index_stale: Vec<Symbol>,
 }
 
 impl Default for ConsistencyState {
@@ -335,13 +342,19 @@ impl ConsistencyState {
             pending: DirtySet::default(),
             full_pending: true,
             scratch: WfScratch::default(),
+            index: ReferenceIndex::default(),
+            index_stale: Vec::new(),
         }
     }
 
-    /// Record the dirty seed of one applied operation.
-    pub fn record(&mut self, dirty: &DirtySet) {
+    /// Record one applied or undone operation: its dirty seed, and the
+    /// types its undo patch touched
+    /// ([`UndoPatch::touched_types`](sws_model::UndoPatch::touched_types)),
+    /// whose reference-index entries the next sync refreshes.
+    pub fn record(&mut self, dirty: &DirtySet, touched: &[Symbol]) {
         if !self.full_pending {
             self.pending.merge(dirty);
+            self.index_stale.extend_from_slice(touched);
         }
     }
 
@@ -379,6 +392,24 @@ impl ConsistencyState {
     pub fn invalidate(&mut self) {
         self.full_pending = true;
         self.pending = DirtySet::default();
+        self.index_stale.clear();
+    }
+
+    /// The reverse reference index, materialized in name order: every
+    /// name an attribute domain or operation signature of a live type
+    /// mentions, with the live types that mention it. Call after
+    /// [`Self::sync`]; oracles compare it with a from-scratch scan.
+    pub fn reference_index(&self) -> BTreeMap<Symbol, Vec<Symbol>> {
+        debug_assert!(!self.full_pending, "reference_index() before sync()");
+        self.index
+            .referrers
+            .iter()
+            .map(|(&name, types)| {
+                let mut types = types.clone();
+                types.sort();
+                (name, types)
+            })
+            .collect()
     }
 
     /// Bring the stored findings up to date with `working`.
@@ -394,17 +425,32 @@ impl ConsistencyState {
                 sws_trace::span!("core.consistency.full_sync", types = working.type_count());
             self.by_type.clear();
             (self.errors, self.warnings) = (0, 0);
+            self.index = ReferenceIndex::default();
             self.scratch
                 .ensure_slots(working.type_slots(), working.link_slots());
             for (id, node) in working.types() {
                 let findings = compute_type_findings(working, shrink_wrap, &mut self.scratch, id);
                 self.put(node.name, findings);
+                self.index.refresh(working, node.name);
             }
             let rechecked = working.type_count();
             self.full_pending = false;
             self.pending = DirtySet::default();
+            self.index_stale.clear();
             sp.record("rechecked", rechecked);
             return rechecked;
+        }
+        // The reference index catches up with the touched types first, so
+        // the existence step below reads the current graph's references.
+        if !self.index_stale.is_empty() {
+            let mut isp = sws_trace::span("core.consistency.reference_index");
+            self.index_stale.sort_unstable_by_key(|name| name.index());
+            self.index_stale.dedup();
+            for &name in &self.index_stale {
+                self.index.refresh(working, name);
+            }
+            isp.record("refreshed", self.index_stale.len());
+            self.index_stale.clear();
         }
         if self.pending.is_empty() {
             return 0;
@@ -417,20 +463,18 @@ impl ConsistencyState {
         //    finding.
         let mut names: BTreeSet<Symbol> = dirty.touched;
         if !dirty.existence_changed.is_empty() {
-            // The reference scan visits every live type in place; it
-            // allocates only to record a type that does reference one. Its
-            // count goes on the enclosing span, so the scan span itself
-            // carries no field that could allocate inside it.
+            // The index lookup allocates only to record a type that does
+            // reference one. Its count goes on the enclosing span, so the
+            // step's span itself carries no field that could allocate
+            // inside it.
             let before = names.len();
             {
                 let _esp = sws_trace::span!(
                     "core.consistency.existence_scan",
                     changed = dirty.existence_changed.len()
                 );
-                for (_, node) in working.types() {
-                    if type_references_any(working, node, &dirty.existence_changed) {
-                        names.insert(node.name);
-                    }
+                for name in &dirty.existence_changed {
+                    names.extend(self.index.referrers(*name));
                 }
             }
             sp.record("referencing", names.len() - before);
@@ -537,31 +581,69 @@ fn compute_type_findings(
     tf
 }
 
-/// Does any attribute domain or operation signature of `node` mention one
-/// of `names`? The referenced names are visited as `&str` in place; the
-/// non-inserting [`Symbol::try_lookup`] makes the membership probe
-/// allocation-free, and a miss is a sound negative — a name that was never
-/// interned cannot name any graph construct.
-fn type_references_any(
-    g: &SchemaGraph,
-    node: &sws_model::TypeNode,
-    names: &BTreeSet<Symbol>,
-) -> bool {
-    let mut hit = false;
-    let mut probe = |r: &str| {
-        hit = hit || Symbol::try_lookup(r).is_some_and(|s| names.contains(&s));
-    };
+/// The reverse reference index: for every name an attribute domain or
+/// operation signature of a live type mentions, the live types that
+/// mention it. It lives beside the findings, not in the graph, so a graph
+/// clone never copies it; [`ConsistencyState::sync`] refreshes the entries
+/// of the types each op touched.
+#[derive(Debug, Clone, Default)]
+struct ReferenceIndex {
+    /// Each indexed type's referenced names, deduplicated.
+    refs: HashMap<Symbol, Vec<Symbol>>,
+    /// Each referenced name's referencing types, unordered.
+    referrers: HashMap<Symbol, Vec<Symbol>>,
+}
+
+impl ReferenceIndex {
+    /// The live types referencing `name`.
+    fn referrers(&self, name: Symbol) -> impl Iterator<Item = Symbol> + '_ {
+        self.referrers.get(&name).into_iter().flatten().copied()
+    }
+
+    /// Re-read the references of the type named `ty` from `g`; a name no
+    /// live type has loses its entries.
+    fn refresh(&mut self, g: &SchemaGraph, ty: Symbol) {
+        for name in self.refs.remove(&ty).into_iter().flatten() {
+            if let Some(types) = self.referrers.get_mut(&name) {
+                types.retain(|&t| t != ty);
+                if types.is_empty() {
+                    self.referrers.remove(&name);
+                }
+            }
+        }
+        let Some(id) = g.type_id_sym(ty) else {
+            return;
+        };
+        let names = referenced_names(g, g.ty(id));
+        if names.is_empty() {
+            return;
+        }
+        for &name in &names {
+            self.referrers.entry(name).or_default().push(ty);
+        }
+        self.refs.insert(ty, names);
+    }
+}
+
+/// Every name an attribute domain or operation signature of `node`
+/// mentions, deduplicated. Interned, not looked up: a name no type has
+/// yet must still find its referrers once a type takes it.
+fn referenced_names(g: &SchemaGraph, node: &sws_model::TypeNode) -> Vec<Symbol> {
+    let mut names = Vec::new();
+    let mut note = |r: &str| names.push(Symbol::intern(r));
     for &a in &node.attrs {
-        g.attr(a).ty.for_each_named_ref(&mut probe);
+        g.attr(a).ty.for_each_named_ref(&mut note);
     }
     for &o in &node.ops {
         let op = &g.op(o).op;
-        op.return_type.for_each_named_ref(&mut probe);
+        op.return_type.for_each_named_ref(&mut note);
         for p in &op.args {
-            p.ty.for_each_named_ref(&mut probe);
+            p.ty.for_each_named_ref(&mut note);
         }
     }
-    hit
+    names.sort_unstable_by_key(|name| name.index());
+    names.dedup();
+    names
 }
 
 #[cfg(test)]
@@ -629,6 +711,30 @@ mod tests {
         assert!(report
             .errors()
             .any(|f| matches!(f, CrossIssue::Wf(WfIssue::DanglingAttrDomain { .. }))));
+    }
+
+    #[test]
+    fn dangling_domain_follows_its_target_through_undo_and_redo() {
+        let sw = graph("interface A { attribute set<Ghost> gs; attribute long x; }");
+        let mut ws = Workspace::new(sw);
+        let dangling = |ws: &Workspace| {
+            ws.consistency()
+                .errors()
+                .any(|f| matches!(f, CrossIssue::Wf(WfIssue::DanglingAttrDomain { .. })))
+        };
+        let add = ModOp::AddTypeDefinition { ty: "Ghost".into() };
+        let delete = ModOp::DeleteTypeDefinition { ty: "Ghost".into() };
+        assert!(dangling(&ws), "Ghost does not exist yet");
+        ws.apply(ConceptKind::WagonWheel, add.clone()).unwrap();
+        assert!(!dangling(&ws), "adding Ghost resolves the domain");
+        ws.apply(ConceptKind::WagonWheel, delete).unwrap();
+        assert!(dangling(&ws), "deleting Ghost leaves it dangling again");
+        ws.undo_last().unwrap();
+        assert!(!dangling(&ws), "undoing the delete revives Ghost");
+        ws.undo_last().unwrap();
+        assert!(dangling(&ws), "undoing the add removes Ghost");
+        ws.apply(ConceptKind::WagonWheel, add).unwrap();
+        assert!(!dangling(&ws), "redoing the add resolves it");
     }
 
     #[test]

@@ -7,39 +7,58 @@
 //! few types its [`UndoPatch`] names ([`UndoPatch::touched_types`]): a
 //! wagon-wheel edit touches its focal type and the far ends of the
 //! members it changes. [`OdlBlocks`] keeps one printed block per live
-//! type in name order, marks the touched names stale as ops are applied
+//! type, marks the touched names stale as ops are applied
 //! and undone, and on the next read re-renders just those — the shape
 //! [`ConsistencyState`] has for findings.
 //!
-//! A read returns an [`OdlSnapshot`]: the schema name and the blocks
-//! themselves, shared by reference count. Building one costs a refcount
-//! bump per type and copies no text; a reader that needs the whole text
-//! assembles it with [`OdlSnapshot::text`], on its own thread.
+//! The blocks live in a copy-on-write [`ChunkedVec`] keyed by type slot,
+//! the storage the graph's own arenas use, next to a shared list of the
+//! live types in name order. A read returns an [`OdlSnapshot`]: the schema
+//! name, the block table and the order, shared by reference count. Taking
+//! one copies a pointer per 32-slot chunk and no text; the writer's next
+//! re-render copies only the chunk it lands in, and the order is copied
+//! only when a name appears or disappears. A reader that needs the whole text assembles it with
+//! [`OdlSnapshot::text`], on its own thread.
 //!
 //! [`ConsistencyState`]: crate::consistency::ConsistencyState
+//! [`UndoPatch`]: sws_model::UndoPatch
+//! [`UndoPatch::touched_types`]: sws_model::UndoPatch::touched_types
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
-use sws_model::{type_to_interface, SchemaGraph, Symbol, TypeId, UndoPatch};
+use sws_model::{type_to_interface, ChunkedVec, SchemaGraph, Symbol, TypeId};
 use sws_odl::{assemble_schema, print_interface_block};
 
-/// One published state of a schema's ODL: its name and its printed
-/// interface blocks ([`print_interface_block`]) in name order. Cloning it
-/// bumps two refcounts.
+/// Live types by name, in name order — the order `graph_to_schema` gives
+/// interfaces.
+type NameOrder = Arc<Vec<(&'static str, TypeId)>>;
+
+/// One published state of a schema's ODL: its name, its printed interface
+/// blocks ([`print_interface_block`]) by type slot, and the live types in
+/// name order. Cloning it bumps a refcount per block chunk.
 #[derive(Debug, Clone)]
 pub struct OdlSnapshot {
     name: Arc<str>,
-    blocks: Arc<[Arc<str>]>,
+    blocks: ChunkedVec<Option<Arc<str>>>,
+    order: NameOrder,
 }
 
 impl OdlSnapshot {
+    /// The blocks in name order.
+    fn blocks(&self) -> impl Iterator<Item = &str> {
+        self.order.iter().map(|&(_, id)| {
+            self.blocks[id.index()]
+                .as_deref()
+                .expect("every live type has a block")
+        })
+    }
+
     /// The whole ODL text, byte-identical to
     /// `print_schema(&graph_to_schema(g))` of the graph it was read from.
     /// Assembled on every call, into one allocation sized up front.
     pub fn text(&self) -> String {
-        let bytes: usize = self.blocks.iter().map(|block| block.len() + 1).sum();
+        let bytes: usize = self.blocks().map(|block| block.len() + 1).sum();
         let mut out = String::with_capacity(bytes + self.name.len() + 16);
-        assemble_schema(&mut out, &self.name, self.blocks.iter().map(|b| &**b));
+        assemble_schema(&mut out, &self.name, self.blocks());
         out
     }
 }
@@ -47,18 +66,18 @@ impl OdlSnapshot {
 /// Per-interface ODL blocks of one graph. See the module docs.
 #[derive(Debug, Clone)]
 pub struct OdlBlocks {
-    /// The printed block of every live type, keyed — and so ordered, as
-    /// `graph_to_schema` orders interfaces — by name.
-    blocks: BTreeMap<&'static str, Arc<str>>,
+    name: Arc<str>,
+    /// The printed block of every live type at its slot; `None` at dead
+    /// slots.
+    blocks: ChunkedVec<Option<Arc<str>>>,
+    /// Every live type's name and slot, in name order.
+    order: NameOrder,
     /// Names whose blocks may be out of date: re-rendered, or dropped if
     /// no live type has the name any more, at the next read.
     stale: Vec<Symbol>,
     /// Nothing is rendered yet (a fresh or resumed workspace): the next
-    /// read renders every type. Until then recording is a no-op, so a
-    /// replay pays nothing here.
+    /// read renders every type. Until then recording is a no-op.
     full_pending: bool,
-    /// The snapshot built by the last read, while nothing changed since.
-    snapshot: Option<OdlSnapshot>,
 }
 
 impl Default for OdlBlocks {
@@ -72,65 +91,100 @@ impl OdlBlocks {
     /// renders all.
     pub fn new() -> Self {
         OdlBlocks {
-            blocks: BTreeMap::new(),
+            name: Arc::from(""),
+            blocks: ChunkedVec::new(),
+            order: Arc::default(),
             stale: Vec::new(),
             full_pending: true,
-            snapshot: None,
         }
     }
 
-    /// Note the types `patch` touched, read against `g` (the graph the
-    /// patch was just committed on, or is about to be reverted on).
-    pub fn record(&mut self, patch: &UndoPatch, g: &SchemaGraph) {
-        if self.full_pending {
-            return;
+    /// Note the names of the types an applied or undone patch touched
+    /// ([`UndoPatch::touched_types`](sws_model::UndoPatch::touched_types)).
+    pub fn record(&mut self, touched: &[Symbol]) {
+        if !self.full_pending {
+            self.stale.extend_from_slice(touched);
         }
-        self.stale.extend(patch.touched_types(g));
-        self.snapshot = None;
     }
 
     /// The ODL of `g` as shared blocks: re-render the stale blocks, then
-    /// collect the name-ordered block list. Free when nothing changed
-    /// since the last read.
+    /// share the block table and the name order.
     pub fn snapshot(&mut self, g: &SchemaGraph) -> OdlSnapshot {
-        if let Some(snapshot) = &self.snapshot {
-            return snapshot.clone();
+        if self.full_pending || !self.stale.is_empty() {
+            self.sync(g);
         }
+        OdlSnapshot {
+            name: Arc::clone(&self.name),
+            blocks: self.blocks.clone(),
+            order: Arc::clone(&self.order),
+        }
+    }
+
+    fn sync(&mut self, g: &SchemaGraph) {
         let mut sp = sws_trace::span!("core.odl.sync", full = self.full_pending);
         let rendered = if self.full_pending {
-            self.blocks.clear();
-            self.stale.clear();
+            let mut blocks = ChunkedVec::new();
+            let mut order = Vec::with_capacity(g.type_count());
             for (id, node) in g.types() {
-                self.blocks.insert(node.name.as_str(), render(g, id));
+                put(&mut blocks, id, render(g, id));
+                order.push((node.name.as_str(), id));
             }
+            order.sort_unstable_by_key(|&(name, _)| name);
+            self.name = Arc::from(g.name());
+            self.blocks = blocks;
+            self.order = Arc::new(order);
+            self.stale.clear();
             self.full_pending = false;
-            self.blocks.len()
+            self.order.len()
         } else {
             self.stale.sort_unstable_by_key(|name| name.index());
             self.stale.dedup();
-            let mut rendered = 0;
-            for name in self.stale.drain(..) {
-                match g.type_id_sym(name) {
-                    Some(id) => {
-                        self.blocks.insert(name.as_str(), render(g, id));
-                        rendered += 1;
-                    }
-                    None => {
-                        self.blocks.remove(name.as_str());
+            self.blocks.truncate(g.type_slots());
+            // Names that left, or now live at another slot, go first: a
+            // slot an undone add freed and a later add reused must not be
+            // cleared after its new type is rendered into it.
+            for &name in &self.stale {
+                let Ok(at) = position(&self.order, name) else {
+                    continue;
+                };
+                let old = self.order[at].1;
+                if g.type_id_sym(name) != Some(old) {
+                    Arc::make_mut(&mut self.order).remove(at);
+                    if let Some(slot) = self.blocks.get_mut(old.index()) {
+                        *slot = None;
                     }
                 }
             }
+            let mut rendered = 0;
+            for name in self.stale.drain(..) {
+                let Some(id) = g.type_id_sym(name) else {
+                    continue;
+                };
+                put(&mut self.blocks, id, render(g, id));
+                if let Err(at) = position(&self.order, name) {
+                    Arc::make_mut(&mut self.order).insert(at, (name.as_str(), id));
+                }
+                rendered += 1;
+            }
             rendered
         };
-        let snapshot = OdlSnapshot {
-            name: Arc::from(g.name()),
-            blocks: self.blocks.values().cloned().collect(),
-        };
-        self.snapshot = Some(snapshot.clone());
         sp.record("rendered", rendered);
-        sp.record("blocks", self.blocks.len());
-        snapshot
+        sp.record("blocks", self.order.len());
     }
+}
+
+/// Store `block` at `id`'s slot, growing the table with empty slots.
+fn put(blocks: &mut ChunkedVec<Option<Arc<str>>>, id: TypeId, block: Arc<str>) {
+    while blocks.len() <= id.index() {
+        blocks.push(None);
+    }
+    blocks[id.index()] = Some(block);
+}
+
+/// Where `name` is, or would go, in `order`.
+fn position(order: &[(&'static str, TypeId)], name: Symbol) -> Result<usize, usize> {
+    let name = name.as_str();
+    order.binary_search_by_key(&name, |&(n, _)| n)
 }
 
 fn render(g: &SchemaGraph, id: TypeId) -> Arc<str> {

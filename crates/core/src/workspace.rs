@@ -26,17 +26,18 @@
 //!   images instead of cloning the whole graph — the only undo mechanism
 //!   in the system (designer undo/redo and the server's batch rollback
 //!   both go through it);
-//! * a [`ConsistencyState`] holding per-type consistency findings, kept
-//!   current incrementally from each operation's
-//!   [`DirtySet`]. Consistency maintenance is
+//! * a [`ConsistencyState`] holding per-type consistency findings and a
+//!   reverse reference index, kept current incrementally from each
+//!   operation's [`DirtySet`] and touched types. Consistency maintenance is
 //!   *lazy*: [`Workspace::consistency`] syncs on demand, so a whole
 //!   [`Workspace::apply_script`] batch is verified once at the next read,
 //!   not once per operation;
 //! * an [`OdlBlocks`] holding the working schema's printed interface
 //!   blocks, re-rendered lazily for the types each op's [`UndoPatch`]
 //!   touched ([`Workspace::custom_odl`]), and a concept-schema count that
-//!   is recounted only after an op changed the hierarchy shape
-//!   ([`Workspace::concept_count`]).
+//!   moves by the change in live types when an op adds or deletes only
+//!   free-standing types, and is recounted after an op changed the
+//!   hierarchy shape ([`Workspace::concept_count`]).
 //!
 //! In debug builds every incremental read is asserted equal to its
 //! from-scratch counterpart (`check_consistency`, `print_schema` of
@@ -52,7 +53,8 @@ use crate::odl_blocks::{OdlBlocks, OdlSnapshot};
 use crate::ops::apply::apply_op;
 use crate::ops::{ModOp, OpError, PermissionMatrix};
 use std::cell::{Cell, RefCell};
-use sws_model::{SchemaGraph, UndoPatch};
+use std::collections::BTreeMap;
+use sws_model::{SchemaGraph, Symbol, UndoPatch};
 
 /// One history-window entry: an operation that was applied, and the
 /// patch that takes it back.
@@ -125,12 +127,17 @@ impl Workspace {
     }
 
     /// Mark what `patch` changes in the lazily-synced read state. Called
-    /// with the graph the patch was committed on: right after an apply,
-    /// or right before an undo reverts it.
-    fn record_patch(&mut self, patch: &UndoPatch) {
-        self.odl.get_mut().record(patch, &self.working);
-        if self.concepts.get().is_some() && patch.changes_hierarchy(&self.working) {
-            self.concepts.set(None);
+    /// with the graph the patch was committed on: right after an apply
+    /// (`undo` false), or right before an undo reverts it (`undo` true).
+    fn record_patch(&mut self, patch: &UndoPatch, dirty: &DirtySet, undo: bool) {
+        let touched = patch.touched_types(&self.working);
+        self.odl.get_mut().record(&touched);
+        self.state.get_mut().record(dirty, &touched);
+        if let Some(count) = self.concepts.get() {
+            let count = patch
+                .live_type_delta(&self.working)
+                .and_then(|delta| count.checked_add_signed(if undo { -delta } else { delta }));
+            self.concepts.set(count);
         }
     }
 
@@ -237,11 +244,8 @@ impl Workspace {
         };
         let patch = self.working.commit_undo();
         sws_trace::counter("ws.undo_entries", patch.touched() as u64);
-        self.record_patch(&patch);
         let impact = ImpactReport::from_cascade(&outcome.cascade, &outcome.notes);
-        self.state
-            .borrow_mut()
-            .record(&DirtySet::from_applied(&op, &impact));
+        self.record_patch(&patch, &DirtySet::from_applied(&op, &impact), false);
         let (warnings, infos) = cautionary(&op, &self.working);
         sp.record("verdict", "ok");
         sp.record("warnings", warnings.len());
@@ -364,9 +368,11 @@ impl Workspace {
     }
 
     /// Number of concept schemas in the working schema's decomposition
-    /// (`decompose(working).len()`), counted without building them and
-    /// recounted only after an op changed a supertype, subtype or link
-    /// list or a type's liveness.
+    /// (`decompose(working).len()`), counted without building them. An op
+    /// that adds, deletes or revives only free-standing types moves it by
+    /// the change in live types ([`UndoPatch::live_type_delta`]); one
+    /// that changes a supertype, subtype or link list makes the next call
+    /// recount.
     pub fn concept_count(&self) -> usize {
         let count = match self.concepts.get() {
             Some(count) => count,
@@ -384,6 +390,16 @@ impl Workspace {
         count
     }
 
+    /// The reverse reference index behind the consistency resync's
+    /// existence step, synced like [`Self::consistency`]: every name an
+    /// attribute domain or operation signature of a live type mentions,
+    /// with the live types that mention it, in name order. For oracles.
+    pub fn reference_index(&self) -> BTreeMap<Symbol, Vec<Symbol>> {
+        let mut state = self.state.borrow_mut();
+        state.sync(&self.working, &self.shrink_wrap);
+        state.reference_index()
+    }
+
     /// Escape hatch: discard the incremental consistency state and recheck
     /// everything from scratch.
     pub fn full_recheck(&self) -> ConsistencyReport {
@@ -398,11 +414,9 @@ impl Workspace {
     /// when the window is empty.
     pub fn undo_last(&mut self) -> Option<AppliedOp> {
         let record = self.window.pop()?;
-        self.record_patch(&record.patch);
+        let dirty = DirtySet::from_applied(&record.op, &record.impact);
+        self.record_patch(&record.patch, &dirty, true);
         self.working.revert(&record.patch);
-        self.state
-            .borrow_mut()
-            .record(&DirtySet::from_applied(&record.op, &record.impact));
         Some(record)
     }
 

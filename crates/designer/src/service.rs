@@ -23,7 +23,8 @@
 //! * **Checkpointing stays off the request path.** A submit never
 //!   checkpoints inline; [`DesignService::maintain`] — called by the
 //!   server *after* the response is written — compacts once enough ops
-//!   accumulate (see `docs/serve.md`).
+//!   accumulate (see `docs/serve.md`), and frees the read view the last
+//!   publish superseded.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -279,12 +280,16 @@ struct Core {
 }
 
 /// The service. See the module docs for the locking contract; lock order
-/// is always `sessions` → `core` → `log` → `view`.
+/// is always `sessions` → `core` → `log` → `view` → `superseded`.
 pub struct DesignService {
     sessions: RwLock<HashMap<String, SessionMeta>>,
     core: Mutex<Core>,
     log: RwLock<Vec<LogEntry>>,
     view: RwLock<Arc<ReadView>>,
+    /// The view the last publish replaced, parked so that freeing it
+    /// waits for [`Self::maintain`] instead of holding the core and view
+    /// locks.
+    superseded: Mutex<Option<Arc<ReadView>>>,
     /// The immutable shrink-wrap schema, shared by every published view.
     shrink: Arc<SchemaGraph>,
     /// First rev this service holds a delta from (the repository may have
@@ -329,6 +334,7 @@ impl DesignService {
             core: Mutex::new(Core { session }),
             log: RwLock::new(Vec::new()),
             view: RwLock::new(view),
+            superseded: Mutex::new(None),
             shrink,
             start_rev,
             checkpoint_every,
@@ -361,9 +367,21 @@ impl DesignService {
             .clone()
     }
 
+    /// Publish the head state. The old view is parked, not dropped: it
+    /// is freed by the next [`Self::maintain`], after the response is out
+    /// (or here, by the publish after next, if nothing calls `maintain`).
     fn refresh_view(&self, core: &Core) {
         let fresh = Arc::new(Self::snapshot(&core.session, &self.shrink));
-        *self.view.write().unwrap_or_else(PoisonError::into_inner) = fresh;
+        let old = std::mem::replace(
+            &mut *self.view.write().unwrap_or_else(PoisonError::into_inner),
+            fresh,
+        );
+        let older = self
+            .superseded
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .replace(old);
+        drop(older); // outside the `superseded` lock
     }
 
     /// Has a shutdown been requested (by a `shutdown` frame or
@@ -403,11 +421,18 @@ impl DesignService {
         response
     }
 
-    /// Checkpoint the attached session directory if enough ops accumulated
-    /// since the last one. Called by the server *after* a response is
-    /// written, so compaction cost never lands on a request's latency.
-    /// Returns true when a checkpoint was committed.
+    /// Free the read view the last publish superseded, and checkpoint the
+    /// attached session directory if enough ops accumulated since the last
+    /// one. Called by the server *after* a response is written, so neither
+    /// cost lands on a request's latency. Returns true when a checkpoint
+    /// was committed.
     pub fn maintain(&self) -> bool {
+        let superseded = self
+            .superseded
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        drop(superseded); // outside the `superseded` lock
         let Some(k) = self.checkpoint_every else {
             return false;
         };

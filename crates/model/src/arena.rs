@@ -74,6 +74,12 @@ impl<T> ChunkedVec<T> {
         self.full() + self.tail.len()
     }
 
+    /// No slots at all?
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// The slot at `i`, if any.
     #[inline]
     pub fn get(&self, i: usize) -> Option<&T> {

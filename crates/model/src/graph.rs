@@ -301,24 +301,48 @@ impl UndoPatch {
         names
     }
 
-    /// Could reverting this patch (equivalently: could the mutation it
-    /// journals) change the concept-schema decomposition's *shape* — the
-    /// set of live types, generalization edges, or hierarchy links? Read
-    /// against `g` as in [`Self::touched_types`]. False means every
-    /// supertype list, subtype list, link list and `alive` flag is as it
-    /// was, so a concept count taken before still holds.
-    pub fn changes_hierarchy(&self, g: &SchemaGraph) -> bool {
-        g.types.len() != self.base_types
-            || g.links.len() != self.base_links
-            || self.types.iter().any(|(i, old)| {
-                g.types.get(*i).is_none_or(|now| {
-                    now.alive != old.alive
-                        || now.supertypes != old.supertypes
-                        || now.subtypes != old.subtypes
-                        || now.parent_links != old.parent_links
-                        || now.child_links != old.child_links
-                })
-            })
+    /// How the journaled mutation changed the concept-schema
+    /// decomposition's *shape* — the set of live types, generalization
+    /// edges and hierarchy links — read against `g` as in
+    /// [`Self::touched_types`].
+    ///
+    /// `Some(delta)`: no supertype, subtype or link list changed, and every
+    /// type the mutation added, deleted or revived had none of them, so
+    /// the only change is `delta` more live types (each such type is one
+    /// more, or one fewer, wagon wheel and belongs to no hierarchy).
+    /// Reverting the patch changes it by `-delta`. `None`: the hierarchy
+    /// changed; recount.
+    pub fn live_type_delta(&self, g: &SchemaGraph) -> Option<isize> {
+        fn free_standing(n: &TypeNode) -> bool {
+            n.supertypes.is_empty()
+                && n.subtypes.is_empty()
+                && n.parent_links.is_empty()
+                && n.child_links.is_empty()
+        }
+        if g.links.len() != self.base_links {
+            return None;
+        }
+        let mut delta = 0isize;
+        for (i, old) in &self.types {
+            let now = g.types.get(*i)?;
+            let same_lists = now.supertypes == old.supertypes
+                && now.subtypes == old.subtypes
+                && now.parent_links == old.parent_links
+                && now.child_links == old.child_links;
+            // A dead slot's lists are empty, so equal lists across a
+            // delete or revive mean the type was free-standing.
+            if !same_lists {
+                return None;
+            }
+            delta += now.alive as isize - old.alive as isize;
+        }
+        for now in g.types.iter().skip(self.base_types) {
+            if !free_standing(now) {
+                return None;
+            }
+            delta += now.alive as isize;
+        }
+        Some(delta)
     }
 }
 
@@ -2418,8 +2442,26 @@ mod tests {
                         );
                     }
                 }
-                if !patch.changes_hierarchy(&g) {
-                    assert_eq!(before_shape, after_shape, "seed {seed}");
+                if let Some(delta) = patch.live_type_delta(&g) {
+                    // Types with some list: the ones a delta may not touch.
+                    let linked = |shape: &Shape| -> Shape {
+                        shape
+                            .iter()
+                            .filter(|(_, sups, subs, parents, children)| {
+                                !(sups.is_empty()
+                                    && subs.is_empty()
+                                    && parents.is_empty()
+                                    && children.is_empty())
+                            })
+                            .cloned()
+                            .collect()
+                    };
+                    assert_eq!(linked(&before_shape), linked(&after_shape), "seed {seed}");
+                    assert_eq!(
+                        after_shape.len() as isize - before_shape.len() as isize,
+                        delta,
+                        "seed {seed}"
+                    );
                 }
                 // Read before reverting, the same patch names the same types.
                 let mut undone = g.clone();

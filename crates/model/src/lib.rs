@@ -10,7 +10,8 @@
 //! Modules:
 //!
 //! * [`ids`] — newtype IDs,
-//! * `arena` — the copy-on-write chunked storage behind the graph's arenas,
+//! * `arena` — [`ChunkedVec`], the copy-on-write chunked storage behind
+//!   the graph's arenas (and the core crate's published ODL blocks),
 //! * [`graph`] — the graph, its accessors and invariant-preserving mutators
 //!   (with cascade reporting for the propagation rules),
 //! * [`lower`] — lossless conversion between `sws_odl::Schema` ASTs and
@@ -37,6 +38,7 @@ pub mod lower;
 pub mod query;
 pub mod wf;
 
+pub use arena::ChunkedVec;
 pub use diff::{diff_graphs, MemberChange, SchemaDiff, TypeDiff};
 pub use error::ModelError;
 pub use graph::LinkSide;

@@ -10,7 +10,8 @@
 //!   re-applying undone ops (the designer's undo/redo): every step keeps
 //!   the incremental report equal to a from-scratch run, and likewise the
 //!   per-interface ODL (`Workspace::custom_odl`), the maintained
-//!   error/warning counts and the concept count.
+//!   error/warning counts, the concept count and the reverse reference
+//!   index (against the existence step's old arena scan).
 //! * One persistent `ClosureScratch` (the consistency recheck's
 //!   allocation-free traversal) interleaved with arbitrary mutations always
 //!   answers exactly like the reference `query` traversals.
@@ -24,6 +25,8 @@ use shrink_wrap_schemas::core::{
 use shrink_wrap_schemas::corpus::university;
 use shrink_wrap_schemas::model::{diff_graphs, graph_to_schema, query, ClosureScratch};
 use shrink_wrap_schemas::odl::{print_schema, DomainType, HierKind};
+
+mod support;
 
 /// Names likely to exist in the university schema plus some that don't.
 fn type_name() -> impl Strategy<Value = String> {
@@ -153,6 +156,7 @@ proptest! {
             let full_odl = print_schema(&graph_to_schema(ws.working()));
             prop_assert_eq!(ws.custom_odl().text(), full_odl);
             prop_assert_eq!(ws.concept_count(), decompose(ws.working()).len());
+            prop_assert_eq!(ws.reference_index(), support::reference_scan(ws.working()));
         }
     }
 
@@ -166,6 +170,7 @@ proptest! {
             let incremental = ws.consistency();
             let full = check_consistency(ws.working(), ws.shrink_wrap());
             prop_assert_eq!(incremental, full);
+            prop_assert_eq!(ws.reference_index(), support::reference_scan(ws.working()));
         }
         // The escape hatch recomputes from scratch and must agree.
         prop_assert_eq!(
@@ -176,6 +181,7 @@ proptest! {
         ws.reset();
         let diff = diff_graphs(ws.shrink_wrap(), ws.working());
         prop_assert!(diff.is_empty(), "{diff:?}");
+        prop_assert_eq!(ws.reference_index(), support::reference_scan(ws.working()));
         prop_assert_eq!(
             ws.consistency(),
             check_consistency(ws.working(), ws.shrink_wrap())

@@ -8,7 +8,10 @@
 //!   `churn_stream` at 1,000 types, and when one batch deletes a type and
 //!   re-adds the same name;
 //! * the maintained consistency counts and concept count equal a
-//!   materialized report and `decompose(..).len()`;
+//!   materialized report and `decompose(..).len()`, and the reverse
+//!   reference index equals a from-scratch scan;
+//! * adding, deleting and reviving a free-standing type moves the concept
+//!   count without a recount, and a hierarchy change still recounts;
 //! * snapshot isolation: a graph clone or a `ReadView` taken before N
 //!   writer ops renders byte-identically after them, so no write leaks
 //!   into a chunk the snapshot shares.
@@ -22,6 +25,9 @@ use shrink_wrap_schemas::model::{graph_to_schema, SchemaGraph};
 use shrink_wrap_schemas::odl::print_schema;
 use shrink_wrap_schemas::repository::Repository;
 use sws_bench::edit_scripts::{churn_stream, edit_stream};
+use sws_trace::{EventKind, Recorder};
+
+mod support;
 
 fn full_render(g: &SchemaGraph) -> String {
     print_schema(&graph_to_schema(g))
@@ -44,6 +50,11 @@ fn assert_reads_match(ws: &Workspace, at: &str) {
         ws.concept_count(),
         decompose(ws.working()).len(),
         "concept count differs at {at}"
+    );
+    assert_eq!(
+        ws.reference_index(),
+        support::reference_scan(ws.working()),
+        "reference index differs from a scan at {at}"
     );
 }
 
@@ -109,6 +120,48 @@ fn deleting_and_re_adding_a_name_in_one_batch_renders_the_new_type() {
     }
     assert_reads_match(&ws, "after undoing the batch");
     assert_eq!(ws.custom_odl().text(), full_render(ws.shrink_wrap()));
+
+    // An undone add frees its type slot, and the next add takes it. With
+    // both names stale at one read, the freed name's block must go before
+    // the new one lands: `Book`, interned long before `Zq`, syncs first.
+    let apply = |ws: &mut Workspace, statement: &str| {
+        let op = parse_statement(statement).expect("statement parses");
+        ws.apply(ConceptKind::WagonWheel, op).expect("op applies");
+    };
+    apply(&mut ws, "delete_type_definition(Book)");
+    apply(&mut ws, "add_type_definition(Zq)");
+    assert_reads_match(&ws, "after adding Zq");
+    ws.undo_last().expect("the add to undo");
+    apply(&mut ws, "add_type_definition(Book)");
+    assert_reads_match(&ws, "after Book took Zq's slot");
+}
+
+#[test]
+fn the_reference_index_follows_domains_and_signatures() {
+    // The corpus schemas name no types in attribute domains or operation
+    // signatures; these ops add such references, then move, retype,
+    // orphan and revive their targets.
+    let mut ws = Workspace::new(university::graph());
+    let statements = [
+        "add_attribute(Person, set<Course>, taking)",
+        "add_type_definition(Annex)",
+        "add_attribute(Department, Annex, annex)",
+        "add_operation(Faculty, Department, chair_of, (in Course c))",
+        "modify_attribute_type(Person, taking, set<Course>, list<Book>)",
+        "delete_type_definition(Course)",
+        "delete_type_definition(Annex)",
+        "add_type_definition(Annex)",
+    ];
+    for statement in statements {
+        let op = parse_statement(statement).expect("statement parses");
+        let context = ConceptKind::WagonWheel;
+        ws.apply(context, op).expect("op applies");
+        assert_reads_match(&ws, statement);
+    }
+    assert!(!ws.reference_index().is_empty());
+    while ws.undo_last().is_some() {
+        assert_reads_match(&ws, "undo");
+    }
 }
 
 #[test]
@@ -179,6 +232,82 @@ fn concept_count_equals_the_decomposition() {
             );
         }
     }
+}
+
+/// Adding, deleting and reviving a free-standing type moves the concept
+/// count by the change in live types, with no recount; giving the new
+/// type a supertype still recounts.
+#[test]
+fn free_standing_type_edits_move_the_concept_count_without_a_recount() {
+    let g = SyntheticSpec::sized(1_000, 11).generate();
+    let loner = g
+        .types()
+        .find(|(_, n)| {
+            n.supertypes.is_empty()
+                && n.subtypes.is_empty()
+                && n.parent_links.is_empty()
+                && n.child_links.is_empty()
+        })
+        .map(|(_, n)| n.name.to_string())
+        .expect("some synthetic type stands outside every hierarchy");
+    let supertype = g
+        .types()
+        .find(|(_, n)| !n.subtypes.is_empty())
+        .map(|(_, n)| n.name.to_string())
+        .expect("some synthetic type has subtypes");
+    let mut ws = Workspace::new(g);
+    ws.concept_count(); // the one full count
+
+    let rec = Recorder::new();
+    let _guard = rec.install_thread();
+    let recounted = |ws: &Workspace, at: &str| {
+        let count = ws.concept_count();
+        assert_eq!(
+            count,
+            decompose(ws.working()).len(),
+            "concept count at {at}"
+        );
+        rec.take()
+            .events
+            .iter()
+            .any(|e| e.name == "core.concept_count" && matches!(e.kind, EventKind::SpanOpen))
+    };
+    let apply = |ws: &mut Workspace, context, statement: &str| {
+        let op = parse_statement(statement).expect("statement parses");
+        ws.apply(context, op).expect("op applies");
+    };
+    apply(
+        &mut ws,
+        ConceptKind::WagonWheel,
+        "add_type_definition(Fresh)",
+    );
+    assert!(
+        !recounted(&ws, "add"),
+        "adding a free-standing type recounted"
+    );
+    let delete = format!("delete_type_definition({loner})");
+    apply(&mut ws, ConceptKind::WagonWheel, &delete);
+    assert!(
+        !recounted(&ws, "delete"),
+        "deleting a free-standing type recounted"
+    );
+    ws.undo_last().expect("the delete to undo");
+    assert!(!recounted(&ws, "undo delete"), "reviving a type recounted");
+    ws.undo_last().expect("the add to undo");
+    assert!(!recounted(&ws, "undo add"), "undoing an add recounted");
+
+    apply(
+        &mut ws,
+        ConceptKind::WagonWheel,
+        "add_type_definition(Fresh)",
+    );
+    assert!(!recounted(&ws, "re-add"));
+    let isa = format!("add_supertype(Fresh, {supertype})");
+    apply(&mut ws, ConceptKind::Generalization, &isa);
+    assert!(
+        recounted(&ws, "add_supertype"),
+        "a hierarchy change must recount"
+    );
 }
 
 #[test]

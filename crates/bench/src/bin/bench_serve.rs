@@ -291,7 +291,6 @@ fn durable_submits(runner: &mut Runner) {
         let dir = std::env::temp_dir().join(format!("sws_bench_durable{n}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut session = Session::from_odl(university::SOURCE).expect("schema ingests");
-        session.set_checkpoint_interval(None);
         session.save(&dir).expect("save the session directory");
         let service = DesignService::new(session);
         let opened = service.handle(Request::Open {

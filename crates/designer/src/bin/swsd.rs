@@ -45,8 +45,8 @@
 //!
 //! `--checkpoint-interval=K` auto-checkpoints the attached session
 //! directory every K committed ops (snapshot + op-log truncation, see
-//! docs/robustness.md); the `checkpoint` REPL command forces one
-//! immediately. Overrides `SWS_CHECKPOINT_INTERVAL`.
+//! docs/robustness.md), once the response to the command that reached K
+//! is out; the `checkpoint` REPL command forces one immediately.
 //!
 //! `swsd --schema <file.odl> serve --addr=HOST:PORT` (or `--session <dir>
 //! serve ...`) runs the concurrent-session daemon instead of the REPL:
@@ -115,8 +115,8 @@ options:
                        auto-checkpoint the session directory every K
                        committed ops: snapshot the working schema, archive
                        and truncate the op log, so resuming replays only
-                       the short tail (overrides SWS_CHECKPOINT_INTERVAL;
-                       the `checkpoint` command forces one immediately)
+                       the short tail (the `checkpoint` command forces one
+                       immediately)
   --addr=HOST:PORT     with the serve subcommand: the address to listen on
                        (PORT 0 picks a free port; the chosen address is
                        printed as `swsd: serving on HOST:PORT`). The daemon
@@ -263,27 +263,14 @@ fn main() -> ExitCode {
         return ExitCode::from(EXIT_USAGE);
     }
 
-    let session = match args.as_slice() {
-        [flag, value] if flag == "--schema" => {
-            crash::set_repo_path(value);
-            let source = match std::fs::read_to_string(value) {
-                Ok(s) => s,
-                Err(e) => {
-                    let message = format!("cannot read {value}: {e}");
-                    eprintln!("swsd: {message}");
-                    crash::dump_error_exit(&message, EXIT_IO);
-                    return ExitCode::from(EXIT_IO);
+    let mut session = match args.as_slice() {
+        [flag, value] if flag == "--schema" || flag == "--session" => {
+            match open_session(flag, value, strict, checkpoint_interval) {
+                Ok(session) => session,
+                Err((message, code)) => {
+                    crash::dump_error_exit(&message, code);
+                    return ExitCode::from(code);
                 }
-            };
-            Session::from_odl(&source)
-        }
-        [flag, value] if flag == "--session" => {
-            crash::set_repo_path(value);
-            crash::set_dump_dir(Path::new(value));
-            if strict {
-                Session::load_strict(Path::new(value))
-            } else {
-                Session::load(Path::new(value))
             }
         }
         _ => {
@@ -291,18 +278,6 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_USAGE);
         }
     };
-    let mut session = match session {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("swsd: {e}");
-            let code = exit_code_for(&e);
-            crash::dump_error_exit(&e.to_string(), code);
-            return ExitCode::from(code);
-        }
-    };
-    if checkpoint_interval.is_some() {
-        session.set_checkpoint_interval(checkpoint_interval);
-    }
 
     // Salvage outcome: report damage to stderr; data loss (and, less
     // urgently, a degraded fallback load) taints the exit code even
@@ -353,6 +328,11 @@ fn main() -> ExitCode {
             }
             CommandOutcome::Quit => break,
         }
+        // Off the response path: the command's output is already out.
+        if let Err(e) = session.checkpoint_if_due() {
+            let _ = writeln!(out, "warning: checkpoint failed ({e}); will retry");
+            let _ = out.flush();
+        }
     }
 
     // Recommit the attached session directory: the appends since the last
@@ -401,6 +381,39 @@ fn main() -> ExitCode {
     exit
 }
 
+/// Open the session `--schema <file.odl>` or `--session <dir>` names:
+/// ingest the schema, or load the directory (salvage mode unless
+/// `strict`), with the checkpoint interval set. `Err` carries the message,
+/// already printed as `swsd: <message>`, and the exit code.
+fn open_session(
+    flag: &str,
+    value: &str,
+    strict: bool,
+    checkpoint_interval: Option<u64>,
+) -> Result<Session, (String, u8)> {
+    let fail = |message: String, code: u8| {
+        eprintln!("swsd: {message}");
+        (message, code)
+    };
+    crash::set_repo_path(value);
+    let session = if flag == "--schema" {
+        match std::fs::read_to_string(value) {
+            Ok(source) => Session::from_odl(&source),
+            Err(e) => return Err(fail(format!("cannot read {value}: {e}"), EXIT_IO)),
+        }
+    } else {
+        crash::set_dump_dir(Path::new(value));
+        if strict {
+            Session::load_strict(Path::new(value))
+        } else {
+            Session::load(Path::new(value))
+        }
+    };
+    let mut session = session.map_err(|e| fail(e.to_string(), exit_code_for(&e)))?;
+    session.set_checkpoint_interval(checkpoint_interval);
+    Ok(session)
+}
+
 /// `swsd --schema <S> serve --addr=A` / `swsd --session <dir> serve
 /// --addr=A`: run the concurrent-session daemon until a `shutdown` frame.
 ///
@@ -424,34 +437,10 @@ fn run_serve(
             return ExitCode::from(EXIT_USAGE);
         }
     };
-    let session = if flag == "--schema" {
-        crash::set_repo_path(value);
-        match std::fs::read_to_string(value) {
-            Ok(source) => Session::from_odl(&source),
-            Err(e) => {
-                eprintln!("swsd: cannot read {value}: {e}");
-                return ExitCode::from(EXIT_IO);
-            }
-        }
-    } else {
-        crash::set_repo_path(value);
-        crash::set_dump_dir(Path::new(value));
-        if strict {
-            Session::load_strict(Path::new(value))
-        } else {
-            Session::load(Path::new(value))
-        }
+    let session = match open_session(flag, value, strict, checkpoint_interval) {
+        Ok(session) => session,
+        Err((_, code)) => return ExitCode::from(code),
     };
-    let mut session = match session {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("swsd: {e}");
-            return ExitCode::from(exit_code_for(&e));
-        }
-    };
-    if checkpoint_interval.is_some() {
-        session.set_checkpoint_interval(checkpoint_interval);
-    }
     if let Some(report) = session.recovery().filter(|r| !r.is_clean()) {
         eprint!("swsd: session directory was damaged\n{}", report.render());
         if report.data_loss() {

@@ -22,12 +22,13 @@
 //!   sessions can read concurrently while another writes.
 //! * **Checkpointing stays off the request path.** A submit never
 //!   checkpoints inline; [`DesignService::maintain`] — called by the
-//!   server *after* the response is written — compacts once enough ops
-//!   accumulate (see `docs/serve.md`), and frees the read view the last
-//!   publish superseded.
+//!   server *after* the response is written — applies the session's
+//!   checkpoint policy ([`Session::checkpoint_if_due`]; see
+//!   `docs/serve.md`), and frees the read view the last publish
+//!   superseded.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use sws_analyze::{analyze_ops, commutes, footprint, Footprint};
@@ -295,13 +296,9 @@ pub struct DesignService {
     /// First rev this service holds a delta from (the repository may have
     /// ops from before the service started; those are behind the horizon).
     start_rev: u64,
-    /// Checkpoint every K accepted ops, off the request path (taken from
-    /// the session's interval at construction; the session's own inline
-    /// auto-checkpointing is disabled).
-    checkpoint_every: Option<u64>,
-    /// Accepted ops since the last checkpoint — lets [`Self::maintain`]
-    /// bail out without touching the core lock.
-    ops_since_checkpoint: AtomicU64,
+    /// [`Session::checkpoint_due`] as of the last accepted submit — lets
+    /// [`Self::maintain`] bail out without touching the core lock.
+    checkpoint_due: AtomicBool,
     shutdown: AtomicBool,
 }
 
@@ -309,7 +306,6 @@ impl std::fmt::Debug for DesignService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DesignService")
             .field("start_rev", &self.start_rev)
-            .field("checkpoint_every", &self.checkpoint_every)
             .finish_non_exhaustive()
     }
 }
@@ -321,11 +317,9 @@ fn lock_core(core: &Mutex<Core>) -> MutexGuard<'_, Core> {
 }
 
 impl DesignService {
-    /// Wrap a session. The session's inline auto-checkpoint interval (if
-    /// any) moves to the service's off-request-path maintenance.
-    pub fn new(mut session: Session) -> Self {
-        let checkpoint_every = session.checkpoint_interval();
-        session.set_checkpoint_interval(None);
+    /// Wrap a session; its checkpoint interval, if any, is applied by
+    /// [`Self::maintain`].
+    pub fn new(session: Session) -> Self {
         let start_rev = session.repository().total_ops();
         let shrink = Arc::new(session.repository().workspace().shrink_wrap().clone());
         let view = Arc::new(Self::snapshot(&session, &shrink));
@@ -337,8 +331,7 @@ impl DesignService {
             superseded: Mutex::new(None),
             shrink,
             start_rev,
-            checkpoint_every,
-            ops_since_checkpoint: AtomicU64::new(0),
+            checkpoint_due: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
         }
     }
@@ -422,10 +415,11 @@ impl DesignService {
     }
 
     /// Free the read view the last publish superseded, and checkpoint the
-    /// attached session directory if enough ops accumulated since the last
-    /// one. Called by the server *after* a response is written, so neither
-    /// cost lands on a request's latency. Returns true when a checkpoint
-    /// was committed.
+    /// attached session directory if the session's policy says one is due.
+    /// Called by the server *after* a response is written, so neither
+    /// cost lands on a request's latency; the core lock is taken only
+    /// when the last accepted submit left a checkpoint due. Returns true
+    /// when a checkpoint was committed.
     pub fn maintain(&self) -> bool {
         let superseded = self
             .superseded
@@ -433,38 +427,18 @@ impl DesignService {
             .unwrap_or_else(PoisonError::into_inner)
             .take();
         drop(superseded); // outside the `superseded` lock
-        let Some(k) = self.checkpoint_every else {
-            return false;
-        };
-        if self.ops_since_checkpoint.load(Ordering::Relaxed) < k {
+        if !self.checkpoint_due.swap(false, Ordering::Relaxed) {
             return false;
         }
-        let mut core = lock_core(&self.core);
-        if core.session.autosave_dir().is_none() {
-            return false;
-        }
-        let pending = {
-            let repo = core.session.repository();
-            repo.total_ops()
-                .saturating_sub(repo.checkpoint_state().tail_start())
-        };
-        if pending < k {
-            self.ops_since_checkpoint.store(pending, Ordering::Relaxed);
-            return false;
-        }
-        match core.session.checkpoint() {
+        match lock_core(&self.core).session.checkpoint_if_due() {
             Ok(Some(_)) => {
                 sws_trace::counter("serve.checkpoints", 1);
-                self.ops_since_checkpoint.store(0, Ordering::Relaxed);
                 true
             }
-            Ok(None) => {
-                self.ops_since_checkpoint.store(0, Ordering::Relaxed);
-                false
-            }
+            Ok(None) => false,
             Err(_) => {
-                // A failed checkpoint never loses committed state; retry
-                // at the next maintenance pass.
+                // A failed checkpoint never loses committed state; the
+                // next accepted submit leaves it due again.
                 sws_trace::counter("serve.checkpoint_failures", 1);
                 false
             }
@@ -627,8 +601,8 @@ impl DesignService {
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .extend(entries);
-        self.ops_since_checkpoint
-            .fetch_add(script.len() as u64, Ordering::Relaxed);
+        self.checkpoint_due
+            .store(core.session.checkpoint_due(), Ordering::Relaxed);
         sws_trace::counter("serve.ops_accepted", script.len() as u64);
         self.refresh_view(&core);
         Response::Accepted {
@@ -826,7 +800,6 @@ impl DesignService {
         match core.session.checkpoint() {
             Ok(Some(outcome)) => {
                 sws_trace::counter("serve.checkpoints", 1);
-                self.ops_since_checkpoint.store(0, Ordering::Relaxed);
                 Response::Checkpointed {
                     rev,
                     generation: Some(outcome.generation),
@@ -1143,6 +1116,75 @@ mod tests {
             svc.maintain();
         }
         assert_eq!(svc.with_session(|s| s.repository().total_ops()), SUBMITS);
+    }
+
+    /// A service over a session autosaving to `dir` on `disk`, which
+    /// checkpoints every `k` ops, with `alice` open.
+    fn durable_service(disk: &sws_repository::io::MemIo, dir: &str, k: u64) -> DesignService {
+        let mut session = Session::from_odl(SRC).expect("test schema parses");
+        session.set_io(Box::new(disk.clone()));
+        session.set_checkpoint_interval(Some(k));
+        session
+            .save(std::path::Path::new(dir))
+            .expect("initial save");
+        let svc = DesignService::new(session);
+        open(&svc, "alice");
+        svc
+    }
+
+    fn add_type(svc: &DesignService, ty: &str) {
+        let resp = svc.handle(Request::Submit {
+            session: "alice".into(),
+            base_rev: svc.view().rev,
+            ops: vec![wagon(&format!("add_type_definition({ty})"))],
+        });
+        assert!(matches!(resp, Response::Accepted { .. }), "{resp:?}");
+    }
+
+    #[test]
+    fn a_directory_killed_between_checkpoints_loads_strictly() {
+        use sws_repository::io::{MemIo, RepoIo};
+        use sws_repository::{LoadMode, Repository};
+
+        let disk = MemIo::new();
+        let svc = durable_service(&disk, "/mem/killed", 2);
+        for ty in ["Project", "Task", "Sprint"] {
+            add_type(&svc, ty);
+            svc.maintain();
+        }
+        let dir = std::path::Path::new("/mem/killed");
+        assert!(
+            disk.exists(&dir.join("snapshot.1")),
+            "the second op checkpointed"
+        );
+        let live = svc.view().odl.text();
+        drop(svc); // killed: no final save
+
+        let (strict, _) = Repository::load_with(&disk, dir, LoadMode::Strict).expect("strict load");
+        assert_eq!(strict.custom_schema_odl(), live);
+        let (salvaged, report) =
+            Repository::load_with(&disk, dir, LoadMode::Salvage).expect("salvage load");
+        assert!(!report.data_loss(), "{report:?}");
+        assert_eq!(salvaged.total_ops(), 3);
+        assert_eq!(salvaged.custom_schema_odl(), live);
+    }
+
+    #[test]
+    fn maintain_takes_the_core_lock_only_when_a_checkpoint_is_due() {
+        let disk = sws_repository::io::MemIo::new();
+        let svc = Arc::new(durable_service(&disk, "/mem/maintain", 2));
+        add_type(&svc, "Project");
+        // Hold the core lock: a maintain that wanted it would block.
+        let held = lock_core(&svc.core);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let other = Arc::clone(&svc);
+        std::thread::spawn(move || tx.send(other.maintain()));
+        let not_due = rx.recv_timeout(std::time::Duration::from_secs(30));
+        drop(held);
+        assert_eq!(not_due, Ok(false), "one op is below the interval");
+        add_type(&svc, "Task");
+        assert!(svc.maintain(), "the second op made a checkpoint due");
+        assert!(!svc.maintain(), "and it is no longer due");
     }
 
     #[test]

@@ -108,15 +108,14 @@ pub struct Session {
     /// Storage the session persists through. [`RealIo`] in production;
     /// tests swap in fault-injecting implementations via [`Session::set_io`].
     io: Box<dyn RepoIo>,
-    /// Checkpoint every K committed ops (`SWS_CHECKPOINT_INTERVAL` or
-    /// `--checkpoint-interval=K`); `None` disables auto-checkpointing.
+    /// Checkpoint every K committed ops (`--checkpoint-interval=K`; see
+    /// [`Session::checkpoint_if_due`]); `None` disables auto-checkpointing.
     checkpoint_interval: Option<u64>,
 }
 
 impl Session {
     /// Open a session on a repository. The initial context is a wagon
-    /// wheel (the paper: wagon wheels carry most modifications). The
-    /// auto-checkpoint interval defaults from `SWS_CHECKPOINT_INTERVAL`.
+    /// wheel (the paper: wagon wheels carry most modifications).
     pub fn new(repo: Repository) -> Self {
         Session {
             repo,
@@ -128,10 +127,7 @@ impl Session {
             autosave_warning: None,
             recovery: None,
             io: Box::new(RealIo),
-            checkpoint_interval: std::env::var("SWS_CHECKPOINT_INTERVAL")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&k| k > 0),
+            checkpoint_interval: None,
         }
     }
 
@@ -220,9 +216,10 @@ impl Session {
     /// Issue a batch of ops, all or none. If op `i` is rejected, ops `0..i`
     /// are reverted in memory through the undo journal, nothing is written,
     /// and `Err((i, error))` comes back. Once all are in, an attached
-    /// directory gets their records in one fsynced append, which completes
-    /// before the checkpoint interval is consulted; then the history
-    /// window is trimmed (see [`Self::retire`]).
+    /// directory gets their records in one fsynced append; then the
+    /// history window is trimmed of the entries no one can use any more.
+    /// A batch never checkpoints: the host calls
+    /// [`Self::checkpoint_if_due`] once its response is out.
     pub fn issue_batch(
         &mut self,
         ops: &[(ConceptKind, ModOp)],
@@ -248,8 +245,6 @@ impl Session {
             let records = batch.iter().map(|r| (r.context, &r.op));
             if let Err(e) = append_log_records(self.io.as_ref(), &dir, first_seq, records) {
                 self.disable_autosave(&dir, &e);
-            } else {
-                self.maybe_autocheckpoint(&dir);
             }
         }
         self.retire();
@@ -273,28 +268,6 @@ impl Session {
         self.repo.workspace_mut().retire(keep_from);
     }
 
-    /// Checkpoint now, if enough ops accumulated since the last one.
-    fn maybe_autocheckpoint(&mut self, dir: &Path) {
-        let Some(k) = self.checkpoint_interval else {
-            return;
-        };
-        let pending = self
-            .repo
-            .total_ops()
-            .saturating_sub(self.repo.checkpoint_state().tail_start());
-        if pending < k {
-            return;
-        }
-        if let Err(e) = self.repo.checkpoint_with(self.io.as_ref(), dir) {
-            // A failed checkpoint never loses committed state (the tail is
-            // still intact); warn and keep designing.
-            self.autosave_warning = Some(format!(
-                "checkpoint to {} failed ({e}); will retry at the next interval",
-                dir.display()
-            ));
-        }
-    }
-
     /// Checkpoint the session directory now: snapshot the working schema,
     /// archive the replayed tail, and truncate the log (see
     /// [`Repository::checkpoint_with`]), then retire the window entries
@@ -308,6 +281,27 @@ impl Session {
         let outcome = self.repo.checkpoint_with(self.io.as_ref(), &dir);
         self.retire();
         outcome.map_err(SessionError::from)
+    }
+
+    /// Is a checkpoint due: a directory is attached, an interval is set,
+    /// and at least that many ops were committed since the newest
+    /// snapshot?
+    pub fn checkpoint_due(&self) -> bool {
+        let pending = self.repo.total_ops().saturating_sub(self.repo.tail_start());
+        self.autosave_dir.is_some() && self.checkpoint_interval.is_some_and(|k| pending >= k)
+    }
+
+    /// The checkpoint policy: checkpoint the attached directory when
+    /// [`Self::checkpoint_due`]. Hosts call it after the response to a
+    /// command or request is out, so none waits for a checkpoint. A
+    /// failed checkpoint loses nothing (the tail is intact) and leaves the
+    /// checkpoint due, so the next call retries. `Ok(None)` when none was
+    /// due.
+    pub fn checkpoint_if_due(&mut self) -> Result<Option<CheckpointOutcome>, SessionError> {
+        if !self.checkpoint_due() {
+            return Ok(None);
+        }
+        self.checkpoint()
     }
 
     /// The auto-checkpoint interval (ops between checkpoints), if enabled.
@@ -875,11 +869,13 @@ mod tests {
         s.save(&dir).unwrap();
 
         s.issue_str("add_type_definition(Project)").unwrap();
+        s.checkpoint_if_due().unwrap();
         assert!(
             !dir.join("snapshot.1").exists(),
             "one op is below the interval"
         );
         s.issue_str("add_type_definition(Task)").unwrap();
+        s.checkpoint_if_due().unwrap();
         assert!(
             dir.join("snapshot.1").exists(),
             "the second op triggers the checkpoint"
@@ -891,8 +887,10 @@ mod tests {
         );
         // The next interval counts from the checkpoint, not from zero.
         s.issue_str("add_type_definition(Sprint)").unwrap();
+        s.checkpoint_if_due().unwrap();
         assert!(!dir.join("snapshot.2").exists());
         s.issue_str("add_type_definition(Epic)").unwrap();
+        s.checkpoint_if_due().unwrap();
         assert!(dir.join("snapshot.2").exists());
 
         let loaded = Session::load(&dir).unwrap();
@@ -923,6 +921,7 @@ mod tests {
         // the whole checkpoint runs; its MANIFEST rename is the commit
         // point, and no op-log append may land inside that window.
         s.issue_str("add_type_definition(Project)").unwrap();
+        s.checkpoint_if_due().unwrap();
         assert!(s.take_autosave_warning().is_none());
         let journal = io.journal();
         let log_append = "append /mem/session/session.ops";
@@ -957,6 +956,44 @@ mod tests {
                 .any(|l| l.starts_with("rename") && l.ends_with("/session.ops")),
             "{journal:#?}"
         );
+    }
+
+    #[test]
+    fn a_checkpoint_writes_only_the_snapshot_archive_manifest_and_tail() {
+        use std::sync::Arc;
+        use sws_repository::io::{FaultIo, MemIo};
+
+        let io = Arc::new(FaultIo::new(MemIo::new()));
+        let mut s = session();
+        s.set_io(Box::new(io.clone()));
+        s.set_checkpoint_interval(Some(1));
+        s.save(Path::new("/mem/lean")).unwrap();
+        for ty in ["Project", "Task"] {
+            s.issue_str(&format!("add_type_definition({ty})")).unwrap();
+            s.checkpoint_if_due().unwrap();
+        }
+        io.clear_journal();
+        // The third checkpoint also prunes snapshot.1 (retention keeps two).
+        s.issue_str("add_type_definition(Sprint)").unwrap();
+        assert!(s.checkpoint_if_due().unwrap().is_some());
+        let atomic = |name: &str| {
+            [
+                format!("write /mem/lean/.{name}.tmp"),
+                format!("sync /mem/lean/.{name}.tmp"),
+                format!("rename /mem/lean/.{name}.tmp -> /mem/lean/{name}"),
+            ]
+        };
+        let log = "/mem/lean/session.ops";
+        let archive = "/mem/lean/session.ops.archive";
+        let expected: Vec<String> = [format!("append {log}"), format!("sync {log}")]
+            .into_iter()
+            .chain(atomic("snapshot.3"))
+            .chain([format!("append {archive}"), format!("sync {archive}")])
+            .chain(atomic("MANIFEST"))
+            .chain(atomic("session.ops"))
+            .chain(["remove /mem/lean/snapshot.1".to_string()])
+            .collect();
+        assert_eq!(io.journal(), expected);
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! * `session.ops.archive` — the append-only archive of every op-log
 //!   prefix truncated by a checkpoint (never rewritten: full-log replay
 //!   stays possible as the salvage layer of last resort),
-//! * `custom.odl` — the derived custom schema (informative; regenerated
-//!   and verified against the replay on load),
+//! * `custom.odl` — the derived custom schema (informative; written by
+//!   saves, not by checkpoints, and compared byte for byte with the replay
+//!   on load when its MANIFEST entry says it covers the head),
 //! * `mapping.txt` — the rendered shrink-wrap ↔ custom mapping
-//!   (informative),
+//!   (informative, written with `custom.odl`),
 //! * `MANIFEST` — format version plus per-file checksums and checkpoint
 //!   state, written atomically last: the commit record of a save or a
 //!   checkpoint.
@@ -498,24 +499,22 @@ impl Repository {
         io.create_dir_all(dir)?;
         let meta = self.effective_checkpoint(io, dir);
         if meta.tail_start() < self.workspace.base_seq() {
-            let (meta, cleanup) = self.commit_snapshot(io, dir, meta, "")?;
+            let (meta, cleanup) = self.commit_snapshot(io, dir, meta, "", true)?;
             sws_trace::counter("repo.save.snapshots", 1);
             sp.record("verdict", "snapshot");
             return Ok((meta, cleanup.map(drop)));
         }
         // The op log is self-validating per line and append-only, so it is
-        // not manifested: appends must not invalidate the manifest. The
-        // shrink wrap goes second-to-last on purpose: loading requires it,
-        // so a crash earlier in a fresh-directory save leaves *no* loadable
-        // session (the pre-save state) rather than one with a silently
-        // truncated op log.
+        // not manifested: appends must not invalidate the manifest.
         io.write_atomic(
             &dir.join(SESSION_FILE),
             self.render_log_from(meta.tail_start()).as_bytes(),
         )?;
         let custom = self.workspace.custom_odl().text();
-        let files = self.write_derived_and_manifest(io, dir, &meta, &custom)?;
-        sp.record("files", files + 2);
+        let mut manifest = self.commit_files(io, dir, Some(&custom))?;
+        sp.record("files", manifest.entries.len() + 2);
+        manifest.set_checkpoint(meta.clone());
+        io.write_atomic(&dir.join(MANIFEST_FILE), manifest.render().as_bytes())?;
         Ok((meta, Ok(())))
     }
 
@@ -533,33 +532,51 @@ impl Repository {
         meta
     }
 
-    /// Write the derived whole-file artifacts — `custom` is the assembled
-    /// custom-schema ODL — and then the manifest (the commit record)
-    /// carrying `meta`. Returns the file count written.
-    fn write_derived_and_manifest(
+    /// The files a commit lists, written or kept. A save passes the
+    /// assembled custom-schema ODL as `custom`: every file is written
+    /// from the head, the derived ones with the ops they cover. A
+    /// checkpoint passes `None`: the committed MANIFEST's files are kept
+    /// as they are, derived ones lagging the head. Either way a file a
+    /// load needs that the list lacks is written: the local names, when
+    /// there are any, then the shrink wrap. The shrink wrap goes last on
+    /// purpose: a crash earlier in a fresh-directory save leaves *no*
+    /// loadable session (the pre-save state) rather than one with a
+    /// silently truncated op log.
+    fn commit_files(
         &self,
         io: &dyn RepoIo,
         dir: &Path,
-        meta: &CheckpointMeta,
-        custom: &str,
-    ) -> Result<usize, RepoError> {
+        custom: Option<&str>,
+    ) -> Result<Manifest, RepoError> {
         let mut manifest = Manifest::new();
-        manifest.set_checkpoint(meta.clone());
-        let mut files = 0usize;
-        let mut write = |name: &str, data: &str| -> Result<(), RepoError> {
+        let write = |manifest: &mut Manifest, name: &str, data: &str, ops| {
             io.write_atomic(&dir.join(name), data.as_bytes())?;
-            manifest.insert(name, data.as_bytes());
-            files += 1;
-            Ok(())
+            manifest.insert(name, data.as_bytes(), ops);
+            Ok::<_, RepoError>(())
         };
-        write(CUSTOM_FILE, custom)?;
-        write(MAPPING_FILE, &Mapping::derive(&self.workspace).render())?;
-        if !self.aliases.is_empty() {
-            write(ALIASES_FILE, &self.aliases.render())?;
+        if let Some(custom) = custom {
+            let total = Some(self.total_ops());
+            let mapping = Mapping::derive(&self.workspace).render();
+            write(&mut manifest, CUSTOM_FILE, custom, total)?;
+            write(&mut manifest, MAPPING_FILE, &mapping, total)?;
+        } else if io.exists(&dir.join(MANIFEST_FILE)) {
+            let text = io.read(&dir.join(MANIFEST_FILE))?;
+            if let Ok(committed) = Manifest::parse(&String::from_utf8_lossy(&text)) {
+                manifest.entries = committed.entries;
+            }
         }
-        write(SHRINK_WRAP_FILE, self.shrink_wrap_text())?;
-        io.write_atomic(&dir.join(MANIFEST_FILE), manifest.render().as_bytes())?;
-        Ok(files + 1)
+        if !self.aliases.is_empty() && !manifest.entries.contains_key(ALIASES_FILE) {
+            write(&mut manifest, ALIASES_FILE, &self.aliases.render(), None)?;
+        }
+        if !manifest.entries.contains_key(SHRINK_WRAP_FILE) {
+            write(
+                &mut manifest,
+                SHRINK_WRAP_FILE,
+                self.shrink_wrap_text(),
+                None,
+            )?;
+        }
+        Ok(manifest)
     }
 
     /// Checkpoint to `dir` on the real filesystem. See
@@ -571,7 +588,9 @@ impl Repository {
     /// Write a checkpoint: snapshot the working schema, archive the
     /// replayed tail, commit both via a new MANIFEST generation, then
     /// truncate the tail — so the next load is snapshot + short tail
-    /// instead of a full replay.
+    /// instead of a full replay. The derived files (`custom.odl`,
+    /// `mapping.txt`) and the shrink wrap are not rewritten: the new
+    /// MANIFEST lists them as the committed one did.
     ///
     /// Ordering is the crash contract (every step goes through the same
     /// atomic [`RepoIo`] primitives the save path uses):
@@ -581,9 +600,9 @@ impl Repository {
     ///    appends after a crashed attempt are resolved by sequence
     ///    numbers, last occurrence wins) — when the history window still
     ///    holds them all; otherwise the snapshot alone covers them;
-    /// 3. derived files + the v2 MANIFEST naming the snapshot — the
-    ///    **commit point**: a crash before this loads the old state, after
-    ///    it the new;
+    /// 3. the v2 MANIFEST naming the snapshot and the committed files —
+    ///    the **commit point**: a crash before this loads the old state,
+    ///    after it the new;
     /// 4. `session.ops` truncated (stale records are skipped by their
     ///    sequence numbers even if this never lands);
     /// 5. snapshots beyond the retention pair (newest + previous) removed.
@@ -607,7 +626,7 @@ impl Repository {
         } else {
             (String::new(), 0)
         };
-        let (new_meta, cleanup) = self.commit_snapshot(io, dir, meta, &archived)?;
+        let (new_meta, cleanup) = self.commit_snapshot(io, dir, meta, &archived, false)?;
         let generation = new_meta.generation;
         self.checkpoint = new_meta;
         sws_trace::counter("repo.checkpoint.written", 1);
@@ -628,7 +647,9 @@ impl Repository {
     /// Steps 1–5 of [`Self::checkpoint_with`] on top of `meta`, the
     /// directory's effective checkpoint state: a snapshot of the head,
     /// `archived` appended to the archive (skipped when empty), the
-    /// commit, the tail truncation and the pruning. An error before the
+    /// commit, the tail truncation and the pruning, listing
+    /// `fresh_files` (a save's) or the committed ones (a checkpoint's; see
+    /// [`Self::commit_files`]). An error before the
     /// commit point is the outer one; past it, the committed state comes
     /// back with the cleanup's outcome (the pruned snapshot files).
     fn commit_snapshot(
@@ -637,6 +658,7 @@ impl Repository {
         dir: &Path,
         meta: CheckpointMeta,
         archived: &str,
+        fresh_files: bool,
     ) -> Result<Committed<Vec<String>>, RepoError> {
         let total = self.total_ops();
         // 1. The snapshot image: working schema + the move table the
@@ -645,7 +667,7 @@ impl Repository {
         let snap = Snapshot {
             generation,
             ops: total,
-            // Assembled once: the snapshot and `custom.odl` share it.
+            // Assembled once: a save's `custom.odl` shares it.
             working_odl: self.workspace.custom_odl().text(),
             moved: self.workspace.move_table(),
         };
@@ -657,8 +679,10 @@ impl Repository {
             io.append_sync(&dir.join(ARCHIVE_FILE), archived.as_bytes())?;
         }
 
-        // 3. Commit: derived files, then the v2 manifest naming the new
-        //    snapshot (and retaining the previous newest as a fallback).
+        // 3. Commit: the v2 manifest naming the new snapshot (and
+        //    retaining the previous newest as a fallback) and the files.
+        let custom = fresh_files.then_some(snap.working_odl.as_str());
+        let mut manifest = self.commit_files(io, dir, custom)?;
         let mut retained = meta.snapshots;
         let pruned: Vec<String> = if retained.is_empty() {
             Vec::new()
@@ -678,7 +702,8 @@ impl Repository {
             generation,
             snapshots: retained,
         };
-        self.write_derived_and_manifest(io, dir, &new_meta, &snap.working_odl)?;
+        manifest.set_checkpoint(new_meta.clone());
+        io.write_atomic(&dir.join(MANIFEST_FILE), manifest.render().as_bytes())?;
 
         // 4–5. Post-commit cleanup. Failures here are reported but cannot
         // un-commit: stale tail records are skipped by sequence number and
@@ -1005,108 +1030,64 @@ impl Repository {
             }
         }
 
-        // --- derived files: verified, regenerable ------------------------
-        let custom_path = dir.join(CUSTOM_FILE);
-        if io.exists(&custom_path) {
-            let bytes = io.read(&custom_path)?;
-            if verify(CUSTOM_FILE, &bytes) == Some(false) {
-                if !salvage {
-                    return Err(RepoError::Corrupt {
-                        file: CUSTOM_FILE.into(),
-                        detail: "checksum mismatch".into(),
-                    });
-                }
-                damage.push(FileDamage {
-                    file: CUSTOM_FILE.into(),
-                    kind: DamageKind::ChecksumMismatch,
-                    detail: "checksum mismatch; regenerated from replay".into(),
-                });
-                regenerated.push(CUSTOM_FILE.into());
+        // --- derived files: checked by checksum and bytes, regenerable ----
+        // An entry's coverage says which op count its file describes. A
+        // checkpoint does not rewrite derived files, so one that lags the
+        // head is committed state: strict accepts it, salvage regenerates
+        // it. One that claims the head, or predates coverage, must equal
+        // the replay byte for byte. A file the MANIFEST does not list is
+        // not part of the committed directory.
+        let head = repo.total_ops();
+        for name in [CUSTOM_FILE, MAPPING_FILE] {
+            let entry = manifest.as_ref().and_then(|m| m.entries.get(name));
+            let path = dir.join(name);
+            if entry.is_none() && (manifest.is_some() || !io.exists(&path)) {
+                continue;
+            }
+            let (kind, detail, note) = if !io.exists(&path) {
+                (
+                    DamageKind::Missing,
+                    "listed in MANIFEST but missing",
+                    "regenerated",
+                )
             } else {
-                let custom_text = String::from_utf8_lossy(&bytes);
-                let stored = match parse_schema(&custom_text)
-                    .map_err(RepoError::from)
-                    .and_then(|ast| schema_to_graph(&ast).map_err(RepoError::from))
-                {
-                    Ok(graph) => Some(graph),
-                    Err(e) if salvage => {
-                        damage.push(FileDamage {
-                            file: CUSTOM_FILE.into(),
-                            kind: DamageKind::Unparseable,
-                            detail: format!("{e}; regenerated from replay"),
-                        });
-                        regenerated.push(CUSTOM_FILE.into());
-                        None
+                let bytes = io.read(&path)?;
+                if entry.is_some_and(|e| !e.matches(&bytes)) {
+                    (
+                        DamageKind::ChecksumMismatch,
+                        "checksum mismatch",
+                        "regenerated from replay",
+                    )
+                } else if entry.and_then(|e| e.ops).is_some_and(|ops| ops < head) {
+                    if salvage {
+                        regenerated.push(name.into());
                     }
-                    Err(e) => return Err(e),
-                };
-                if let Some(stored) = stored {
-                    if graph_to_schema(&stored) != graph_to_schema(repo.workspace.working()) {
-                        if !salvage {
-                            return Err(RepoError::CustomMismatch);
-                        }
-                        // Valid checksum but lagging the log: derived files
-                        // go stale under append-only autosave. Replay wins.
-                        damage.push(FileDamage {
-                            file: CUSTOM_FILE.into(),
-                            kind: DamageKind::Stale,
-                            detail: "does not match the replayed session; regenerated".into(),
-                        });
-                        regenerated.push(CUSTOM_FILE.into());
+                    continue;
+                } else if name == CUSTOM_FILE && bytes != repo.custom_schema_odl().as_bytes() {
+                    if !salvage {
+                        return Err(RepoError::CustomMismatch);
                     }
+                    (
+                        DamageKind::Stale,
+                        "does not match the replayed session",
+                        "regenerated",
+                    )
+                } else {
+                    continue;
                 }
-            }
-        } else if manifest
-            .as_ref()
-            .is_some_and(|m| m.entries.contains_key(CUSTOM_FILE))
-        {
+            };
             if !salvage {
                 return Err(RepoError::Corrupt {
-                    file: CUSTOM_FILE.into(),
-                    detail: "listed in MANIFEST but missing".into(),
+                    file: name.into(),
+                    detail: detail.into(),
                 });
             }
             damage.push(FileDamage {
-                file: CUSTOM_FILE.into(),
-                kind: DamageKind::Missing,
-                detail: "listed in MANIFEST but missing; regenerated".into(),
+                file: name.into(),
+                kind,
+                detail: format!("{detail}; {note}"),
             });
-            regenerated.push(CUSTOM_FILE.into());
-        }
-
-        let mapping_path = dir.join(MAPPING_FILE);
-        if io.exists(&mapping_path) {
-            let bytes = io.read(&mapping_path)?;
-            if verify(MAPPING_FILE, &bytes) == Some(false) {
-                if !salvage {
-                    return Err(RepoError::Corrupt {
-                        file: MAPPING_FILE.into(),
-                        detail: "checksum mismatch".into(),
-                    });
-                }
-                damage.push(FileDamage {
-                    file: MAPPING_FILE.into(),
-                    kind: DamageKind::ChecksumMismatch,
-                    detail: "checksum mismatch; regenerated from replay".into(),
-                });
-                regenerated.push(MAPPING_FILE.into());
-            }
-        } else if manifest
-            .as_ref()
-            .is_some_and(|m| m.entries.contains_key(MAPPING_FILE))
-        {
-            if !salvage {
-                return Err(RepoError::Corrupt {
-                    file: MAPPING_FILE.into(),
-                    detail: "listed in MANIFEST but missing".into(),
-                });
-            }
-            damage.push(FileDamage {
-                file: MAPPING_FILE.into(),
-                kind: DamageKind::Missing,
-                detail: "listed in MANIFEST but missing; regenerated".into(),
-            });
-            regenerated.push(MAPPING_FILE.into());
+            regenerated.push(name.into());
         }
 
         // --- assemble the report -----------------------------------------
@@ -1129,6 +1110,9 @@ impl Repository {
             sws_trace::counter("repo.recovery.ops_replayed", report.ops_replayed as u64);
             sws_trace::counter("repo.recovery.ops_dropped", report.ops_dropped as u64);
             sws_trace::counter("repo.recovery.files_damaged", report.damage.len() as u64);
+        }
+        // A clean load heals too when derived files lag the head.
+        if salvage && !(report.is_clean() && report.regenerated.is_empty()) {
             let mut quarantine_file = None;
             let healed = (|| -> Result<(), RepoError> {
                 if !quarantine_lines.is_empty() {
@@ -1637,11 +1621,9 @@ mod tests {
             &ModOp::AddTypeDefinition { ty: "Annex".into() },
         )
         .unwrap();
-        // Strict load now sees a stale custom.odl (replay is ahead).
-        assert!(matches!(
-            Repository::load(&dir),
-            Err(RepoError::CustomMismatch)
-        ));
+        // custom.odl lags the replay by the appended op, and its MANIFEST
+        // entry says so: strict load accepts it.
+        assert!(Repository::load(&dir).is_ok());
         // Salvage regenerates the derived files; no designer work is lost.
         let (loaded, report) = Repository::load_salvage(&dir).unwrap();
         assert_eq!(loaded.workspace().log().len(), 1);
@@ -1651,6 +1633,106 @@ mod tests {
         // Healed: both strict and salvage load cleanly now.
         assert!(Repository::load(&dir).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Rewrite `dir`'s MANIFEST as a build from before coverage wrote it:
+    /// the same entries without their trailing op counts.
+    fn strip_coverage(io: &dyn RepoIo, dir: &Path) {
+        let path = dir.join(MANIFEST_FILE);
+        let text = String::from_utf8(io.read(&path).unwrap()).unwrap();
+        let mut manifest = Manifest::parse(&text).unwrap();
+        for entry in manifest.entries.values_mut() {
+            entry.ops = None;
+        }
+        io.write_atomic(&path, manifest.render().as_bytes())
+            .unwrap();
+    }
+
+    #[test]
+    fn directories_without_coverage_still_load_strictly() {
+        use io::MemIo;
+        let dir = Path::new("/mem/uncovered");
+        for checkpointed in [false, true] {
+            let disk = MemIo::new();
+            let mut repo = repo();
+            apply_add(&mut repo, "P1");
+            repo.save_with(&disk, dir).unwrap();
+            if checkpointed {
+                repo.checkpoint_with(&disk, dir).unwrap().unwrap();
+            }
+            strip_coverage(&disk, dir);
+            // custom.odl is the head's: the byte check accepts it.
+            let (loaded, _) = Repository::load_with(&disk, dir, LoadMode::Strict).unwrap();
+            assert_eq!(loaded.custom_schema_odl(), repo.custom_schema_odl());
+            // With no coverage to tell a lagging file from a wrong one, an
+            // appended op makes it a mismatch, as before coverage.
+            let op = ModOp::AddTypeDefinition { ty: "P2".into() };
+            append_log_line(&disk, dir, 1, ConceptKind::WagonWheel, &op).unwrap();
+            assert!(
+                matches!(
+                    Repository::load_with(&disk, dir, LoadMode::Strict),
+                    Err(RepoError::CustomMismatch)
+                ),
+                "checkpointed: {checkpointed}"
+            );
+            let (salvaged, report) = Repository::load_with(&disk, dir, LoadMode::Salvage).unwrap();
+            assert_eq!(salvaged.total_ops(), 2);
+            assert!(!report.data_loss() && report.healed, "{report:?}");
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_after_an_unattached_save_lists_every_file() {
+        use io::MemIo;
+        let disk = MemIo::new();
+        let dir = Path::new("/mem/unattached");
+        let mut repo = repo();
+        repo.set_type_alias("Employee", "StaffMember").unwrap();
+        repo.save_with(&disk, dir).unwrap();
+        apply_add(&mut repo, "P1");
+        repo.checkpoint_with(&disk, dir).unwrap().unwrap();
+
+        let text = String::from_utf8(disk.read(&dir.join(MANIFEST_FILE)).unwrap()).unwrap();
+        let manifest = Manifest::parse(&text).unwrap();
+        let snapshots = manifest.checkpoint.clone().unwrap().snapshots;
+        let mut listed = 0;
+        for path in disk.paths() {
+            let name = path.file_name().unwrap().to_str().unwrap();
+            let bytes = disk.read(&path).unwrap();
+            if let Some(generation) = name.strip_prefix("snapshot.") {
+                let generation: u64 = generation.parse().unwrap();
+                let snap = snapshots.iter().find(|s| s.generation == generation);
+                assert!(snap.is_some_and(|s| s.checksum == checksum::checksum(&bytes)));
+            } else if ![SESSION_FILE, ARCHIVE_FILE, MANIFEST_FILE].contains(&name) {
+                assert_eq!(manifest.verify(name, &bytes), Some(true), "{name}");
+                listed += 1;
+            }
+        }
+        assert_eq!(
+            listed, 4,
+            "custom.odl, mapping.txt, local names, shrink wrap"
+        );
+        // custom.odl still covers the save, not the checkpoint.
+        assert_eq!(manifest.entries[CUSTOM_FILE].ops, Some(0));
+        let (loaded, _) = Repository::load_with(&disk, dir, LoadMode::Strict).unwrap();
+        assert_eq!(loaded.custom_schema_odl(), repo.custom_schema_odl());
+    }
+
+    #[test]
+    fn a_checkpoint_into_a_fresh_directory_writes_the_shrink_wrap() {
+        use io::MemIo;
+        let disk = MemIo::new();
+        let dir = Path::new("/mem/fresh");
+        let mut repo = repo();
+        apply_add(&mut repo, "P1");
+        repo.checkpoint_with(&disk, dir).unwrap().unwrap();
+        assert!(!disk.exists(&dir.join(CUSTOM_FILE)));
+        let (loaded, report) = Repository::load_with(&disk, dir, LoadMode::Salvage).unwrap();
+        assert!(
+            report.is_clean() && report.regenerated.is_empty(),
+            "{report:?}"
+        );
+        assert_eq!(loaded.custom_schema_odl(), repo.custom_schema_odl());
     }
 
     #[test]

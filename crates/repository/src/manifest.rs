@@ -11,10 +11,20 @@
 //!
 //! ```text
 //! sws-repository v1
-//! file\t<len>\t<checksum-hex16>\t<name>
+//! file\t<len>\t<checksum-hex16>\t<name>[\t<ops>]
 //! ...
 //! end\t<checksum-hex16 of everything above>
 //! ```
+//!
+//! The optional trailing `<ops>` field of a derived file (`custom.odl`,
+//! `mapping.txt`) is the op count it covers: the session's total ops when
+//! the file was written. A checkpoint carries the committed entries over
+//! unchanged, so a derived file may lag the head; load compares it with
+//! the replay only when it claims to cover the head. Entries written
+//! before the field existed have none (their coverage is unknown). The
+//! `splitn(5)` parser of builds since checkpointing ignores the field;
+//! builds from before read it as part of the name, so they skip the two
+//! derived files' checksums but still load the directory.
 //!
 //! A checkpointed directory (see `crate::snapshot`) is committed by a
 //! **v2** manifest, which additionally carries the checkpoint generation
@@ -24,13 +34,13 @@
 //! sws-repository v2
 //! checkpoint\t<generation>
 //! snap\t<gen>\t<ops-covered>\t<len>\t<checksum-hex16>
-//! file\t<len>\t<checksum-hex16>\t<name>
+//! file\t<len>\t<checksum-hex16>\t<name>[\t<ops>]
 //! ...
 //! end\t<checksum-hex16 of everything above>
 //! ```
 //!
-//! A directory that has never been checkpointed keeps writing the
-//! byte-identical v1 form, so pre-checkpoint builds still read it; a v2
+//! A directory that has never been checkpointed keeps writing the v1
+//! form, so pre-checkpoint builds still read it; a v2
 //! manifest makes those builds refuse with `UnsupportedVersion` rather
 //! than silently ignore the snapshot that the (truncated) op log depends
 //! on.
@@ -57,6 +67,16 @@ pub struct FileEntry {
     pub len: u64,
     /// Content checksum.
     pub checksum: u64,
+    /// Ops a derived file covers; `None` for the files ops do not change
+    /// and for entries written before coverage was recorded.
+    pub ops: Option<u64>,
+}
+
+impl FileEntry {
+    /// Does `data` have this entry's length and checksum?
+    pub fn matches(&self, data: &[u8]) -> bool {
+        self.len == data.len() as u64 && self.checksum == checksum(data)
+    }
 }
 
 /// One retained checkpoint snapshot, as listed in a v2 manifest.
@@ -161,13 +181,14 @@ impl Manifest {
         }
     }
 
-    /// Record a file's content.
-    pub fn insert(&mut self, name: &str, data: &[u8]) {
+    /// Record a file's content and, for a derived file, the ops it covers.
+    pub fn insert(&mut self, name: &str, data: &[u8], ops: Option<u64>) {
         self.entries.insert(
             name.to_string(),
             FileEntry {
                 len: data.len() as u64,
                 checksum: checksum(data),
+                ops,
             },
         );
     }
@@ -175,9 +196,7 @@ impl Manifest {
     /// Does `data` match the recorded entry for `name`? `None` when the
     /// manifest has no entry for that file.
     pub fn verify(&self, name: &str, data: &[u8]) -> Option<bool> {
-        self.entries
-            .get(name)
-            .map(|e| e.len == data.len() as u64 && e.checksum == checksum(data))
+        self.entries.get(name).map(|e| e.matches(data))
     }
 
     /// Render to the on-disk format (self-checksummed). The header
@@ -204,11 +223,14 @@ impl Manifest {
         }
         for (name, entry) in &self.entries {
             body.push_str(&format!(
-                "file\t{}\t{}\t{}\n",
+                "file\t{}\t{}\t{name}",
                 entry.len,
-                to_hex(entry.checksum),
-                name
+                to_hex(entry.checksum)
             ));
+            if let Some(ops) = entry.ops {
+                body.push_str(&format!("\t{ops}"));
+            }
+            body.push('\n');
         }
         let trailer = to_hex(checksum(body.as_bytes()));
         body.push_str(&format!("end\t{trailer}\n"));
@@ -255,9 +277,16 @@ impl Manifest {
                     let len: u64 = fields.next().and_then(|f| f.parse().ok()).ok_or_else(bad)?;
                     let sum = fields.next().and_then(from_hex).ok_or_else(bad)?;
                     let name = fields.next().filter(|n| !n.is_empty()).ok_or_else(bad)?;
-                    manifest
-                        .entries
-                        .insert(name.to_string(), FileEntry { len, checksum: sum });
+                    let ops = fields.next().map(str::parse).transpose();
+                    let ops = ops.map_err(|_| bad())?;
+                    manifest.entries.insert(
+                        name.to_string(),
+                        FileEntry {
+                            len,
+                            checksum: sum,
+                            ops,
+                        },
+                    );
                 }
                 Some("checkpoint") => {
                     let generation = fields.next().and_then(|f| f.parse().ok()).ok_or_else(bad)?;
@@ -296,8 +325,8 @@ mod tests {
     #[test]
     fn render_parse_round_trip() {
         let mut m = Manifest::new();
-        m.insert("shrink_wrap.odl", b"interface A { }");
-        m.insert("custom.odl", b"interface A { attribute long x; }");
+        m.insert("shrink_wrap.odl", b"interface A { }", None);
+        m.insert("custom.odl", b"interface A { attribute long x; }", Some(3));
         let text = m.render();
         let parsed = Manifest::parse(&text).unwrap();
         assert_eq!(parsed, m);
@@ -313,9 +342,29 @@ mod tests {
     }
 
     #[test]
+    fn coverage_is_a_trailing_field_and_optional() {
+        let mut m = Manifest::new();
+        m.insert("custom.odl", b"x", Some(7));
+        m.insert("shrink_wrap.odl", b"y", None);
+        let text = m.render();
+        assert!(text.contains("\tcustom.odl\t7\n"), "{text}");
+        assert!(text.contains("\tshrink_wrap.odl\n"), "{text}");
+        let parsed = Manifest::parse(&text).unwrap();
+        assert_eq!(parsed.entries["custom.odl"].ops, Some(7));
+        assert_eq!(parsed.entries["shrink_wrap.odl"].ops, None);
+        // A bad coverage field is a malformed entry, not a silent `None`.
+        let body = format!(
+            "sws-repository v1\nfile\t1\t{}\tcustom.odl\tmany\n",
+            to_hex(checksum(b"x"))
+        );
+        let text = format!("{body}end\t{}\n", to_hex(checksum(body.as_bytes())));
+        assert_eq!(Manifest::parse(&text), Err(ManifestError::BadEntry(2)));
+    }
+
+    #[test]
     fn torn_manifest_detected() {
         let mut m = Manifest::new();
-        m.insert("custom.odl", b"x");
+        m.insert("custom.odl", b"x", Some(0));
         let text = m.render();
         // Truncate mid-file: the trailer is gone or no longer matches.
         for cut in [1, text.len() / 2, text.len() - 2] {
@@ -345,7 +394,7 @@ mod tests {
     #[test]
     fn checkpointed_manifest_upgrades_to_v2_and_round_trips() {
         let mut m = Manifest::new();
-        m.insert("shrink_wrap.odl", b"interface A { }");
+        m.insert("shrink_wrap.odl", b"interface A { }", None);
         m.set_checkpoint(CheckpointMeta {
             generation: 4,
             snapshots: vec![
@@ -376,7 +425,7 @@ mod tests {
     #[test]
     fn empty_checkpoint_meta_stays_v1() {
         let mut m = Manifest::new();
-        m.insert("custom.odl", b"x");
+        m.insert("custom.odl", b"x", Some(0));
         m.set_checkpoint(CheckpointMeta::default());
         assert!(m.render().starts_with("sws-repository v1\n"));
         assert_eq!(Manifest::parse(&m.render()).unwrap(), m);

@@ -33,8 +33,10 @@ pub enum DamageKind {
     ChecksumMismatch,
     /// Content failed to parse.
     Unparseable,
-    /// Checksum is valid but the content lags the op log (e.g. derived
-    /// files not refreshed after append-only autosaves). No data loss.
+    /// Checksum is valid but the content differs from the replayed
+    /// session, although its MANIFEST entry claims the head or records
+    /// no coverage (a file whose coverage says it lags is regenerated
+    /// without being damage). No data loss.
     Stale,
 }
 

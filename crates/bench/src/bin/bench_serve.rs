@@ -27,9 +27,11 @@
 //!   runs the consistency resync's existence step and moves the concept
 //!   count;
 //! * `export/typesN` — p50/p90 of one `export` on the same schema right
-//!   after an accepted submit: `handle(Export)`, which assembles the ODL
-//!   from the view's blocks, plus `render_response`, which escapes it into
-//!   the response line;
+//!   after an accepted submit, as the daemon answers it without the
+//!   socket: `handle(Export)`, which shares the view's ODL blocks, plus
+//!   `write_response` into `io::sink()` with a reused line buffer, which
+//!   copies the blocks' stored JSON escapes into the line and checksums
+//!   it;
 //! * `export_wire/typesN` — the same export as a round trip over loopback
 //!   TCP: [`serve::serve`] runs in-process on a local listener, and a
 //!   naive client writes the request and blocks in `read_line` until the
@@ -64,7 +66,7 @@
 //! other within one run.
 
 use std::cell::Cell;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
 use sws_bench::edit_scripts::{churn_stream, edit_stream};
@@ -73,7 +75,7 @@ use sws_bench::timing::Runner;
 use sws_core::{print_op, ConceptKind};
 use sws_corpus::synthetic::SyntheticSpec;
 use sws_corpus::university;
-use sws_designer::protocol::render_response;
+use sws_designer::protocol::{render_response, write_response};
 use sws_designer::serve;
 use sws_designer::{DesignService, OpEnvelope, Request, Response, Session};
 use sws_model::graph_to_schema;
@@ -170,6 +172,7 @@ fn main() {
         };
         runner.bench_batched(&format!("submit/types{n}"), submit_next, accept);
         // An export right after a submit reads a freshly published view.
+        let mut line = String::new();
         runner.bench_batched(
             &format!("export/types{n}"),
             || {
@@ -178,7 +181,10 @@ fn main() {
                     session: "s0".to_string(),
                 }
             },
-            |request| render_response(&service.handle(request)),
+            |request| {
+                write_response(&service.handle(request), &mut line, &mut io::sink())
+                    .expect("a sink never fails")
+            },
         );
         export_over_loopback(&mut runner, &service, n, || accept(submit_next()));
         // Last, so the rows above run on the schema as generated.

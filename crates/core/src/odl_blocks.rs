@@ -20,6 +20,12 @@
 //! only when a name appears or disappears. A reader that needs the whole text assembles it with
 //! [`OdlSnapshot::text`], on its own thread.
 //!
+//! Each block is JSON-escaped once, when it is rendered, and kept beside
+//! its text. Escaping works byte by byte, so the escape of the whole text
+//! is the escapes of its pieces in order ([`OdlSnapshot::json_pieces`]):
+//! an `export` response copies the stored escapes into its line instead
+//! of escaping the whole schema again.
+//!
 //! [`ConsistencyState`]: crate::consistency::ConsistencyState
 //! [`UndoPatch`]: sws_model::UndoPatch
 //! [`UndoPatch::touched_types`]: sws_model::UndoPatch::touched_types
@@ -27,27 +33,46 @@
 use std::sync::Arc;
 use sws_model::{type_to_interface, ChunkedVec, SchemaGraph, Symbol, TypeId};
 use sws_odl::{assemble_schema, print_interface_block};
+use sws_trace::export::escape_json;
 
 /// Live types by name, in name order — the order `graph_to_schema` gives
 /// interfaces.
 type NameOrder = Arc<Vec<(&'static str, TypeId)>>;
 
+/// A piece of printed ODL and its escape for a JSON string literal
+/// ([`escape_json`]), made together.
+#[derive(Debug, Clone)]
+struct Block {
+    text: Arc<str>,
+    json: Arc<str>,
+}
+
+impl Block {
+    fn new(text: &str) -> Self {
+        Block {
+            text: Arc::from(text),
+            json: Arc::from(escape_json(text)),
+        }
+    }
+}
+
 /// One published state of a schema's ODL: its name, its printed interface
-/// blocks ([`print_interface_block`]) by type slot, and the live types in
-/// name order. Cloning it bumps a refcount per block chunk.
+/// blocks ([`print_interface_block`]) with their JSON escapes by type slot,
+/// and the live types in name order. Cloning it bumps a refcount per block
+/// chunk.
 #[derive(Debug, Clone)]
 pub struct OdlSnapshot {
-    name: Arc<str>,
-    blocks: ChunkedVec<Option<Arc<str>>>,
+    name: Block,
+    blocks: ChunkedVec<Option<Block>>,
     order: NameOrder,
 }
 
 impl OdlSnapshot {
     /// The blocks in name order.
-    fn blocks(&self) -> impl Iterator<Item = &str> {
+    fn blocks(&self) -> impl Iterator<Item = &Block> {
         self.order.iter().map(|&(_, id)| {
             self.blocks[id.index()]
-                .as_deref()
+                .as_ref()
                 .expect("every live type has a block")
         })
     }
@@ -56,20 +81,59 @@ impl OdlSnapshot {
     /// `print_schema(&graph_to_schema(g))` of the graph it was read from.
     /// Assembled on every call, into one allocation sized up front.
     pub fn text(&self) -> String {
-        let bytes: usize = self.blocks().map(|block| block.len() + 1).sum();
-        let mut out = String::with_capacity(bytes + self.name.len() + 16);
-        assemble_schema(&mut out, &self.name, self.blocks());
+        let bytes: usize = self.blocks().map(|block| block.text.len() + 1).sum();
+        let mut out = String::with_capacity(bytes + self.name.text.len() + 16);
+        assemble_schema(
+            &mut out,
+            &self.name.text,
+            self.blocks().map(|block| &*block.text),
+        );
         out
     }
+
+    /// [`text`](Self::text) escaped for a JSON string literal, in pieces
+    /// whose concatenation is `escape_json(&self.text())`: the stored
+    /// escapes of the name and the blocks, between the escaped frame
+    /// [`assemble_schema`] puts around them. Walking them copies no text.
+    pub fn json_pieces(&self) -> impl Iterator<Item = &str> {
+        let mut blocks = self.blocks().map(|block| &*block.json);
+        let first = blocks.next();
+        ["schema ", &*self.name.json, " {\\n"]
+            .into_iter()
+            .chain(first)
+            .chain(blocks.flat_map(|json| ["\\n", json]))
+            .chain(["}\\n"])
+    }
+
+    /// The length of `escape_json(&self.text())`, summed over
+    /// [`json_pieces`](Self::json_pieces).
+    pub fn json_len(&self) -> usize {
+        self.json_pieces().map(str::len).sum()
+    }
 }
+
+/// Two snapshots are equal when they hold the same name and the same
+/// blocks in the same order, and so the same text.
+impl PartialEq for OdlSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.name.text == other.name.text
+            && self.order.len() == other.order.len()
+            && self
+                .blocks()
+                .zip(other.blocks())
+                .all(|(a, b)| a.text == b.text)
+    }
+}
+
+impl Eq for OdlSnapshot {}
 
 /// Per-interface ODL blocks of one graph. See the module docs.
 #[derive(Debug, Clone)]
 pub struct OdlBlocks {
-    name: Arc<str>,
+    name: Block,
     /// The printed block of every live type at its slot; `None` at dead
     /// slots.
-    blocks: ChunkedVec<Option<Arc<str>>>,
+    blocks: ChunkedVec<Option<Block>>,
     /// Every live type's name and slot, in name order.
     order: NameOrder,
     /// Names whose blocks may be out of date: re-rendered, or dropped if
@@ -91,7 +155,7 @@ impl OdlBlocks {
     /// renders all.
     pub fn new() -> Self {
         OdlBlocks {
-            name: Arc::from(""),
+            name: Block::new(""),
             blocks: ChunkedVec::new(),
             order: Arc::default(),
             stale: Vec::new(),
@@ -114,7 +178,7 @@ impl OdlBlocks {
             self.sync(g);
         }
         OdlSnapshot {
-            name: Arc::clone(&self.name),
+            name: self.name.clone(),
             blocks: self.blocks.clone(),
             order: Arc::clone(&self.order),
         }
@@ -130,7 +194,7 @@ impl OdlBlocks {
                 order.push((node.name.as_str(), id));
             }
             order.sort_unstable_by_key(|&(name, _)| name);
-            self.name = Arc::from(g.name());
+            self.name = Block::new(g.name());
             self.blocks = blocks;
             self.order = Arc::new(order);
             self.stale.clear();
@@ -174,7 +238,7 @@ impl OdlBlocks {
 }
 
 /// Store `block` at `id`'s slot, growing the table with empty slots.
-fn put(blocks: &mut ChunkedVec<Option<Arc<str>>>, id: TypeId, block: Arc<str>) {
+fn put(blocks: &mut ChunkedVec<Option<Block>>, id: TypeId, block: Block) {
     while blocks.len() <= id.index() {
         blocks.push(None);
     }
@@ -187,6 +251,6 @@ fn position(order: &[(&'static str, TypeId)], name: Symbol) -> Result<usize, usi
     order.binary_search_by_key(&name, |&(n, _)| n)
 }
 
-fn render(g: &SchemaGraph, id: TypeId) -> Arc<str> {
-    Arc::from(print_interface_block(&type_to_interface(g, id)))
+fn render(g: &SchemaGraph, id: TypeId) -> Block {
+    Block::new(&print_interface_block(&type_to_interface(g, id)))
 }

@@ -360,10 +360,17 @@ impl Workspace {
     pub fn custom_odl(&self) -> OdlSnapshot {
         let snapshot = self.odl.borrow_mut().snapshot(&self.working);
         #[cfg(debug_assertions)]
-        debug_assert!(
-            snapshot.text() == sws_odl::print_schema(&sws_model::graph_to_schema(&self.working)),
-            "incremental ODL diverged from the full render"
-        );
+        {
+            let text = snapshot.text();
+            debug_assert!(
+                text == sws_odl::print_schema(&sws_model::graph_to_schema(&self.working)),
+                "incremental ODL diverged from the full render"
+            );
+            debug_assert!(
+                snapshot.json_pieces().collect::<String>() == sws_trace::export::escape_json(&text),
+                "the stored JSON escapes diverged from escaping the text"
+            );
+        }
         snapshot
     }
 

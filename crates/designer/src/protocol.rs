@@ -41,7 +41,7 @@ fn push_str_field(out: &mut String, key: &str, value: &str) {
 
 /// The line buffer the response renderer appends to. With a stream, each
 /// time the buffer reaches [`SLICE`] at an item boundary its bytes are
-/// folded into the checksum, written out and dropped; without one, the
+/// written out, folded into the checksum and dropped; without one, the
 /// buffer ends up holding the whole line.
 struct LineWriter<'a> {
     buf: &'a mut String,
@@ -50,21 +50,38 @@ struct LineWriter<'a> {
 }
 
 impl LineWriter<'_> {
-    /// An item boundary: stream the buffer once it holds a slice.
+    /// An item boundary: stream the buffer once it holds a slice. The
+    /// slice is written before it is checksummed, so the peer reads it
+    /// while the checksum runs.
     fn boundary(&mut self) -> io::Result<()> {
         if let Some(out) = self.out.as_mut().filter(|_| self.buf.len() >= SLICE) {
-            self.sum.update(self.buf.as_bytes());
             out.write_all(self.buf.as_bytes())?;
+            self.sum.update(self.buf.as_bytes());
             self.buf.clear();
         }
         Ok(())
     }
 
-    /// `,"key":"value"` for a value of any length. With a stream, the value
-    /// is escaped in slices that each top the buffer up to [`SLICE`] bytes,
-    /// cut at char boundaries.
-    fn long_str_field(&mut self, key: &str, value: &str) -> io::Result<()> {
+    /// `,"key":"value"` for a value of any length, given in pieces: escaped
+    /// as it is streamed, unless `escaped` says the pieces already are.
+    fn long_str_field<'s>(
+        &mut self,
+        key: &str,
+        pieces: impl IntoIterator<Item = &'s str>,
+        escaped: bool,
+    ) -> io::Result<()> {
         let _ = write!(self.buf, ",\"{key}\":\"");
+        for piece in pieces {
+            self.stream(piece, !escaped)?;
+        }
+        self.buf.push('"');
+        Ok(())
+    }
+
+    /// Append `value`, escaping it if `escape`. With a stream, it goes in
+    /// slices that each top the buffer up to [`SLICE`] bytes, cut at char
+    /// boundaries, with an item boundary after each.
+    fn stream(&mut self, value: &str, escape: bool) -> io::Result<()> {
         let mut rest = value;
         while !rest.is_empty() {
             let room = match self.out {
@@ -76,11 +93,14 @@ impl LineWriter<'_> {
                 cut += 1;
             }
             let (slice, tail) = rest.split_at(cut);
-            escape_json_into(self.buf, slice);
+            if escape {
+                escape_json_into(self.buf, slice);
+            } else {
+                self.buf.push_str(slice);
+            }
             self.boundary()?;
             rest = tail;
         }
-        self.buf.push('"');
         Ok(())
     }
 
@@ -123,11 +143,13 @@ impl LineWriter<'_> {
     }
 }
 
-/// Bytes to reserve for `resp`'s line: an `exported` line's ODL with room
-/// for its escapes, plus the newline a JSONL transport appends.
+/// Bytes to reserve for `resp`'s line: an `exported` line's escaped ODL
+/// (exact for the blocks, with room for the escapes of a text), plus the
+/// newline a JSONL transport appends.
 fn line_capacity(resp: &Response) -> usize {
     match resp {
         Response::Exported { odl, .. } => odl.len() + odl.len() / 8 + 128,
+        Response::ExportedBlocks { odl, .. } => odl.json_len() + 128,
         _ => 128,
     }
 }
@@ -224,7 +246,11 @@ fn render(resp: &Response, line: &mut LineWriter<'_>) -> io::Result<()> {
         }
         Response::Exported { rev, odl } => {
             let _ = write!(out, ",\"rev\":{rev}");
-            line.long_str_field("odl", odl)?;
+            line.long_str_field("odl", [odl.as_str()], false)?;
+        }
+        Response::ExportedBlocks { rev, odl } => {
+            let _ = write!(out, ",\"rev\":{rev}");
+            line.long_str_field("odl", odl.json_pieces(), true)?;
         }
         Response::LogSlice { rev, since, ops } => {
             let _ = write!(out, ",\"rev\":{rev},\"since\":{since}");
@@ -276,9 +302,12 @@ pub fn render_response(resp: &Response) -> String {
 
 /// Write `resp` to `out` as the bytes of [`render_response`] plus `'\n'`,
 /// streaming as it renders: whenever `buf` reaches [`SLICE`] bytes between
-/// two list items or two slices of the ODL, they are checksummed and
-/// written out. The checksum field and the newline go in the last write,
-/// so a line under one slice leaves in exactly one write.
+/// two list items or two slices of the ODL, they are written out and
+/// checksummed. An `exported` line of the published blocks
+/// ([`Response::ExportedBlocks`]) copies their stored escapes; one of a
+/// text escapes it slice by slice. The checksum field and the newline go
+/// in the last write, so a line under one slice leaves in exactly one
+/// write.
 ///
 /// `buf` is the caller's line buffer, cleared here and reusable across
 /// responses; it never holds more than one slice plus one item.

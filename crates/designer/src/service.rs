@@ -196,9 +196,20 @@ pub enum Response {
         errors: usize,
         warnings: usize,
     },
+    /// An `exported` line built from an assembled ODL text. The daemon
+    /// answers `export` with [`Response::ExportedBlocks`], which renders to
+    /// the same bytes; this form remains for clients that rebuild a line
+    /// from a decoded response.
     Exported {
         rev: u64,
         odl: String,
+    },
+    /// The daemon's `export` answer: the head's published ODL blocks, whose
+    /// stored JSON escapes are copied into the `exported` line as it is
+    /// written. No whole-schema text is assembled or escaped.
+    ExportedBlocks {
+        rev: u64,
+        odl: OdlSnapshot,
     },
     LogSlice {
         rev: u64,
@@ -231,7 +242,7 @@ impl Response {
             Response::Rejected { .. } => "rejected",
             Response::Linted { .. } => "linted",
             Response::Reported { .. } => "reported",
-            Response::Exported { .. } => "exported",
+            Response::Exported { .. } | Response::ExportedBlocks { .. } => "exported",
             Response::LogSlice { .. } => "log",
             Response::Checkpointed { .. } => "checkpointed",
             Response::Pong { .. } => "pong",
@@ -739,11 +750,11 @@ impl DesignService {
         if !self.known(session) {
             return Self::unknown_session(session);
         }
-        // Assembled here, on the reader's thread, outside the core lock.
+        // The published blocks; the response writer streams their escapes.
         let view = self.view();
-        Response::Exported {
+        Response::ExportedBlocks {
             rev: view.rev,
-            odl: view.odl.text(),
+            odl: view.odl.clone(),
         }
     }
 
@@ -1249,7 +1260,9 @@ mod tests {
                 since: 0,
             }),
         ) {
-            (Response::Exported { odl, .. }, Response::LogSlice { ops, .. }) => (odl, ops),
+            (Response::ExportedBlocks { odl, .. }, Response::LogSlice { ops, .. }) => {
+                (odl.text(), ops)
+            }
             other => panic!("{other:?}"),
         };
         assert_eq!(records.len(), 3);

@@ -581,6 +581,27 @@ mod tests {
     }
 
     #[test]
+    fn an_undone_local_name_stays_undone_after_a_reload() {
+        use sws_repository::io::MemIo;
+        let io = std::sync::Arc::new(MemIo::new());
+        let dir = Path::new("/mem/aliases");
+        let mut s = session();
+        s.set_io(Box::new(io.clone()));
+        s.save(dir).unwrap();
+        s.set_alias("Employee", None, "StaffMember").unwrap();
+        // The undo's autosave lists no local names; the file the alias's
+        // autosave wrote stays on disk.
+        s.undo().unwrap();
+        assert!(s.repository().aliases().is_empty());
+        let reloaded = Session::load_with(Box::new(io), dir).unwrap();
+        assert!(
+            reloaded.repository().aliases().is_empty(),
+            "{:?}",
+            reloaded.repository().aliases()
+        );
+    }
+
+    #[test]
     fn a_batch_is_one_append_and_a_rejected_one_writes_nothing() {
         use sws_repository::io::{FaultIo, MemIo};
         let io = std::sync::Arc::new(FaultIo::new(MemIo::new()));

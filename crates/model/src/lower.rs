@@ -11,6 +11,7 @@
 use crate::error::ModelError;
 use crate::graph::SchemaGraph;
 use crate::ids::TypeId;
+use std::collections::HashMap;
 use std::fmt;
 use sws_odl::{Attribute, Cardinality, HierKind, HierLink, Interface, Relationship, Schema};
 
@@ -107,11 +108,17 @@ pub fn schema_to_graph(schema: &Schema) -> Result<SchemaGraph, LowerError> {
         }
     }
 
+    // Pass 1 refused duplicate names, so each name has one interface.
+    let by_name: HashMap<&str, &Interface> = schema
+        .interfaces
+        .iter()
+        .map(|iface| (iface.name.as_str(), iface))
+        .collect();
+
     // Pass 4: relationships, pairing the two declared sides.
     for iface in &schema.interfaces {
         for rel in &iface.relationships {
-            let pair = pair_relationship(schema, iface, rel)?;
-            let Some(back) = pair else { continue };
+            let back = pair_relationship(&by_name, iface, rel)?;
             // Lower once per pair: when this side is the canonical first.
             if !is_first_side(&iface.name, &rel.path, &rel.target, &rel.inverse_path) {
                 continue;
@@ -143,8 +150,7 @@ pub fn schema_to_graph(schema: &Schema) -> Result<SchemaGraph, LowerError> {
             (HierKind::InstanceOf, &iface.instance_ofs),
         ] {
             for link in links {
-                let back = pair_link(schema, kind, iface, link)?;
-                let Some(back) = back else { continue };
+                let back = pair_link(&by_name, kind, iface, link)?;
                 if !is_first_side(&iface.name, &link.path, &link.target, &link.inverse_path) {
                     continue;
                 }
@@ -152,10 +158,10 @@ pub fn schema_to_graph(schema: &Schema) -> Result<SchemaGraph, LowerError> {
                 let (parent_iface, parent_link, child_iface, child_link) =
                     match (link.cardinality, back.cardinality) {
                         (Cardinality::Many(_), Cardinality::One) => {
-                            (&iface.name, link, &link.target, &back)
+                            (&iface.name, link, &link.target, back)
                         }
                         (Cardinality::One, Cardinality::Many(_)) => {
-                            (&link.target, &back, &iface.name, link)
+                            (&link.target, back, &iface.name, link)
                         }
                         _ => {
                             return Err(LowerError::BadLinkCardinality {
@@ -193,13 +199,14 @@ fn is_first_side(my_type: &str, my_path: &str, other_type: &str, other_path: &st
     (my_type, my_path) <= (other_type, other_path)
 }
 
+/// `rel`'s declared inverse on its target.
 fn pair_relationship<'a>(
-    schema: &'a Schema,
+    by_name: &HashMap<&str, &'a Interface>,
     iface: &Interface,
     rel: &Relationship,
-) -> Result<Option<&'a Relationship>, LowerError> {
-    let target = schema
-        .interface(&rel.target)
+) -> Result<&'a Relationship, LowerError> {
+    let target = by_name
+        .get(rel.target.as_str())
         .ok_or_else(|| LowerError::UnknownType {
             interface: iface.name.clone(),
             name: rel.target.clone(),
@@ -216,17 +223,18 @@ fn pair_relationship<'a>(
             path: rel.path.clone(),
         });
     }
-    Ok(Some(back))
+    Ok(back)
 }
 
-fn pair_link(
-    schema: &Schema,
+/// `link`'s declared inverse on its target.
+fn pair_link<'a>(
+    by_name: &HashMap<&str, &'a Interface>,
     kind: HierKind,
     iface: &Interface,
     link: &HierLink,
-) -> Result<Option<HierLink>, LowerError> {
-    let target = schema
-        .interface(&link.target)
+) -> Result<&'a HierLink, LowerError> {
+    let target = by_name
+        .get(link.target.as_str())
         .ok_or_else(|| LowerError::UnknownType {
             interface: iface.name.clone(),
             name: link.target.clone(),
@@ -245,7 +253,7 @@ fn pair_link(
             path: link.path.clone(),
         });
     }
-    Ok(Some(back.clone()))
+    Ok(back)
 }
 
 /// Produce the canonical AST for a graph (see module docs): one

@@ -999,8 +999,14 @@ impl Repository {
         }
 
         // --- local names --------------------------------------------------
+        // A save with no local names does not list the file, so a MANIFEST
+        // that omits it says the table is empty, whatever an earlier save
+        // left on disk.
         let alias_path = dir.join(ALIASES_FILE);
-        if io.exists(&alias_path) {
+        let listed = manifest
+            .as_ref()
+            .is_none_or(|m| m.entries.contains_key(ALIASES_FILE));
+        if listed && io.exists(&alias_path) {
             let bytes = io.read(&alias_path)?;
             let checksum_ok = verify(ALIASES_FILE, &bytes);
             if checksum_ok == Some(false) && !salvage {

@@ -26,6 +26,10 @@
 //! --features alloc-stats --test alloc_attribution`): debug builds check
 //! every incremental read against a from-scratch one inside the publish,
 //! and those oracles allocate per type by design.
+//!
+//! The last pins an export to a copy of the published blocks' stored
+//! JSON escapes: one export at 10,000 types allocates fewer bytes than a
+//! quarter of its ODL.
 
 #![cfg(feature = "alloc-stats")]
 
@@ -175,12 +179,19 @@ fn issue_bytes_at(history: usize) -> u64 {
         session.issue(churn(i)).expect("churn op applies");
     }
     let op = churn(history);
+    let (_, bytes) = allocations(|| {
+        session.issue(op).expect("churn op applies");
+    });
+    bytes
+}
 
+/// `(alloc.count, alloc.bytes)` of running `f` inside one span.
+fn allocations(f: impl FnOnce()) -> (u64, u64) {
     let rec = Recorder::new();
     let guard = rec.install_thread();
     {
-        let _span = sws_trace::span("test.issue_at_head");
-        session.issue(op).expect("churn op applies");
+        let _span = sws_trace::span("test.measured");
+        f();
     }
     drop(guard);
     let trace = rec.take();
@@ -188,14 +199,14 @@ fn issue_bytes_at(history: usize) -> u64 {
         .events
         .iter()
         .find(|e| {
-            e.name == "test.issue_at_head"
-                && matches!(e.kind, sws_trace::EventKind::SpanClose { .. })
+            e.name == "test.measured" && matches!(e.kind, sws_trace::EventKind::SpanClose { .. })
         })
-        .expect("the issue span closed under the recorder");
-    match close.fields.iter().find(|(k, _)| *k == "alloc.bytes") {
-        Some((_, FieldValue::U64(bytes))) => *bytes,
-        other => panic!("missing alloc.bytes on the issue span: {other:?}"),
-    }
+        .expect("the measured span closed under the recorder");
+    let field = |name: &str| match close.fields.iter().find(|(k, _)| *k == name) {
+        Some((_, FieldValue::U64(value))) => *value,
+        other => panic!("missing {name} on the measured span: {other:?}"),
+    };
+    (field("alloc.count"), field("alloc.bytes"))
 }
 
 /// Submit at head costs O(op), not O(session): issuing an op allocates no
@@ -256,30 +267,12 @@ fn publish_allocations_at(types: usize) -> Publish {
         other => panic!("submit at head must be accepted, got {other:?}"),
     };
     let rev = accepted(service.handle(submit(0, "zz_warm")));
-
-    let rec = Recorder::new();
-    let guard = rec.install_thread();
-    {
-        let _span = sws_trace::span("test.publish_at_head");
+    let (count, bytes) = allocations(|| {
         accepted(service.handle(submit(rev, "zz_guard")));
-    }
-    drop(guard);
-    let trace = rec.take();
-    let close = trace
-        .events
-        .iter()
-        .find(|e| {
-            e.name == "test.publish_at_head"
-                && matches!(e.kind, sws_trace::EventKind::SpanClose { .. })
-        })
-        .expect("the submit span closed under the recorder");
-    let field = |name: &str| match close.fields.iter().find(|(k, _)| *k == name) {
-        Some((_, FieldValue::U64(value))) => *value,
-        other => panic!("missing {name} on the submit span: {other:?}"),
-    };
+    });
     Publish {
-        count: field("alloc.count"),
-        bytes: field("alloc.bytes"),
+        count,
+        bytes,
         odl_len: service.view().odl.text().len(),
     }
 }
@@ -322,5 +315,43 @@ fn publish_allocation_does_not_grow_with_schema_size() {
         "submit at 10,000 types allocated {} bytes for a {}-byte ODL",
         large.bytes,
         large.odl_len
+    );
+}
+
+/// An export costs a copy of the published blocks' stored escapes, not a
+/// new text: one `export` at 10,000 types, answered and written through
+/// `write_response` with a warm line buffer, allocates fewer bytes than a
+/// quarter of its ODL. An export that assembles the whole text, or escapes
+/// it into a new line, fails that.
+#[test]
+fn export_allocates_less_than_a_quarter_of_its_odl() {
+    use shrink_wrap_schemas::designer::protocol::write_response;
+
+    let _serial = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let g = SyntheticSpec::sized(10_000, 31).generate();
+    let service = DesignService::new(
+        Session::from_odl(&print_schema(&graph_to_schema(&g))).expect("synthetic schema ingests"),
+    );
+    let export = || {
+        service.handle(Request::Export {
+            session: "guard".to_string(),
+        })
+    };
+    let opened = service.handle(Request::Open {
+        session: "guard".to_string(),
+    });
+    assert!(matches!(opened, Response::Opened { .. }), "{opened:?}");
+    // The connection's line buffer, grown to one slice by a first export.
+    let mut line = String::new();
+    let mut write = |response: Response| {
+        write_response(&response, &mut line, &mut std::io::sink()).expect("a sink never fails");
+    };
+    write(export());
+    let (_, bytes) = allocations(|| write(export()));
+    let odl_len = service.view().odl.text().len();
+    eprintln!("export alloc.bytes: {bytes} for a {odl_len}-byte ODL");
+    assert!(
+        bytes < odl_len as u64 / 4,
+        "an export at 10,000 types allocated {bytes} bytes for a {odl_len}-byte ODL"
     );
 }

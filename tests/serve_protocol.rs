@@ -483,3 +483,219 @@ fn every_response_variant_streams_as_rendered() {
         }
     }
 }
+
+/// The daemon's `export` answer, the published blocks, renders whole (as
+/// HTTP sends it) and streams (as JSONL sends it) to the bytes of the
+/// `exported` line that holds the assembled text.
+fn assert_export_matches_text(odl: sws_core::OdlSnapshot, rev: u64, at: &str) {
+    use sws_designer::Response;
+
+    let text = protocol::render_response(&Response::Exported {
+        rev,
+        odl: odl.text(),
+    });
+    let blocks = Response::ExportedBlocks { rev, odl };
+    assert!(
+        protocol::render_response(&blocks) == text,
+        "{at}: the blocks render differently from the assembled text"
+    );
+    // A stored escape is cut only to end a slice on a char boundary.
+    assert_streams_as_rendered(&blocks, 3 + 64);
+}
+
+#[test]
+fn exported_blocks_render_as_the_assembled_text() {
+    use sws_core::ConceptKind;
+    use sws_corpus::synthetic::SyntheticSpec;
+
+    let mut schemas: Vec<(String, sws_model::SchemaGraph)> = sws_corpus::all_named()
+        .into_iter()
+        .map(|(name, g)| (name.to_string(), g))
+        .collect();
+    for types in [100, 1_000] {
+        let g = SyntheticSpec::sized(types, 31).generate();
+        schemas.push((format!("synthetic/{types}"), g));
+    }
+    for (name, g) in schemas {
+        let odl = sws_odl::print_schema(&sws_model::graph_to_schema(&g));
+        let mut session = Session::from_odl(&odl).expect("schema ingests");
+        let check = |session: &Session, step: &str| {
+            let repo = session.repository();
+            let at = format!("{name} after {step}");
+            assert_export_matches_text(repo.workspace().custom_odl(), repo.total_ops(), &at);
+        };
+        check(&session, "ingest");
+        for (context, op) in sws_bench::edit_scripts::edit_stream(&g, 8, 7) {
+            session.set_context(context);
+            let step = sws_core::print_op(&op);
+            session.issue(op).expect("edit stream ops apply");
+            check(&session, &step);
+        }
+        session.set_context(ConceptKind::WagonWheel);
+        // Names that sort first and last move the first and last blocks.
+        for step in [
+            "add_type_definition(Aaa)",
+            "add_type_definition(Zq)",
+            "add_attribute(Zq, string(8), note)",
+            "delete_type_definition(Aaa)",
+        ] {
+            session.issue_str(step).expect(step);
+            check(&session, step);
+        }
+        session.undo().expect("an op to undo");
+        session.undo().expect("an op to undo");
+        check(&session, "two undos");
+        session.redo().expect("an op to redo");
+        check(&session, "a redo");
+        // An undone add frees its type slot, and the next add takes it.
+        session.issue_str("add_type_definition(Zr)").expect("adds");
+        session.undo().expect("an op to undo");
+        session.issue_str("add_type_definition(Zs)").expect("adds");
+        check(&session, "an add into a freed slot");
+    }
+}
+
+/// Stops the in-process server when the test ends, passes or fails: the
+/// scope joins the server thread, so a failed assertion must not leave it
+/// accepting.
+struct StopServer<'a> {
+    service: &'a DesignService,
+    addr: std::net::SocketAddr,
+    threads: usize,
+}
+
+impl Drop for StopServer<'_> {
+    fn drop(&mut self) {
+        self.service.request_shutdown();
+        for _ in 0..self.threads {
+            let _ = std::net::TcpStream::connect(self.addr);
+        }
+    }
+}
+
+/// One exchange on a JSONL connection: the response line, newline kept.
+fn jsonl_rpc(stream: &mut std::net::TcpStream, frame: &str) -> String {
+    use std::io::{BufRead, Write};
+    stream
+        .write_all(format!("{frame}\n").as_bytes())
+        .expect("send");
+    let mut line = String::new();
+    std::io::BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("receive");
+    line
+}
+
+/// One exchange on an HTTP/1.1 keep-alive connection: the response body.
+fn http_rpc(stream: &mut std::net::TcpStream, frame: &str) -> String {
+    use std::io::{BufRead, Read, Write};
+    let request = format!(
+        "POST / HTTP/1.1\r\nhost: swsd\r\ncontent-length: {}\r\n\r\n{frame}",
+        frame.len()
+    );
+    stream.write_all(request.as_bytes()).expect("send");
+    let mut reader = std::io::BufReader::new(stream);
+    let mut length = None;
+    loop {
+        let mut header = String::new();
+        reader.read_line(&mut header).expect("receive a header");
+        let header = header.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if let Some(value) = header.strip_prefix("content-length: ") {
+            length = Some(value.parse::<usize>().expect("a numeric length"));
+        }
+    }
+    let mut body = vec![0; length.expect("a content-length header")];
+    reader.read_exact(&mut body).expect("receive the body");
+    String::from_utf8(body).expect("a UTF-8 body")
+}
+
+#[test]
+fn the_daemon_exports_the_assembled_text_over_jsonl_and_http() {
+    use sws_corpus::synthetic::SyntheticSpec;
+    use sws_designer::Response;
+
+    let g = SyntheticSpec::sized(100, 31).generate();
+    let odl = sws_odl::print_schema(&sws_model::graph_to_schema(&g));
+    let service = DesignService::new(Session::from_odl(&odl).expect("schema ingests"));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("bound address");
+    // One acceptor per connection: an acceptor serves a whole connection.
+    let threads = 2;
+    std::thread::scope(|scope| {
+        scope.spawn(|| sws_designer::serve::serve(&service, listener, threads));
+        let _stop = StopServer {
+            service: &service,
+            addr,
+            threads,
+        };
+        let mut jsonl = std::net::TcpStream::connect(addr).expect("connect");
+        let mut http = std::net::TcpStream::connect(addr).expect("connect");
+        jsonl_rpc(&mut jsonl, r#"{"type":"open","session":"bytes"}"#);
+        let export = r#"{"type":"export","session":"bytes"}"#;
+        let check = |jsonl: &mut std::net::TcpStream, http: &mut std::net::TcpStream, at: &str| {
+            let view = service.view();
+            let mut expected = protocol::render_response(&Response::Exported {
+                rev: view.rev,
+                odl: view.odl.text(),
+            });
+            assert!(
+                http_rpc(http, export) == expected,
+                "{at}: the HTTP body differs from the assembled text's line"
+            );
+            expected.push('\n');
+            assert!(
+                jsonl_rpc(jsonl, export) == expected,
+                "{at}: the JSONL line differs from the assembled text's line"
+            );
+        };
+        let submit = |jsonl: &mut std::net::TcpStream, stmts: &[String]| {
+            let ops: Vec<String> = stmts
+                .iter()
+                .map(|stmt| format!("{{\"stmt\":\"{}\"}}", sws_trace::export::escape_json(stmt)))
+                .collect();
+            let frame = format!(
+                "{{\"type\":\"submit\",\"session\":\"bytes\",\"base_rev\":{},\"ops\":[{}]}}",
+                service.view().rev,
+                ops.join(",")
+            );
+            let line = jsonl_rpc(jsonl, &frame);
+            line.split('"').nth(3).unwrap_or_default().to_string()
+        };
+        check(&mut jsonl, &mut http, "open");
+        // The frames name no context, so the ops run in the wagon wheel.
+        let mut batches: Vec<Vec<String>> = sws_bench::edit_scripts::edit_stream(&g, 6, 7)
+            .into_iter()
+            .filter(|(context, _)| *context == sws_core::ConceptKind::WagonWheel)
+            .map(|(_, op)| vec![sws_core::print_op(&op)])
+            .collect();
+        batches.extend(
+            [
+                &[
+                    "add_type_definition(Zq)",
+                    "add_attribute(Zq, string(8), note)",
+                ][..],
+                &["add_type_definition(Aaa)"],
+                &["delete_type_definition(Zq)"],
+            ]
+            .map(|batch| batch.iter().map(|s| s.to_string()).collect()),
+        );
+        for batch in &batches {
+            assert_eq!(submit(&mut jsonl, batch), "accepted", "{batch:?}");
+            check(&mut jsonl, &mut http, &format!("{batch:?}"));
+        }
+        // A rejected batch is rolled back, freeing the slot of the type it
+        // added; the next add takes that slot.
+        let rejected = ["add_type_definition(Zr)", "delete_type_definition(Ghost)"];
+        let rejected = rejected.map(String::from);
+        assert_eq!(submit(&mut jsonl, &rejected), "rejected");
+        check(&mut jsonl, &mut http, "a rejected batch");
+        assert_eq!(
+            submit(&mut jsonl, &["add_type_definition(Zs)".to_string()]),
+            "accepted"
+        );
+        check(&mut jsonl, &mut http, "an add into a freed slot");
+    });
+}

@@ -274,9 +274,9 @@ proptest! {
 
         // The accepted total order replays serially to the exported bytes.
         let head = match service.handle(Request::Export { session: "alice".to_string() }) {
-            Response::Exported { rev, odl } => {
+            Response::ExportedBlocks { rev, odl } => {
                 prop_assert_eq!(rev, a.accepted + b.accepted);
-                odl
+                odl.text()
             }
             other => return Err(TestCaseError::fail(format!("export failed: {other:?}"))),
         };

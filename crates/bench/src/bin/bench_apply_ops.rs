@@ -61,7 +61,7 @@ fn main() {
     }
 
     // Size sweep: full apply pipeline (cached preconditions, mutation, undo
-    // journaling, dirty-set recording) for one edit against growing
+    // journaling, stale-name recording) for one edit against growing
     // synthetic schemas.
     for (n, g) in synthetic::size_sweep(42) {
         let synth = Workspace::new(g.clone());

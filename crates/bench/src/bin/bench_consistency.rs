@@ -9,7 +9,7 @@
 //!   incremental path stays flat where a full recheck would not);
 //! * `incremental/N` — `Workspace::consistency()` after one edit, against a
 //!   pre-synced consistency state (the setup applies the edit untimed, so
-//!   the measured region is exactly the dirty-set sync + report assembly);
+//!   the measured region is exactly the incremental sync + report assembly);
 //! * `resync16/N` — the same after a batch of 16 edits, so the dirty
 //!   closure spans many types.
 //!

@@ -14,9 +14,10 @@
 //! Every check decomposes **per type**: the full report is exactly the
 //! concatenation (in arena order, check-major) of each live type's own
 //! findings, severity-sorted. [`ConsistencyState`] exploits that to recheck
-//! incrementally — after an operation, only the types in the expanded
-//! [`DirtySet`] are re-examined and their stored
-//! findings replaced; the rest of the report is reused verbatim.
+//! incrementally — after an operation, only the types its undo patch
+//! touched, expanded along the hierarchy and reference dependencies, are
+//! re-examined and their stored findings replaced; the rest of the report
+//! is reused verbatim.
 //!
 //! Every check walks the live graph with one [`WfScratch`] on the calling
 //! thread. A from-scratch check and an incremental resync run the same
@@ -33,7 +34,6 @@
 //! allocates only for the referencing types it finds.
 //! `tests/alloc_attribution.rs` pins both at zero allocations.
 
-use crate::impact::DirtySet;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use sws_model::{check_type_into, SchemaGraph, Symbol, TypeId, WfIssue, WfScratch};
@@ -291,8 +291,9 @@ impl TypeFindings {
 /// interned type name.
 ///
 /// Owned by [`Workspace`](crate::workspace::Workspace). After each applied
-/// operation the workspace records the op's [`DirtySet`]; the next call to
-/// [`ConsistencyState::sync`] expands the accumulated seed along the
+/// or undone operation the workspace records what its undo patch changed:
+/// the types it touched and the names it created or deleted. The next call
+/// to [`ConsistencyState::sync`] expands those stale names along the
 /// generalization hierarchy and order-by/reference dependencies, re-runs the
 /// per-type checks for just those types, and merges the results into the
 /// stored per-type findings. [`ConsistencyState::report`] then assembles a
@@ -312,7 +313,12 @@ pub struct ConsistencyState {
     /// Error and warning totals over `by_type`.
     errors: usize,
     warnings: usize,
-    pending: DirtySet,
+    /// Types whose findings and reference-index entries may be out of
+    /// date: the touched types of every op applied or undone since the
+    /// last sync.
+    stale: Vec<Symbol>,
+    /// The names those ops created or deleted.
+    existence_changed: Vec<Symbol>,
     /// Everything must be recomputed (initial state, or after a reset /
     /// rollback / explicit invalidation).
     full_pending: bool,
@@ -320,9 +326,6 @@ pub struct ConsistencyState {
     scratch: WfScratch,
     /// Who references whom, for the existence step.
     index: ReferenceIndex,
-    /// Types whose index entries may be out of date: the touched types of
-    /// every op applied or undone since the last sync.
-    index_stale: Vec<Symbol>,
 }
 
 impl Default for ConsistencyState {
@@ -339,23 +342,33 @@ impl ConsistencyState {
             by_type: HashMap::new(),
             errors: 0,
             warnings: 0,
-            pending: DirtySet::default(),
+            stale: Vec::new(),
+            existence_changed: Vec::new(),
             full_pending: true,
             scratch: WfScratch::default(),
             index: ReferenceIndex::default(),
-            index_stale: Vec::new(),
         }
     }
 
-    /// Record one applied or undone operation: its dirty seed, and the
-    /// types its undo patch touched
+    /// Record one applied or undone operation from its undo patch: the
+    /// types it touched
     /// ([`UndoPatch::touched_types`](sws_model::UndoPatch::touched_types)),
-    /// whose reference-index entries the next sync refreshes.
-    pub fn record(&mut self, dirty: &DirtySet, touched: &[Symbol]) {
+    /// whose findings and reference-index entries the next sync refreshes,
+    /// and the names it created or deleted
+    /// ([`UndoPatch::names_changed`](sws_model::UndoPatch::names_changed)),
+    /// whose referrers it rechecks.
+    pub fn record(&mut self, touched: &[Symbol], names_changed: impl Iterator<Item = Symbol>) {
         if !self.full_pending {
-            self.pending.merge(dirty);
-            self.index_stale.extend_from_slice(touched);
+            self.stale.extend_from_slice(touched);
+            self.existence_changed.extend(names_changed);
         }
+    }
+
+    /// Names recorded since the last sync: the stale ones, then the
+    /// created or deleted ones.
+    #[cfg(test)]
+    pub(crate) fn recorded(&self) -> (&[Symbol], &[Symbol]) {
+        (&self.stale, &self.existence_changed)
     }
 
     /// Store `findings` for type `name`, keeping the totals current.
@@ -391,8 +404,8 @@ impl ConsistencyState {
     /// Forget everything; the next sync recomputes from scratch.
     pub fn invalidate(&mut self) {
         self.full_pending = true;
-        self.pending = DirtySet::default();
-        self.index_stale.clear();
+        self.stale.clear();
+        self.existence_changed.clear();
     }
 
     /// The reverse reference index, materialized in name order: every
@@ -435,34 +448,34 @@ impl ConsistencyState {
             }
             let rechecked = working.type_count();
             self.full_pending = false;
-            self.pending = DirtySet::default();
-            self.index_stale.clear();
+            self.stale.clear();
+            self.existence_changed.clear();
             sp.record("rechecked", rechecked);
             return rechecked;
         }
-        // The reference index catches up with the touched types first, so
-        // the existence step below reads the current graph's references.
-        if !self.index_stale.is_empty() {
-            let mut isp = sws_trace::span("core.consistency.reference_index");
-            self.index_stale.sort_unstable_by_key(|name| name.index());
-            self.index_stale.dedup();
-            for &name in &self.index_stale {
-                self.index.refresh(working, name);
-            }
-            isp.record("refreshed", self.index_stale.len());
-            self.index_stale.clear();
-        }
-        if self.pending.is_empty() {
+        // A created or deleted name is also a touched type, so nothing
+        // stale means nothing to do.
+        if self.stale.is_empty() {
             return 0;
         }
-        let dirty = std::mem::take(&mut self.pending);
+        let mut names = std::mem::take(&mut self.stale);
+        sort_dedup(&mut names);
+        // The reference index catches up with the touched types first, so
+        // the existence step below reads the current graph's references.
+        {
+            let mut isp = sws_trace::span("core.consistency.reference_index");
+            for &name in &names {
+                self.index.refresh(working, name);
+            }
+            isp.record("refreshed", names.len());
+        }
         let mut sp = sws_trace::span!("core.consistency.incremental_sync");
 
         // 1. Types referencing an added/deleted name in an attribute domain
         //    or operation signature may gain/lose a dangling-reference
         //    finding.
-        let mut names: BTreeSet<Symbol> = dirty.touched;
-        if !dirty.existence_changed.is_empty() {
+        if !self.existence_changed.is_empty() {
+            sort_dedup(&mut self.existence_changed);
             // The index lookup allocates only to record a type that does
             // reference one. Its count goes on the enclosing span, so the
             // step's span itself carries no field that could allocate
@@ -471,12 +484,13 @@ impl ConsistencyState {
             {
                 let _esp = sws_trace::span!(
                     "core.consistency.existence_scan",
-                    changed = dirty.existence_changed.len()
+                    changed = self.existence_changed.len()
                 );
-                for name in &dirty.existence_changed {
-                    names.extend(self.index.referrers(*name));
+                for name in self.existence_changed.drain(..) {
+                    names.extend(self.index.referrers(name));
                 }
             }
+            sort_dedup(&mut names);
             sp.record("referencing", names.len() - before);
         }
 
@@ -556,6 +570,11 @@ impl ConsistencyState {
         sp.record("findings", findings.len());
         ConsistencyReport { findings }
     }
+}
+
+fn sort_dedup(names: &mut Vec<Symbol>) {
+    names.sort_unstable_by_key(|name| name.index());
+    names.dedup();
 }
 
 /// All three per-type checks for one type; `scratch` must be sized for

@@ -5,8 +5,6 @@
 //! a modification triggered — built from the graph's
 //! [`sws_model::CascadeReport`] plus any notes from the apply layer.
 
-use crate::ops::ModOp;
-use std::collections::BTreeSet;
 use std::fmt;
 use sws_model::{CascadeReport, Symbol};
 use sws_odl::HierKind;
@@ -168,131 +166,6 @@ impl ImpactReport {
     }
 }
 
-/// The type names an applied operation (plus its cascade) may have affected
-/// — the *seed* of the incremental consistency recheck.
-///
-/// `touched` names types whose own definition, edges, or members changed.
-/// `existence_changed` names types that were created or deleted; any type
-/// referencing such a name in an attribute domain or operation signature may
-/// gain or lose a dangling-reference finding, so the consistency engine
-/// scans for referents of these names specifically.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DirtySet {
-    /// Names of types whose definition may have changed.
-    pub touched: BTreeSet<Symbol>,
-    /// Names of types that were added or deleted.
-    pub existence_changed: BTreeSet<Symbol>,
-}
-
-impl DirtySet {
-    /// Derive the seed from an applied operation and its impact report.
-    ///
-    /// Deliberately conservative: every type name mentioned by the op or by
-    /// any impact entry is included. The consistency engine expands this
-    /// seed along the hierarchy before rechecking. The same seed serves the
-    /// forward apply and [`Workspace::undo_last`]: an inverse image touches
-    /// exactly what the op touched.
-    ///
-    /// [`Workspace::undo_last`]: crate::workspace::Workspace::undo_last
-    pub fn from_applied(op: &ModOp, impact: &ImpactReport) -> Self {
-        let mut set = DirtySet::default();
-        set.add_op(op);
-        set.add_impact(impact);
-        set
-    }
-
-    /// True if nothing was touched.
-    pub fn is_empty(&self) -> bool {
-        self.touched.is_empty() && self.existence_changed.is_empty()
-    }
-
-    /// Number of distinct names in the seed (touched plus
-    /// existence-changed). The incremental consistency sync reports this
-    /// as its dirty-set size when deciding whether to fan out.
-    pub fn len(&self) -> usize {
-        self.touched.len() + self.existence_changed.len()
-    }
-
-    /// Fold another dirty set into this one.
-    pub fn merge(&mut self, other: &DirtySet) {
-        self.touched.extend(other.touched.iter().copied());
-        self.existence_changed
-            .extend(other.existence_changed.iter().copied());
-    }
-
-    fn touch(&mut self, name: &str) {
-        self.touched.insert(Symbol::intern(name));
-    }
-
-    fn add_op(&mut self, op: &ModOp) {
-        use ModOp::*;
-        // Every op names its subject type.
-        self.touch(op.subject_type());
-        match op {
-            AddTypeDefinition { ty } | DeleteTypeDefinition { ty } => {
-                self.existence_changed.insert(Symbol::intern(ty));
-            }
-            AddSupertype { supertype, .. } | DeleteSupertype { supertype, .. } => {
-                self.touch(supertype);
-            }
-            ModifySupertype { old, new, .. } => {
-                for s in old.iter().chain(new.iter()) {
-                    self.touch(s);
-                }
-            }
-            ModifyAttribute { new_ty, .. } | ModifyOperation { new_ty, .. } => {
-                self.touch(new_ty);
-            }
-            AddRelationship { target, .. }
-            | AddPartOfRelationship { target, .. }
-            | AddInstanceOfRelationship { target, .. } => {
-                self.touch(target);
-            }
-            ModifyRelationshipTargetType {
-                old_target,
-                new_target,
-                ..
-            }
-            | ModifyPartOfTargetType {
-                old_target,
-                new_target,
-                ..
-            }
-            | ModifyInstanceOfTargetType {
-                old_target,
-                new_target,
-                ..
-            } => {
-                self.touch(old_target);
-                self.touch(new_target);
-            }
-            _ => {}
-        }
-    }
-
-    fn add_impact(&mut self, impact: &ImpactReport) {
-        use ImpactEntry::*;
-        for entry in &impact.entries {
-            let names = match *entry {
-                RemovedAttribute { ty, .. }
-                | RemovedOperation { ty, .. }
-                | PrunedKey { ty, .. }
-                | PrunedOrderBy { ty, .. }
-                | DetachedSubtype { sub: ty } => [Some(ty), None],
-                RemovedRelationship { ty_a, ty_b, .. } => [Some(ty_a), Some(ty_b)],
-                RemovedLink { parent, child, .. } => [Some(parent), Some(child)],
-                RemovedSupertypeEdge { sub, sup: other }
-                | RewiredSubtype {
-                    sub,
-                    new_sup: other,
-                } => [Some(sub), Some(other)],
-                Note(_) => [None, None],
-            };
-            self.touched.extend(names.into_iter().flatten());
-        }
-    }
-}
-
 impl fmt::Display for ImpactReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for entry in &self.entries {
@@ -338,50 +211,5 @@ mod tests {
         let report = ImpactReport::from_cascade(&CascadeReport::default(), &[]);
         assert!(report.is_empty());
         assert_eq!(report.to_string(), "");
-    }
-
-    #[test]
-    fn dirty_set_collects_op_and_cascade_names() {
-        let cascade = CascadeReport {
-            removed_rels: vec![("B".into(), "r".into(), "A".into(), "inv".into())],
-            rewired_subtypes: vec![("C".into(), "A".into())],
-            ..CascadeReport::default()
-        };
-        let set = DirtySet::from_applied(
-            &ModOp::DeleteTypeDefinition { ty: "B".into() },
-            &ImpactReport::from_cascade(&cascade, &[]),
-        );
-        for name in ["A", "B", "C"] {
-            assert!(
-                set.touched.contains(&Symbol::intern(name)),
-                "{name} missing: {set:?}"
-            );
-        }
-        assert!(set.existence_changed.contains(&Symbol::intern("B")));
-        assert!(!set.is_empty());
-
-        let mut merged = DirtySet::default();
-        merged.merge(&set);
-        assert_eq!(merged, set);
-    }
-
-    #[test]
-    fn dirty_set_covers_move_endpoints() {
-        let set = DirtySet::from_applied(
-            &ModOp::ModifyRelationshipTargetType {
-                ty: "Dept".into(),
-                path: "has".into(),
-                old_target: "Employee".into(),
-                new_target: "Person".into(),
-            },
-            &ImpactReport::default(),
-        );
-        for name in ["Dept", "Employee", "Person"] {
-            assert!(
-                set.touched.contains(&Symbol::intern(name)),
-                "{name} missing: {set:?}"
-            );
-        }
-        assert!(set.existence_changed.is_empty());
     }
 }

@@ -23,7 +23,7 @@
 //! * [`impact`] and [`feedback`] — impact reports and cautionary feedback
 //!   (activities 9–11),
 //! * [`consistency`] — consistency checks over the customized schema,
-//!   rechecked incrementally per dirty type after each operation,
+//!   rechecked after each operation for just the types it touched,
 //! * [`mapping`] — the semantic correspondence between shrink wrap and
 //!   custom schema (activity 10),
 //! * [`odl_blocks`] — the custom schema's ODL, re-printed per touched
@@ -55,7 +55,7 @@ pub use consistency::{
 pub use constraints::{check_preconditions, ConstraintCategory, ConstraintViolation};
 pub use explain::explain;
 pub use feedback::Feedback;
-pub use impact::{DirtySet, ImpactEntry, ImpactReport};
+pub use impact::{ImpactEntry, ImpactReport};
 pub use interop::{common_objects, CommonObject, InteropSummary};
 pub use mapping::{Construct, Disposition, MapEntry, Mapping, MoveTable};
 pub use odl_blocks::{OdlBlocks, OdlSnapshot};

@@ -27,9 +27,10 @@
 //!   in the system (designer undo/redo and the server's batch rollback
 //!   both go through it);
 //! * a [`ConsistencyState`] holding per-type consistency findings and a
-//!   reverse reference index, kept current incrementally from each
-//!   operation's [`DirtySet`] and touched types. Consistency maintenance is
-//!   *lazy*: [`Workspace::consistency`] syncs on demand, so a whole
+//!   reverse reference index, kept current incrementally from the types
+//!   each operation's [`UndoPatch`] touched and the names it created or
+//!   deleted. Consistency maintenance is *lazy*:
+//!   [`Workspace::consistency`] syncs on demand, so a whole
 //!   [`Workspace::apply_script`] batch is verified once at the next read,
 //!   not once per operation;
 //! * an [`OdlBlocks`] holding the working schema's printed interface
@@ -47,7 +48,7 @@ use crate::concept::{concept_count, decompose, ConceptKind, Decomposition};
 use crate::consistency::{ConsistencyReport, ConsistencyState};
 use crate::constraints::check_preconditions;
 use crate::feedback::{cautionary, Feedback};
-use crate::impact::{DirtySet, ImpactReport};
+use crate::impact::ImpactReport;
 use crate::mapping::MoveTable;
 use crate::odl_blocks::{OdlBlocks, OdlSnapshot};
 use crate::ops::apply::apply_op;
@@ -126,13 +127,15 @@ impl Workspace {
         }
     }
 
-    /// Mark what `patch` changes in the lazily-synced read state. Called
-    /// with the graph the patch was committed on: right after an apply
-    /// (`undo` false), or right before an undo reverts it (`undo` true).
-    fn record_patch(&mut self, patch: &UndoPatch, dirty: &DirtySet, undo: bool) {
+    /// Mark what `patch` changes in the lazily-synced read state: the
+    /// single record of what an op changed, for the ODL blocks, the
+    /// consistency state and the concept count alike. Called with the
+    /// graph the patch was committed on: right after an apply (`undo`
+    /// false), or right before an undo reverts it (`undo` true).
+    fn record_patch(&mut self, patch: &UndoPatch, undo: bool) {
         let touched = patch.touched_types(&self.working);
         self.odl.get_mut().record(&touched);
-        self.state.get_mut().record(dirty, &touched);
+        self.state.get_mut().record(&touched, patch.names_changed());
         if let Some(count) = self.concepts.get() {
             let count = patch
                 .live_type_delta(&self.working)
@@ -245,7 +248,7 @@ impl Workspace {
         let patch = self.working.commit_undo();
         sws_trace::counter("ws.undo_entries", patch.touched() as u64);
         let impact = ImpactReport::from_cascade(&outcome.cascade, &outcome.notes);
-        self.record_patch(&patch, &DirtySet::from_applied(&op, &impact), false);
+        self.record_patch(&patch, false);
         let (warnings, infos) = cautionary(&op, &self.working);
         sp.record("verdict", "ok");
         sp.record("warnings", warnings.len());
@@ -414,15 +417,13 @@ impl Workspace {
         self.consistency()
     }
 
-    /// Take back the last applied operation: pop its window entry, revert
-    /// its undo patch, and reseed the incremental consistency state with
-    /// the same dirty names the forward apply recorded (the inverse touches
-    /// exactly what the op touched). Returns the popped entry, or `None`
-    /// when the window is empty.
+    /// Take back the last applied operation: pop its window entry, record
+    /// its undo patch as the forward apply did (the inverse changes
+    /// exactly what the op changed), and revert it. Returns the popped
+    /// entry, or `None` when the window is empty.
     pub fn undo_last(&mut self) -> Option<AppliedOp> {
         let record = self.window.pop()?;
-        let dirty = DirtySet::from_applied(&record.op, &record.impact);
-        self.record_patch(&record.patch, &dirty, true);
+        self.record_patch(&record.patch, true);
         self.working.revert(&record.patch);
         Some(record)
     }
@@ -677,6 +678,73 @@ mod tests {
         )
         .unwrap();
         assert!(ws.consistency().errors().next().is_none());
+    }
+
+    /// The names the consistency state holds for its next sync, as
+    /// sorted distinct strings: the stale types, then the created or
+    /// deleted ones.
+    fn recorded(ws: &Workspace) -> (Vec<String>, Vec<String>) {
+        let strings = |names: &[Symbol]| {
+            let mut names: Vec<String> = names.iter().map(|s| s.to_string()).collect();
+            names.sort();
+            names.dedup();
+            names
+        };
+        let state = ws.state.borrow();
+        let (stale, existence) = state.recorded();
+        (strings(stale), strings(existence))
+    }
+
+    #[test]
+    fn a_cascading_delete_records_every_type_it_changed() {
+        let src = "interface A { relationship B r_b inverse B::r_a; }
+                   interface B : A { relationship A r_a inverse A::r_b; }
+                   interface C : B { attribute long z; }";
+        let mut ws = Workspace::new(schema_to_graph(&sws_odl::parse_schema(src).unwrap()).unwrap());
+        ws.consistency();
+        let fb = ws
+            .apply(
+                ConceptKind::Generalization,
+                ModOp::DeleteTypeDefinition { ty: "B".into() },
+            )
+            .unwrap();
+        // The cascade drops the relationship and re-wires C under A.
+        assert!(fb.impact.len() >= 2, "{}", fb.impact);
+        assert_eq!(
+            recorded(&ws),
+            (vec!["A".into(), "B".into(), "C".into()], vec!["B".into()])
+        );
+        // Undo records the same names.
+        ws.consistency();
+        ws.undo_last().unwrap();
+        assert_eq!(
+            recorded(&ws),
+            (vec!["A".into(), "B".into(), "C".into()], vec!["B".into()])
+        );
+        assert_eq!(
+            ws.consistency(),
+            check_consistency(ws.working(), ws.shrink_wrap())
+        );
+    }
+
+    #[test]
+    fn a_retarget_records_both_targets_and_no_existence_change() {
+        let mut ws = workspace();
+        ws.consistency();
+        ws.apply(
+            ConceptKind::Generalization,
+            ModOp::ModifyRelationshipTargetType {
+                ty: "Department".into(),
+                path: "has".into(),
+                old_target: "Employee".into(),
+                new_target: "Person".into(),
+            },
+        )
+        .unwrap();
+        let stale = ["Department", "Employee", "Person"]
+            .map(String::from)
+            .to_vec();
+        assert_eq!(recorded(&ws), (stale, Vec::new()));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! with short-lived local connections, and `serve` returns once every
 //! acceptor has drained its in-flight connection.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
 use crate::protocol::{dispatch, render_response, write_response};
@@ -306,17 +306,27 @@ fn serve_http(
         let rendered = render_response(&response);
         let (status, reason) = http_status(&response);
         // The whole body is rendered first, because `content-length`
-        // precedes it; head and body then go out in one write.
-        let mut out = format!(
+        // precedes it. Head and body then go out in one vectored write,
+        // without copying the body behind the head.
+        let head = format!(
             "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\n\
              content-length: {}\r\nconnection: {}\r\n\r\n",
             rendered.len(),
             if close { "close" } else { "keep-alive" },
         );
-        if method != "HEAD" {
-            out.push_str(&rendered);
+        let body = if method == "HEAD" { "" } else { &rendered };
+        let mut parts = [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())];
+        let mut parts = &mut parts[..];
+        // `Write::write_all_vectored` is not stable: the socket may take
+        // part of the slices per call.
+        while !parts.is_empty() {
+            match writer.write_vectored(parts) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
-        writer.write_all(out.as_bytes())?;
         writer.flush()?;
         service.maintain();
         if matches!(response, Response::Bye) {

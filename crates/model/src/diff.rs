@@ -4,10 +4,11 @@
 //! keyed by names, in keeping with the paper's *name equivalence* assumption:
 //! same name ⇒ same construct, different name ⇒ different construct.
 //!
-//! `sws-core` uses this to synthesize modification-operation scripts (the
-//! §3.5 completeness argument: any schema is reachable from any other using
-//! only add and delete operations), and the case study uses it to count the
-//! delta between a shrink wrap schema and a custom schema.
+//! It is the structural-equality oracle: an empty diff means two graphs
+//! hold the same schema. The workspace's `reset` asserts it against the
+//! shrink wrap in tests, and the crash, salvage, adjacency and incremental
+//! consistency suites compare graphs with it. (Script synthesis in
+//! `sws-core` keeps its own comparison.)
 
 use crate::graph::SchemaGraph;
 use crate::lower::graph_to_schema;

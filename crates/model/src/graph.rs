@@ -301,6 +301,13 @@ impl UndoPatch {
         names
     }
 
+    /// Names the journaled mutation bound to a type or unbound from one:
+    /// the types it created or deleted. Reverting the patch changes the
+    /// same names back. Each name is also in [`Self::touched_types`].
+    pub fn names_changed(&self) -> impl Iterator<Item = Symbol> + '_ {
+        self.by_name.iter().map(|(name, _)| *name)
+    }
+
     /// How the journaled mutation changed the concept-schema
     /// decomposition's *shape* — the set of live types, generalization
     /// edges and hierarchy links — read against `g` as in
@@ -2470,6 +2477,44 @@ mod tests {
                 assert_eq!(interfaces(&undone), before, "seed {seed}");
             }
         }
+    }
+
+    #[test]
+    fn names_changed_lists_the_created_and_deleted_types() {
+        let names = |patch: &UndoPatch| {
+            let mut names: Vec<String> = patch.names_changed().map(|s| s.to_string()).collect();
+            names.sort();
+            names
+        };
+        let mut g = graph();
+        let a = g.add_type("A").unwrap();
+        let b = g.add_type("B").unwrap();
+
+        g.begin_undo();
+        g.add_type("C").unwrap();
+        let add = g.commit_undo();
+        assert_eq!(names(&add), ["C"]);
+
+        g.begin_undo();
+        g.remove_type(b, RemoveTypeMode::default()).unwrap();
+        let remove = g.commit_undo();
+        assert_eq!(names(&remove), ["B"]);
+
+        // A member edit binds no name, though it touches its owner.
+        g.begin_undo();
+        g.add_attribute(a, "x", DomainType::Long, None).unwrap();
+        let edit = g.commit_undo();
+        assert_eq!(names(&edit), Vec::<String>::new());
+        assert_eq!(edit.touched_types(&g), [Symbol::intern("A")]);
+
+        // Reverting changes the same names back, read on the same state.
+        g.revert(&edit);
+        g.revert(&remove);
+        assert_eq!(names(&remove), ["B"]);
+        assert!(g.type_id("B").is_some());
+        g.revert(&add);
+        assert_eq!(names(&add), ["C"]);
+        assert!(g.type_id("C").is_none());
     }
 
     #[test]

@@ -38,11 +38,14 @@
 //!   whole response line has arrived. The daemon streams a long line as it
 //!   renders it, so this row shows rendering and transfer overlapping;
 //! * `conflict/lagN` — p50/p90 of one stale single-op submit issued N ops
-//!   behind the head of a 128-op log on the university schema:
-//!   `handle(Submit)`, which answers `conflict` with the N-record delta,
-//!   its commutation hints and the auto-rebase verdict, plus
-//!   `render_response`. The delta's footprints were stored at accept, so
-//!   this row shows whether the verdict scales with the lag alone;
+//!   behind the head of a 128-op log on the university schema, as the
+//!   daemon answers it without the socket: `handle(Submit)`, which
+//!   answers `conflict` with the N-record delta, its commutation hints and
+//!   the auto-rebase verdict, plus `write_response` into `io::sink()` with
+//!   a reused line buffer. The delta's footprints were stored at accept,
+//!   so this row shows whether the verdict scales with the lag alone;
+//! * `conflict/lag128_ops2` — the same with a 2-op stale batch 128 ops
+//!   behind: the batch × lag commutation pairs of a two-op writer;
 //! * `submit/durable_batchN` — p50/p90 of one accepted N-op submit at
 //!   head on the university schema, with the session saved to a real
 //!   temporary directory: the batch's records reach `session.ops` in one
@@ -75,7 +78,7 @@ use sws_bench::timing::Runner;
 use sws_core::{print_op, ConceptKind};
 use sws_corpus::synthetic::SyntheticSpec;
 use sws_corpus::university;
-use sws_designer::protocol::{render_response, write_response};
+use sws_designer::protocol::write_response;
 use sws_designer::serve;
 use sws_designer::{DesignService, OpEnvelope, Request, Response, Session};
 use sws_model::graph_to_schema;
@@ -273,17 +276,25 @@ fn stale_submits(runner: &mut Runner) {
             "{response:?}"
         );
     }
-    let stale = envelope(&edit_stream(&g, 1, SEED + 1)[0]);
-    for lag in LAGS {
+    let stale: Vec<OpEnvelope> = edit_stream(&g, 2, SEED + 1).iter().map(envelope).collect();
+    let mut line = String::new();
+    let rows = LAGS
+        .iter()
+        .map(|&lag| (format!("conflict/lag{lag}"), lag, 1))
+        .chain([("conflict/lag128_ops2".to_string(), head, 2)]);
+    for (row, lag, ops) in rows {
         runner.bench_batched(
-            &format!("conflict/lag{lag}"),
+            &row,
             || Request::Submit {
                 session: "lag".to_string(),
                 base_rev: head - lag,
-                ops: vec![stale.clone()],
+                ops: stale[..ops].to_vec(),
             },
             |request| match service.handle(request) {
-                conflict @ Response::Conflict { .. } => render_response(&conflict),
+                conflict @ Response::Conflict { .. } => {
+                    write_response(&conflict, &mut line, &mut io::sink())
+                        .expect("a sink never fails")
+                }
                 other => panic!("a stale submit must conflict, got {other:?}"),
             },
         );

@@ -34,9 +34,32 @@ fn push_json_str(out: &mut String, value: &str) {
     out.push('"');
 }
 
+/// `,"key":`, the start of every field after the first.
+fn push_key(out: &mut String, key: &str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+}
+
 fn push_str_field(out: &mut String, key: &str, value: &str) {
-    let _ = write!(out, ",\"{key}\":");
+    push_key(out, key);
     push_json_str(out, value);
+}
+
+/// `n` in decimal, written without `core::fmt`: the per-record fields of
+/// a `delta` or `ops` list cost a few pushes each.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 /// The line buffer the response renderer appends to. With a stream, each
@@ -70,7 +93,8 @@ impl LineWriter<'_> {
         pieces: impl IntoIterator<Item = &'s str>,
         escaped: bool,
     ) -> io::Result<()> {
-        let _ = write!(self.buf, ",\"{key}\":\"");
+        push_key(self.buf, key);
+        self.buf.push('"');
         for piece in pieces {
             self.stream(piece, !escaped)?;
         }
@@ -112,7 +136,8 @@ impl LineWriter<'_> {
         items: &[T],
         mut item: impl FnMut(&mut String, &T),
     ) -> io::Result<()> {
-        let _ = write!(self.buf, ",\"{key}\":[");
+        push_key(self.buf, key);
+        self.buf.push('[');
         for (i, x) in items.iter().enumerate() {
             if i > 0 {
                 self.buf.push(',');
@@ -126,10 +151,11 @@ impl LineWriter<'_> {
 
     fn records(&mut self, key: &str, records: &[LogRecord]) -> io::Result<()> {
         self.list(key, records, |out, r| {
-            let _ = write!(out, "{{\"seq\":{},\"session\":", r.seq);
-            push_json_str(out, &r.session);
-            let _ = write!(out, ",\"context\":\"{}\",\"stmt\":", r.context.tag());
-            push_json_str(out, &r.statement);
+            out.push_str("{\"seq\":");
+            push_u64(out, r.seq);
+            push_str_field(out, "session", &r.session);
+            push_str_field(out, "context", r.context.tag());
+            push_str_field(out, "stmt", &r.statement);
             out.push('}');
         })
     }
@@ -201,8 +227,11 @@ fn render(resp: &Response, line: &mut LineWriter<'_>) -> io::Result<()> {
             );
             line.records("delta", delta)?;
             line.list("conflicts", conflicts, |out, c| {
-                let _ = write!(out, "{{\"op\":{},\"seq\":{},\"reason\":", c.op, c.seq);
-                push_json_str(out, &c.reason);
+                out.push_str("{\"op\":");
+                push_u64(out, c.op as u64);
+                push_key(out, "seq");
+                push_u64(out, c.seq);
+                push_str_field(out, "reason", &c.reason);
                 out.push('}');
             })?;
         }

@@ -27,9 +27,14 @@
 //! every incremental read against a from-scratch one inside the publish,
 //! and those oracles allocate per type by design.
 //!
-//! The last pins an export to a copy of the published blocks' stored
+//! Another pins an export to a copy of the published blocks' stored
 //! JSON escapes: one export at 10,000 types allocates fewer bytes than a
 //! quarter of its ODL.
+//!
+//! The last pins a stale submit to O(1) allocations in its lag: answering
+//! and writing a `conflict` 128 ops behind the head allocates at most a
+//! few times more often than one 1 op behind. The delta clones refcounts
+//! and the commutation verdict allocates nothing.
 
 #![cfg(feature = "alloc-stats")]
 
@@ -353,5 +358,64 @@ fn export_allocates_less_than_a_quarter_of_its_odl() {
     assert!(
         bytes < odl_len as u64 / 4,
         "an export at 10,000 types allocated {bytes} bytes for a {odl_len}-byte ODL"
+    );
+}
+
+/// A stale submit allocates about as often at lag 128 as at lag 1: one
+/// `handle(Submit)` answered `conflict` and written through
+/// `write_response` with a warm line buffer. The log is 128 type adds and
+/// the stale op adds another, so every pair commutes and no hint is
+/// rendered; what is left to grow with the lag is the delta. A delta that
+/// copies its records' strings, or a verdict that allocates per pair,
+/// allocates per record and fails here.
+#[test]
+fn a_stale_submit_allocates_as_often_at_lag_128_as_at_lag_1() {
+    use shrink_wrap_schemas::designer::protocol::write_response;
+
+    let _serial = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let service =
+        DesignService::new(Session::from_odl(university::SOURCE).expect("university ingests"));
+    for session in ["lead", "lag"] {
+        let opened = service.handle(Request::Open {
+            session: session.to_string(),
+        });
+        assert!(matches!(opened, Response::Opened { .. }), "{opened:?}");
+    }
+    let submit = |session: &str, base_rev: u64, ty: &str| Request::Submit {
+        session: session.to_string(),
+        base_rev,
+        ops: vec![OpEnvelope {
+            context: ConceptKind::WagonWheel,
+            statement: format!("add_type_definition({ty})"),
+        }],
+    };
+    const HEAD: u64 = 128;
+    for rev in 0..HEAD {
+        let response = service.handle(submit("lead", rev, &format!("Lead{rev}")));
+        assert!(
+            matches!(response, Response::Accepted { .. }),
+            "{response:?}"
+        );
+    }
+    let mut line = String::new();
+    let mut stale = |lag: u64| {
+        let response = service.handle(submit("lag", HEAD - lag, "Stale"));
+        match &response {
+            Response::Conflict {
+                auto_rebasable: true,
+                ..
+            } => {}
+            other => panic!("a commuting stale submit must auto-rebase, got {other:?}"),
+        }
+        write_response(&response, &mut line, &mut std::io::sink()).expect("a sink never fails");
+    };
+    // Grow the line buffer to the longest line first.
+    stale(HEAD);
+    let (near, _) = allocations(|| stale(1));
+    let (far, _) = allocations(|| stale(HEAD));
+    eprintln!("stale submit alloc.count: {near} at lag 1, {far} at lag {HEAD}");
+    assert!(
+        far <= near + 4,
+        "a stale submit allocated {far} times at lag {HEAD}, {near} times at lag 1"
     );
 }

@@ -1,9 +1,10 @@
 //! Property test for the serve rebase protocol: two clients submit random
-//! op scripts against one `DesignService` under a random interleaving, each
-//! maintaining a local replica from nothing but protocol responses.
+//! scripts of 1–3-op batches against one `DesignService` under a random
+//! interleaving, each maintaining a local replica from nothing but protocol
+//! responses.
 //!
 //! Invariants under fuzz:
-//! * an `accepted` response implies the op replays cleanly on a replica
+//! * an `accepted` response implies the batch replays cleanly on a replica
 //!   synced to the acknowledged `base_rev`,
 //! * a `conflict` delta is exactly the accepted ops in `(base_rev, rev]`,
 //!   contiguously numbered, and always rebases cleanly onto the stale
@@ -11,9 +12,10 @@
 //! * the `auto_rebasable` classification is honest both ways: when true,
 //!   the retry at the head MUST be accepted; when false, the report names
 //!   a non-commuting pair or the analyzer rejects the batch at the head,
-//! * **zero false conflicts**: every `rejected` op also fails
-//!   `analyze_ops` on a replica synced to the head — the server never
-//!   turns away an op the executor would have taken,
+//! * **zero false conflicts**: a `rejected` batch's `index` is the op at
+//!   which `analyze_ops` stops on a replica synced to the head — the
+//!   server never turns away a batch the executor would have taken, nor
+//!   blames another op than the analyzer does,
 //! * the accepted total order (the log since 0) replays serially to the
 //!   exported schema, byte for byte, and so does every client replica.
 
@@ -82,8 +84,36 @@ fn contexts() -> impl Strategy<Value = ConceptKind> {
     prop::sample::select(ConceptKind::ALL.to_vec())
 }
 
-fn script() -> impl Strategy<Value = Vec<(ConceptKind, ModOp)>> {
-    prop::collection::vec((contexts(), random_op()), 1..10)
+/// A wagon-wheel attribute add of a fresh name: an op that usually
+/// applies and commutes with most others, so multi-op batches are
+/// accepted, conflict and auto-rebase often enough to test.
+fn fresh_attribute() -> impl Strategy<Value = (ConceptKind, ModOp)> {
+    (type_name(), "[a-z]{3,6}").prop_map(|(ty, name)| {
+        (
+            ConceptKind::WagonWheel,
+            ModOp::AddAttribute {
+                ty,
+                domain: DomainType::Long,
+                size: None,
+                name: format!("fresh_{name}"),
+            },
+        )
+    })
+}
+
+type Batch = Vec<(ConceptKind, ModOp)>;
+
+fn script() -> impl Strategy<Value = Vec<Batch>> {
+    let op = prop_oneof![
+        1 => (contexts(), random_op()),
+        1 => fresh_attribute(),
+    ];
+    prop::collection::vec(prop::collection::vec(op, 1..4), 1..10)
+}
+
+fn statements(batch: &[(ConceptKind, ModOp)]) -> String {
+    let ops: Vec<_> = batch.iter().map(|(_, op)| print_op(op)).collect();
+    ops.join("; ")
 }
 
 /// One simulated client: a replica fed ONLY by its own accepted ops and
@@ -126,19 +156,18 @@ impl Sim {
         Ok(())
     }
 
-    /// Does the single-op batch pass the static analyzer at the replica's
-    /// current state? With the replica synced to the head, this is the
-    /// analyzer's verdict "would the executor take it now".
-    fn analyzer_passes(&self, context: ConceptKind, op: &ModOp) -> bool {
+    /// Where the static analyzer stops the batch at the replica's current
+    /// state, if it does. With the replica synced to the head, `None` is
+    /// the analyzer's verdict "the executor would take it now".
+    fn analyzer_stop(&self, batch: &[(ConceptKind, ModOp)]) -> Option<usize> {
         let ws = self.replica.workspace();
-        analyze_ops(ws.working(), ws.shrink_wrap(), &[(context, op.clone())]).passes()
+        analyze_ops(ws.working(), ws.shrink_wrap(), batch).stopped_at
     }
 
     fn submit(
         &mut self,
         service: &DesignService,
-        context: ConceptKind,
-        op: &ModOp,
+        batch: &[(ConceptKind, ModOp)],
     ) -> Result<(), TestCaseError> {
         // Set when a conflict was classified auto-rebasable: nothing else
         // runs between the delta sync and the retry, so the retry MUST land.
@@ -147,10 +176,13 @@ impl Sim {
             let response = service.handle(Request::Submit {
                 session: self.name.to_string(),
                 base_rev: self.rev,
-                ops: vec![OpEnvelope {
-                    context,
-                    statement: print_op(op),
-                }],
+                ops: batch
+                    .iter()
+                    .map(|(context, op)| OpEnvelope {
+                        context: *context,
+                        statement: print_op(op),
+                    })
+                    .collect(),
             });
             match response {
                 Response::Accepted {
@@ -160,19 +192,22 @@ impl Sim {
                     ..
                 } => {
                     prop_assert_eq!(base_rev, self.rev);
-                    prop_assert_eq!(rev, self.rev + 1);
-                    prop_assert_eq!(applied, 1);
-                    self.replica
-                        .workspace_mut()
-                        .apply(context, op.clone())
-                        .map_err(|e| {
-                            TestCaseError::fail(format!(
-                                "server accepted `{}` but a synced replica rejects it: {e}",
-                                print_op(op)
-                            ))
-                        })?;
+                    prop_assert_eq!(rev, self.rev + batch.len() as u64);
+                    prop_assert_eq!(applied, batch.len());
+                    for (context, op) in batch {
+                        self.replica
+                            .workspace_mut()
+                            .apply(*context, op.clone())
+                            .map_err(|e| {
+                                TestCaseError::fail(format!(
+                                    "server accepted `{}` but a synced replica rejects `{}`: {e}",
+                                    statements(batch),
+                                    print_op(op)
+                                ))
+                            })?;
+                    }
                     self.rev = rev;
-                    self.accepted += 1;
+                    self.accepted += batch.len() as u64;
                     return Ok(());
                 }
                 Response::Conflict {
@@ -189,14 +224,21 @@ impl Sim {
                     prop_assert_eq!(delta.len() as u64, rev - base_rev);
                     self.apply_delta(&delta)?;
                     prop_assert_eq!(self.rev, rev);
+                    for hint in &conflicts {
+                        prop_assert!(hint.op < batch.len(), "a hint names a batch op");
+                        prop_assert!(
+                            (base_rev..rev).contains(&hint.seq),
+                            "a hint names a delta record"
+                        );
+                    }
                     // Classification honesty, judged on the synced replica.
-                    let head_passes = self.analyzer_passes(context, op);
+                    let head_passes = self.analyzer_stop(batch).is_none();
                     if auto_rebasable {
                         prop_assert!(conflicts.is_empty());
                         prop_assert!(
                             head_passes,
                             "auto_rebasable, yet the analyzer rejects `{}` at the head",
-                            print_op(op)
+                            statements(batch)
                         );
                         must_accept = true;
                     } else {
@@ -204,7 +246,7 @@ impl Sim {
                             !conflicts.is_empty() || !head_passes,
                             "manual-rebase verdict for `{}` names no non-commuting pair \
                              and the analyzer passes it at the head",
-                            print_op(op)
+                            statements(batch)
                         );
                     }
                 }
@@ -213,14 +255,16 @@ impl Sim {
                 } => {
                     prop_assert!(!must_accept, "auto_rebasable retry was rejected: {error}");
                     prop_assert_eq!(rev, self.rev, "a rejection never moves the head");
-                    prop_assert_eq!(index, 0);
-                    // Zero false conflicts: the analyzer agrees the op is
-                    // dead at the head the client is now synced to.
-                    prop_assert!(
-                        !self.analyzer_passes(context, op),
-                        "server rejected `{}` ({error}) but analyze_ops passes it \
-                         on a replica synced to the head",
-                        print_op(op)
+                    // Zero false conflicts: the analyzer stops the batch at
+                    // the same op, at the head the client is now synced to.
+                    prop_assert_eq!(
+                        self.analyzer_stop(batch),
+                        Some(index),
+                        "server rejected `{}` at ops[{}] ({}); analyze_ops on a replica \
+                         synced to the head disagrees",
+                        statements(batch),
+                        index,
+                        error
                     );
                     self.rejected += 1;
                     return Ok(());
@@ -236,7 +280,7 @@ impl Sim {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn random_interleavings_obey_the_rebase_contract(
@@ -268,8 +312,7 @@ proptest! {
                 let step = qb.next().map(|s| (s, &mut b)).or_else(|| qa.next().map(|s| (s, &mut a)));
                 match step { Some((s, sim)) => (sim, s), None => break }
             };
-            let (context, op) = step;
-            sim.submit(&service, context, &op)?;
+            sim.submit(&service, &step)?;
         }
 
         // The accepted total order replays serially to the exported bytes.

@@ -24,7 +24,10 @@
 //! [`LintReport::to_json`] follows the crash-report discipline: one line,
 //! pinned key order, and a trailing SplitMix64 checksum over everything
 //! before it, so external tooling can both diff reports textually and
-//! verify they were not truncated.
+//! verify they were not truncated. Its checksum is the one-lane form
+//! ([`checksum`]), not the eight-lane line form that `swsd serve`
+//! responses and crash reports carry: a lint report is short, and its
+//! values stay pinned.
 
 use std::fmt;
 use sws_core::{ConstraintCategory, ConstraintViolation, OpError};
@@ -116,9 +119,9 @@ impl LintReport {
 
     /// Render the report as exactly one JSON line with pinned key order:
     /// `schema_version`, `ops`, `stopped_at`, `clean`, `findings`,
-    /// `commuting_pairs`, `checksum`. The checksum (SplitMix64, same
-    /// algorithm as the repository's content checksums) covers every byte
-    /// before its own key.
+    /// `commuting_pairs`, `checksum`. The checksum ([`checksum`], the
+    /// repository's one-lane content checksum) covers every byte before
+    /// its own key.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.findings.len() * 96);
         out.push_str(&format!("{{\"schema_version\":{SCHEMA_VERSION}"));
@@ -235,10 +238,10 @@ pub fn code_for(v: &ConstraintViolation, deleted_earlier: bool) -> &'static str 
     }
 }
 
-/// SplitMix64 streaming checksum — the same construction as
-/// `sws_repository::checksum`, restated here so the analysis crate stays
-/// free of the I/O layer (a designer test pins the two implementations
-/// together).
+/// SplitMix64 checksum with one lane — the same construction as
+/// `sws_repository::checksum::checksum`, the repository's one-lane disk
+/// form, restated here so the analysis crate stays free of the I/O layer
+/// (a designer test pins the two implementations together).
 pub fn checksum(bytes: &[u8]) -> u64 {
     const SEED: u64 = 0x5357_5352_4550_4f31;
     fn mix(mut z: u64) -> u64 {

@@ -53,7 +53,19 @@
 //! * `submit/historyN` — p50/p90 of one accepted single-op submit at head
 //!   on the university schema after N accepted `churn_stream` ops, which
 //!   keep the schema the same size: what a submit pays for the session's
-//!   length alone (see `docs/performance.md`, "One history window").
+//!   length alone (see `docs/performance.md`, "One history window");
+//! * `checksum/disk620k`, `checksum/line620k` — p50/p90 of checksumming
+//!   one 620 KB buffer (about an `exported` line of 1,000 types) fed in
+//!   [`SLICE`]-byte pieces, with the one-lane disk form and with the
+//!   eight-lane line form that ends every response line. The line form's
+//!   eight multiply chains must overlap, so the binary asserts that its
+//!   fastest run takes at most two thirds of the disk form's fastest run;
+//!   a loop shape that serializes the chains takes as long as the disk
+//!   form and fails that. On a quiet 2-CPU dev host the ratio is about
+//!   one quarter. The bound leaves room because the line form's
+//!   throughput-bound loop runs up to 2x slower while a co-tenant shares
+//!   its core, for whole runs at a time, and the disk form's
+//!   latency-bound loop does not.
 //!
 //! `report.sizes` records the session-count sweep; the type counts are
 //! in the row labels. Override the iteration count with
@@ -78,11 +90,12 @@ use sws_bench::timing::Runner;
 use sws_core::{print_op, ConceptKind};
 use sws_corpus::synthetic::SyntheticSpec;
 use sws_corpus::university;
-use sws_designer::protocol::write_response;
+use sws_designer::protocol::{write_response, SLICE};
 use sws_designer::serve;
 use sws_designer::{DesignService, OpEnvelope, Request, Response, Session};
 use sws_model::graph_to_schema;
 use sws_odl::print_schema;
+use sws_repository::checksum::Checksum;
 
 const SEED: u64 = 31;
 const SESSIONS: [usize; 4] = [1, 4, 16, 64];
@@ -144,6 +157,7 @@ fn main() {
     stale_submits(&mut runner);
     durable_submits(&mut runner);
     history_submits(&mut runner);
+    checksums(&mut runner);
 
     for &n in &TYPES {
         let g = SyntheticSpec::sized(n, SEED).generate();
@@ -239,6 +253,19 @@ fn main() {
         p99_16 <= p99_1.saturating_mul(8).saturating_add(P99_SLACK_NS),
         "p99 with 16 idle sessions ({p99_16} ns) exceeds 8x the 1-session \
          baseline ({p99_1} ns) + {P99_SLACK_NS} ns slack"
+    );
+
+    // The line checksum's lanes must run side by side.
+    let fastest = |label| {
+        runner
+            .exact_quantile(label, 0.0)
+            .expect("label was measured")
+    };
+    let (disk, line) = (fastest("checksum/disk620k"), fastest("checksum/line620k"));
+    assert!(
+        line * 3 <= disk * 2,
+        "the line checksum ({line} ns) takes more than two thirds of the \
+         disk checksum's time ({disk} ns) on the same buffer"
     );
 
     let out = std::env::var("SWS_BENCH_OUT")
@@ -377,6 +404,26 @@ fn history_submits(runner: &mut Runner) {
         }
         runner.bench_batched(&format!("submit/history{n}"), submit_next, accept);
     }
+}
+
+/// The `checksum/{disk,line}620k` rows: one buffer the size of a
+/// 1,000-type `exported` line, checksummed in the slices a streamed line
+/// is folded in.
+fn checksums(runner: &mut Runner) {
+    let buf: Vec<u8> = (0..620_000u32)
+        .map(|i| (i.wrapping_mul(0x9E37_79B1) >> 24) as u8)
+        .collect();
+    runner.bench("checksum/disk620k", || sliced(Checksum::new(), &buf));
+    runner.bench("checksum/line620k", || sliced(Checksum::line(), &buf));
+}
+
+/// `buf` fed to `sum` in [`SLICE`]-byte pieces, as `write_response` folds
+/// a streamed line.
+fn sliced<const L: usize>(mut sum: Checksum<L>, buf: &[u8]) -> u64 {
+    for slice in std::hint::black_box(buf).chunks(SLICE) {
+        sum.update(slice);
+    }
+    sum.finish()
 }
 
 /// The `export_wire/types{n}` row: `fresh()` publishes a new view

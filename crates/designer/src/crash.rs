@@ -10,11 +10,11 @@
 //! recovery, active_spans, counters, events, dropped, checksum
 //! ```
 //!
-//! `checksum` is the SplitMix64 repository checksum
-//! ([`sws_repository::checksum`]) of every serialized byte before the
-//! `,"checksum":…` suffix, hex-encoded — the same integrity primitive the
-//! session manifest uses, so a truncated or hand-edited report is
-//! detectable with [`checksum_valid`].
+//! `checksum` is the eight-lane SplitMix64 line checksum
+//! ([`checksum::line_checksum`]) of every serialized byte before the
+//! `,"checksum":…` suffix, hex-encoded — the same self-verifying line as a
+//! `swsd serve` response, so a truncated or hand-edited report or response
+//! is detectable with [`checksum_valid`].
 //!
 //! Everything here is panic-hook-safe: locks are poison-tolerant and I/O
 //! failures are reported to stderr, never unwound.
@@ -25,8 +25,8 @@ use sws_repository::checksum;
 use sws_trace::export::{escape_json, event_json};
 
 /// Version of the crash-report JSON schema. Version 2 dropped the
-/// `sws_threads` key.
-pub const SCHEMA_VERSION: u64 = 2;
+/// `sws_threads` key; version 3 moved `checksum` to the line form.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// The dump file name, created inside the crash directory.
 pub const FILE_NAME: &str = "crash-report.json";
@@ -136,13 +136,15 @@ fn render(reason: &str, message: &str, location: Option<&str>, exit_code: Option
         out.push_str(&event_json(event));
     }
     out.push_str(&format!("],\"dropped\":{}", snapshot.dropped));
-    let sum = checksum::checksum(out.as_bytes());
-    out.push_str(&format!(",\"checksum\":\"{}\"}}", checksum::to_hex(sum)));
+    let sum = checksum::line_checksum(out.as_bytes());
+    out.push_str(",\"checksum\":\"");
+    checksum::push_hex(&mut out, sum);
+    out.push_str("\"}");
     out
 }
 
-/// Verify a report produced by this module: recompute the checksum over
-/// everything before the `,"checksum":…` suffix.
+/// Verify a crash report or a `swsd serve` response line: recompute the
+/// line checksum over everything before the `,"checksum":…` suffix.
 pub fn checksum_valid(report: &str) -> bool {
     let report = report.trim_end();
     let Some(at) = report.rfind(",\"checksum\":\"") else {
@@ -153,7 +155,7 @@ pub fn checksum_valid(report: &str) -> bool {
     let Some(hex) = suffix.strip_suffix("\"}") else {
         return false;
     };
-    checksum::from_hex(hex) == Some(checksum::checksum(body.as_bytes()))
+    checksum::from_hex(hex) == Some(checksum::line_checksum(body.as_bytes()))
 }
 
 fn write_dump(reason: &str, message: &str, location: Option<&str>, exit_code: Option<u8>) {

@@ -2,19 +2,19 @@
 //!
 //! One request per line, one response per line. Requests are plain JSON
 //! objects with a `type` field (any key order). Responses are serialized
-//! with a **pinned key order** and end in a SplitMix64 checksum field —
-//! the same self-verifying single-line idiom as `crash-report.json` and
-//! the analyzer's `--lint=json` output, so a truncated or hand-edited
-//! response is detectable with [`crate::crash::checksum_valid`]. The
-//! golden protocol fixtures (`tests/serve_protocol.rs`) pin the rendering
-//! byte-for-byte.
+//! with a **pinned key order**, without `core::fmt`, and end in a
+//! `checksum` field: the eight-lane SplitMix64 line checksum
+//! ([`checksum::line_checksum`]) of every byte before it, the same
+//! self-verifying single-line idiom as `crash-report.json`, so a truncated
+//! or hand-edited response is detectable with
+//! [`crate::crash::checksum_valid`]. The golden protocol fixtures
+//! (`tests/serve_protocol.rs`) pin the rendering byte-for-byte.
 //!
 //! See `docs/serve.md` for the full schema.
 
-use std::fmt::Write as _;
 use std::io::{self, Write};
 use sws_core::ConceptKind;
-use sws_repository::checksum::{self, Checksum};
+use sws_repository::checksum::{self, Checksum, LINE_LANES};
 use sws_trace::export::escape_json_into;
 
 use crate::service::{ErrorCode, LogRecord, OpEnvelope, Request, Response};
@@ -46,8 +46,8 @@ fn push_str_field(out: &mut String, key: &str, value: &str) {
     push_json_str(out, value);
 }
 
-/// `n` in decimal, written without `core::fmt`: the per-record fields of
-/// a `delta` or `ops` list cost a few pushes each.
+/// `n` in decimal, written without `core::fmt`: a field costs a few
+/// pushes.
 fn push_u64(out: &mut String, mut n: u64) {
     let mut digits = [0u8; 20];
     let mut start = digits.len();
@@ -62,13 +62,25 @@ fn push_u64(out: &mut String, mut n: u64) {
     out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
+/// `,"key":n`.
+fn push_u64_field(out: &mut String, key: &str, n: u64) {
+    push_key(out, key);
+    push_u64(out, n);
+}
+
+/// `,"key":true` or `,"key":false`.
+fn push_bool_field(out: &mut String, key: &str, value: bool) {
+    push_key(out, key);
+    out.push_str(if value { "true" } else { "false" });
+}
+
 /// The line buffer the response renderer appends to. With a stream, each
 /// time the buffer reaches [`SLICE`] at an item boundary its bytes are
 /// written out, folded into the checksum and dropped; without one, the
 /// buffer ends up holding the whole line.
 struct LineWriter<'a> {
     buf: &'a mut String,
-    sum: Checksum,
+    sum: Checksum<LINE_LANES>,
     out: Option<&'a mut dyn Write>,
 }
 
@@ -164,8 +176,9 @@ impl LineWriter<'_> {
     /// or still buffered.
     fn close(mut self) {
         self.sum.update(self.buf.as_bytes());
-        let sum = checksum::to_hex(self.sum.finish());
-        let _ = write!(self.buf, ",\"checksum\":\"{sum}\"}}");
+        self.buf.push_str(",\"checksum\":\"");
+        checksum::push_hex(self.buf, self.sum.finish());
+        self.buf.push_str("\"}");
     }
 }
 
@@ -184,7 +197,9 @@ fn line_capacity(resp: &Response) -> usize {
 /// order, up to the closing checksum.
 fn render(resp: &Response, line: &mut LineWriter<'_>) -> io::Result<()> {
     let out = &mut *line.buf;
-    let _ = write!(out, "{{\"type\":\"{}\"", resp.tag());
+    out.push_str("{\"type\":\"");
+    out.push_str(resp.tag());
+    out.push('"');
     match resp {
         Response::Opened {
             session,
@@ -193,10 +208,9 @@ fn render(resp: &Response, line: &mut LineWriter<'_>) -> io::Result<()> {
             concepts,
         } => {
             push_str_field(out, "session", session);
-            let _ = write!(
-                out,
-                ",\"rev\":{rev},\"types\":{types},\"concepts\":{concepts}"
-            );
+            push_u64_field(out, "rev", *rev);
+            push_u64_field(out, "types", *types as u64);
+            push_u64_field(out, "concepts", *concepts as u64);
         }
         Response::Accepted {
             session,
@@ -206,10 +220,9 @@ fn render(resp: &Response, line: &mut LineWriter<'_>) -> io::Result<()> {
             warnings,
         } => {
             push_str_field(out, "session", session);
-            let _ = write!(
-                out,
-                ",\"base_rev\":{base_rev},\"rev\":{rev},\"applied\":{applied}"
-            );
+            push_u64_field(out, "base_rev", *base_rev);
+            push_u64_field(out, "rev", *rev);
+            push_u64_field(out, "applied", *applied as u64);
             line.list("warnings", warnings, |out, w| push_json_str(out, w))?;
         }
         Response::Conflict {
@@ -221,16 +234,14 @@ fn render(resp: &Response, line: &mut LineWriter<'_>) -> io::Result<()> {
             conflicts,
         } => {
             push_str_field(out, "session", session);
-            let _ = write!(
-                out,
-                ",\"base_rev\":{base_rev},\"rev\":{rev},\"auto_rebasable\":{auto_rebasable}"
-            );
+            push_u64_field(out, "base_rev", *base_rev);
+            push_u64_field(out, "rev", *rev);
+            push_bool_field(out, "auto_rebasable", *auto_rebasable);
             line.records("delta", delta)?;
             line.list("conflicts", conflicts, |out, c| {
                 out.push_str("{\"op\":");
                 push_u64(out, c.op as u64);
-                push_key(out, "seq");
-                push_u64(out, c.seq);
+                push_u64_field(out, "seq", c.seq);
                 push_str_field(out, "reason", &c.reason);
                 out.push('}');
             })?;
@@ -242,7 +253,8 @@ fn render(resp: &Response, line: &mut LineWriter<'_>) -> io::Result<()> {
             error,
         } => {
             push_str_field(out, "session", session);
-            let _ = write!(out, ",\"rev\":{rev},\"index\":{index}");
+            push_u64_field(out, "rev", *rev);
+            push_u64_field(out, "index", *index as u64);
             push_str_field(out, "error", error);
         }
         Response::Linted {
@@ -251,9 +263,12 @@ fn render(resp: &Response, line: &mut LineWriter<'_>) -> io::Result<()> {
             passes,
             findings,
         } => {
-            let _ = write!(out, ",\"rev\":{rev},\"ops\":{ops},\"passes\":{passes}");
+            push_u64_field(out, "rev", *rev);
+            push_u64_field(out, "ops", *ops as u64);
+            push_bool_field(out, "passes", *passes);
             line.list("findings", findings, |out, f| {
-                let _ = write!(out, "{{\"index\":{}", f.index);
+                out.push_str("{\"index\":");
+                push_u64(out, f.index as u64);
                 push_str_field(out, "code", &f.code);
                 push_str_field(out, "severity", &f.severity);
                 push_str_field(out, "message", &f.message);
@@ -267,22 +282,23 @@ fn render(resp: &Response, line: &mut LineWriter<'_>) -> io::Result<()> {
             errors,
             warnings,
         } => {
-            let _ = write!(
-                out,
-                ",\"rev\":{rev},\"types\":{types},\"concepts\":{concepts},\
-                 \"errors\":{errors},\"warnings\":{warnings}"
-            );
+            push_u64_field(out, "rev", *rev);
+            push_u64_field(out, "types", *types as u64);
+            push_u64_field(out, "concepts", *concepts as u64);
+            push_u64_field(out, "errors", *errors as u64);
+            push_u64_field(out, "warnings", *warnings as u64);
         }
         Response::Exported { rev, odl } => {
-            let _ = write!(out, ",\"rev\":{rev}");
+            push_u64_field(out, "rev", *rev);
             line.long_str_field("odl", [odl.as_str()], false)?;
         }
         Response::ExportedBlocks { rev, odl } => {
-            let _ = write!(out, ",\"rev\":{rev}");
+            push_u64_field(out, "rev", *rev);
             line.long_str_field("odl", odl.json_pieces(), true)?;
         }
         Response::LogSlice { rev, since, ops } => {
-            let _ = write!(out, ",\"rev\":{rev},\"since\":{since}");
+            push_u64_field(out, "rev", *rev);
+            push_u64_field(out, "since", *since);
             line.records("ops", ops)?;
         }
         Response::Checkpointed {
@@ -290,17 +306,19 @@ fn render(resp: &Response, line: &mut LineWriter<'_>) -> io::Result<()> {
             generation,
             ops_covered,
         } => {
-            let _ = write!(out, ",\"rev\":{rev},\"generation\":");
+            push_u64_field(out, "rev", *rev);
             match generation {
-                Some(g) => {
-                    let _ = write!(out, "{g}");
+                Some(g) => push_u64_field(out, "generation", *g),
+                None => {
+                    push_key(out, "generation");
+                    out.push_str("null");
                 }
-                None => out.push_str("null"),
             }
-            let _ = write!(out, ",\"ops_covered\":{ops_covered}");
+            push_u64_field(out, "ops_covered", *ops_covered);
         }
         Response::Pong { rev, sessions } => {
-            let _ = write!(out, ",\"rev\":{rev},\"sessions\":{sessions}");
+            push_u64_field(out, "rev", *rev);
+            push_u64_field(out, "sessions", *sessions as u64);
         }
         Response::Bye => {}
         Response::Error { code, message } => {
@@ -320,7 +338,7 @@ pub fn render_response(resp: &Response) -> String {
     let mut buf = String::with_capacity(line_capacity(resp));
     let mut line = LineWriter {
         buf: &mut buf,
-        sum: Checksum::new(),
+        sum: Checksum::line(),
         out: None,
     };
     // Without a stream nothing is written, so nothing can fail.
@@ -346,7 +364,7 @@ pub fn write_response(resp: &Response, buf: &mut String, out: &mut impl Write) -
     buf.reserve(line_capacity(resp).min(SLICE + SLICE / 8 + 128));
     let mut line = LineWriter {
         buf,
-        sum: Checksum::new(),
+        sum: Checksum::line(),
         out: Some(&mut *out),
     };
     render(resp, &mut line)?;

@@ -534,7 +534,7 @@ fn crash_report_key_order_is_pinned() {
             "checksum",
         ]
     );
-    assert!(line.contains("\"schema_version\":2"), "{line}");
+    assert!(line.contains("\"schema_version\":3"), "{line}");
     assert!(line.contains("\"reason\":\"error_exit\""), "{line}");
     assert!(line.contains("\"exit_code\":5"), "{line}");
     assert!(sws_designer::crash::checksum_valid(line));

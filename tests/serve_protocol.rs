@@ -232,8 +232,8 @@ fn reference_escape(s: &str) -> String {
 
 /// An `exported` line for a 1,000-type schema is byte-identical to the
 /// rendering before the single-pass escaper (a `format!` of the escaped
-/// ODL, then the checksum over every preceding byte), and it has room for
-/// the newline a JSONL transport appends.
+/// ODL, then the line checksum over every preceding byte), and it has
+/// room for the newline a JSONL transport appends.
 #[test]
 fn a_large_export_renders_as_before() {
     use sws_corpus::synthetic::SyntheticSpec;
@@ -246,7 +246,7 @@ fn a_large_export_renders_as_before() {
         "{{\"type\":\"exported\",\"rev\":7,\"odl\":\"{}\"",
         reference_escape(&odl)
     );
-    let sum = checksum::checksum(expected.as_bytes());
+    let sum = checksum::line_checksum(expected.as_bytes());
     expected.push_str(&format!(",\"checksum\":\"{}\"}}", checksum::to_hex(sum)));
 
     let line = protocol::render_response(&Response::Exported { rev: 7, odl });
@@ -257,6 +257,23 @@ fn a_large_export_renders_as_before() {
         "appending the newline reallocates a {}-byte line",
         line.len()
     );
+}
+
+/// Flipping one byte in the middle of an `exported` line longer than one
+/// streamed slice breaks its checksum.
+#[test]
+fn a_flipped_byte_in_a_long_export_fails_the_checksum() {
+    let odl: String = (0..9_000)
+        .map(|i| format!("interface T{i} {{ attribute long a; }}\n"))
+        .collect();
+    let line = protocol::render_response(&exported(odl));
+    assert!(line.len() > protocol::SLICE, "{} bytes", line.len());
+    assert!(checksum_valid(&line));
+    let mut bytes = line.into_bytes();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x01;
+    let tampered = String::from_utf8(bytes).expect("an ASCII line stays UTF-8");
+    assert!(!checksum_valid(&tampered));
 }
 
 /// A `Write` sink that keeps every byte and the length of every write.

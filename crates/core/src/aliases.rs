@@ -264,7 +264,15 @@ impl AliasTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sws_odl::{parse_schema, print_schema, validate_schema};
+    use crate::consistency::check_consistency;
+    use sws_odl::{parse_schema, print_schema};
+
+    /// `schema` lowers, and its consistency report has no error.
+    fn assert_lowers_clean(schema: &Schema) {
+        let g = sws_model::schema_to_graph(schema).expect("lowers");
+        let report = check_consistency(&g, &g);
+        assert_eq!(report.errors().count(), 0, "{}", report.render());
+    }
 
     fn schema() -> Schema {
         parse_schema(
@@ -313,7 +321,7 @@ mod tests {
         assert!(text.contains("order_by (variant_name)"), "{text}");
         assert!(text.contains("attribute set<Phenotype> related;"));
         // The rendered schema is still valid extended ODL.
-        assert!(validate_schema(&local).is_empty());
+        assert_lowers_clean(&local);
     }
 
     #[test]
@@ -365,7 +373,7 @@ mod tests {
         let local = aliases.apply(&canonical);
         assert!(local.interface("Phenotype").is_some());
         assert!(local.interface("Strain").is_some());
-        assert!(validate_schema(&local).is_empty());
+        assert_lowers_clean(&local);
     }
 
     #[test]

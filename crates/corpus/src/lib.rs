@@ -30,8 +30,6 @@ use sws_odl::parse_schema;
 /// Parse and lower an ODL source that is known to be valid.
 pub(crate) fn load(src: &str) -> SchemaGraph {
     let ast = parse_schema(src).unwrap_or_else(|e| panic!("corpus schema parse error: {e}"));
-    let issues = sws_odl::validate_schema(&ast);
-    assert!(issues.is_empty(), "corpus schema invalid: {issues:?}");
     schema_to_graph(&ast).unwrap_or_else(|e| panic!("corpus schema lowering error: {e}"))
 }
 

@@ -791,3 +791,58 @@ fn corrupt_snapshot_degrades_to_exit_7_then_heals() {
     assert_eq!(code, 0, "healed directory loads clean: {stderr}");
     std::fs::remove_dir_all(&session_dir).unwrap();
 }
+
+/// A schema the graph refuses exits 3 with a message that names the
+/// types involved, never their slot ids (`t0`, `t1`).
+#[test]
+fn graph_errors_in_a_schema_name_its_types() {
+    let dir = std::env::temp_dir().join(format!("swsd_graph_err_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases: [(&str, &str, &[&str]); 6] = [
+        (
+            "supertype_cycle",
+            "interface A : B { attribute long a; } interface B : A { attribute long b; }",
+            &["`A`", "`B`"],
+        ),
+        (
+            "duplicate_member",
+            "interface A { attribute long a; attribute string a; }",
+            &["`A`"],
+        ),
+        (
+            "self_supertype",
+            "interface A : A { attribute long a; }",
+            &["`A`"],
+        ),
+        (
+            "duplicate_supertype",
+            "interface B { attribute long b; } interface A : B, B { attribute long a; }",
+            &["`A`", "`B`"],
+        ),
+        (
+            "part_of_cycle",
+            "interface A { part_of set<B> bs inverse B::a; part_of B b inverse B::as_; }
+             interface B { part_of A a inverse A::bs; part_of set<A> as_ inverse A::b; }",
+            &["`A`", "`B`"],
+        ),
+        (
+            "duplicate_key",
+            "interface A { attribute long x; keys x, x; }",
+            &["`A`"],
+        ),
+    ];
+    for (name, src, types) in cases {
+        let path = dir.join(format!("{name}.odl"));
+        std::fs::write(&path, src).unwrap();
+        let (_, stderr, code) = run_swsd_code(&["--schema", path.to_str().unwrap()], "");
+        assert_eq!(code, 3, "{name}: {stderr}");
+        for ty in types {
+            assert!(stderr.contains(ty), "{name} does not name {ty}: {stderr}");
+        }
+        let slot_id = stderr.split(|c: char| !c.is_ascii_alphanumeric()).any(|w| {
+            w.len() > 1 && w.starts_with('t') && w[1..].bytes().all(|b| b.is_ascii_digit())
+        });
+        assert!(!slot_id, "{name} prints a slot id: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -1,11 +1,14 @@
 //! Mutation errors raised by [`crate::SchemaGraph`].
 
 use crate::ids::{AttrId, LinkId, OpId, RelId, TypeId};
+use crate::intern::Symbol;
 use std::fmt;
 
 /// Why a graph mutation was refused. The graph defends its own invariants;
 /// richer, designer-facing precondition diagnostics live in
-/// `sws-core::constraints`.
+/// `sws-core::constraints`. Live types are named by their interned name,
+/// so every error renders as the designer wrote it; only the `Dead*`
+/// variants, whose IDs name nothing, carry a slot ID.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
     /// A type with this name already exists.
@@ -23,25 +26,23 @@ pub enum ModelError {
     /// The ID does not refer to a live link.
     DeadLink(LinkId),
     /// The member name is already used in the owning type.
-    DuplicateMember { owner: TypeId, member: String },
+    DuplicateMember { owner: Symbol, member: String },
     /// The extent name is already used by another type.
     DuplicateExtent(String),
     /// The supertype edge already exists.
-    DuplicateSupertype { sub: TypeId, sup: TypeId },
+    DuplicateSupertype { sub: Symbol, sup: Symbol },
     /// The supertype edge does not exist.
-    NoSuchSupertype { sub: TypeId, sup: TypeId },
+    NoSuchSupertype { sub: Symbol, sup: Symbol },
     /// Adding this supertype edge would create a generalization cycle.
-    SupertypeCycle { sub: TypeId, sup: TypeId },
+    SupertypeCycle { sub: Symbol, sup: Symbol },
     /// Adding this link would create a part-of / instance-of cycle.
-    HierarchyCycle { parent: TypeId, child: TypeId },
-    /// No member with this name/path on the given type.
-    NoSuchMember { owner: TypeId, member: String },
+    HierarchyCycle { parent: Symbol, child: Symbol },
     /// A type cannot be its own supertype (or link to itself in a hierarchy).
-    SelfReference(TypeId),
+    SelfReference(Symbol),
     /// The key with this definition does not exist on the type.
-    NoSuchKey { owner: TypeId, key: String },
+    NoSuchKey { owner: Symbol, key: String },
     /// The key already exists on the type.
-    DuplicateKey { owner: TypeId, key: String },
+    DuplicateKey { owner: Symbol, key: String },
 }
 
 impl fmt::Display for ModelError {
@@ -55,33 +56,33 @@ impl fmt::Display for ModelError {
             ModelError::DeadOp(id) => write!(f, "operation {id} does not exist"),
             ModelError::DeadLink(id) => write!(f, "link {id} does not exist"),
             ModelError::DuplicateMember { owner, member } => {
-                write!(f, "member `{member}` already exists on {owner}")
+                write!(f, "member `{member}` already exists on `{owner}`")
             }
             ModelError::DuplicateExtent(n) => write!(f, "extent `{n}` already in use"),
             ModelError::DuplicateSupertype { sub, sup } => {
-                write!(f, "{sub} already has supertype {sup}")
+                write!(f, "`{sub}` already has supertype `{sup}`")
             }
             ModelError::NoSuchSupertype { sub, sup } => {
-                write!(f, "{sub} has no supertype {sup}")
+                write!(f, "`{sub}` has no supertype `{sup}`")
             }
             ModelError::SupertypeCycle { sub, sup } => {
-                write!(f, "making {sup} a supertype of {sub} would create a cycle")
+                write!(
+                    f,
+                    "making `{sup}` a supertype of `{sub}` would create a cycle"
+                )
             }
             ModelError::HierarchyCycle { parent, child } => {
                 write!(
                     f,
-                    "linking {parent} above {child} would create a hierarchy cycle"
+                    "linking `{parent}` above `{child}` would create a hierarchy cycle"
                 )
             }
-            ModelError::NoSuchMember { owner, member } => {
-                write!(f, "no member `{member}` on {owner}")
+            ModelError::SelfReference(ty) => {
+                write!(f, "`{ty}` cannot reference itself here")
             }
-            ModelError::SelfReference(id) => {
-                write!(f, "{id} cannot reference itself here")
-            }
-            ModelError::NoSuchKey { owner, key } => write!(f, "no key `{key}` on {owner}"),
+            ModelError::NoSuchKey { owner, key } => write!(f, "no key `{key}` on `{owner}`"),
             ModelError::DuplicateKey { owner, key } => {
-                write!(f, "key `{key}` already exists on {owner}")
+                write!(f, "key `{key}` already exists on `{owner}`")
             }
         }
     }
@@ -98,9 +99,19 @@ mod tests {
         let e = ModelError::DuplicateTypeName("Person".into());
         assert_eq!(e.to_string(), "type `Person` already exists");
         let e = ModelError::DuplicateMember {
-            owner: TypeId(2),
+            owner: Symbol::intern("Person"),
             member: "x".into(),
         };
-        assert_eq!(e.to_string(), "member `x` already exists on t2");
+        assert_eq!(e.to_string(), "member `x` already exists on `Person`");
+        let e = ModelError::SupertypeCycle {
+            sub: Symbol::intern("A"),
+            sup: Symbol::intern("B"),
+        };
+        assert_eq!(
+            e.to_string(),
+            "making `B` a supertype of `A` would create a cycle"
+        );
+        let e = ModelError::DeadType(TypeId(2));
+        assert_eq!(e.to_string(), "type t2 does not exist");
     }
 }

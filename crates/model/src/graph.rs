@@ -726,7 +726,7 @@ impl SchemaGraph {
     fn check_member_free(&self, owner: TypeId, name: &str) -> Result<(), ModelError> {
         if self.member_exists(owner, name) {
             Err(ModelError::DuplicateMember {
-                owner,
+                owner: self.ty(owner).name,
                 member: name.to_string(),
             })
         } else {
@@ -840,14 +840,15 @@ impl SchemaGraph {
 
     /// Add a key to a type's key list.
     pub fn add_key(&mut self, id: TypeId, key: Key) -> Result<(), ModelError> {
+        self.check_live(id)?;
         let skey = SymKey::from_key(&key);
-        if self.ty(id).keys.contains(&skey) {
+        let node = self.ty(id);
+        if node.keys.contains(&skey) {
             return Err(ModelError::DuplicateKey {
-                owner: id,
+                owner: node.name,
                 key: key.to_string(),
             });
         }
-        self.check_live(id)?;
         self.touch_type(id);
         self.type_mut(id)?.keys.push(skey);
         Ok(())
@@ -856,9 +857,10 @@ impl SchemaGraph {
     /// Remove a key from a type's key list.
     pub fn remove_key(&mut self, id: TypeId, key: &Key) -> Result<(), ModelError> {
         self.check_live(id)?;
-        if !self.ty(id).keys.iter().any(|k| k == key) {
+        let node = self.ty(id);
+        if !node.keys.iter().any(|k| k == key) {
             return Err(ModelError::NoSuchKey {
-                owner: id,
+                owner: node.name,
                 key: key.to_string(),
             });
         }
@@ -965,14 +967,21 @@ impl SchemaGraph {
         self.check_live(sub)?;
         self.check_live(sup)?;
         if sub == sup {
-            return Err(ModelError::SelfReference(sub));
+            return Err(ModelError::SelfReference(self.ty(sub).name));
         }
+        let (sub_name, sup_name) = (self.ty(sub).name, self.ty(sup).name);
         if self.ty(sub).supertypes.contains(&sup) {
-            return Err(ModelError::DuplicateSupertype { sub, sup });
+            return Err(ModelError::DuplicateSupertype {
+                sub: sub_name,
+                sup: sup_name,
+            });
         }
         if self.gen_reachable(sub, sup) {
             // `sub` is already an ancestor of `sup`: adding the edge closes a cycle.
-            return Err(ModelError::SupertypeCycle { sub, sup });
+            return Err(ModelError::SupertypeCycle {
+                sub: sub_name,
+                sup: sup_name,
+            });
         }
         self.touch_type(sub);
         self.touch_type(sup);
@@ -986,7 +995,10 @@ impl SchemaGraph {
         self.check_live(sub)?;
         self.check_live(sup)?;
         if !self.ty(sub).supertypes.contains(&sup) {
-            return Err(ModelError::NoSuchSupertype { sub, sup });
+            return Err(ModelError::NoSuchSupertype {
+                sub: self.ty(sub).name,
+                sup: self.ty(sup).name,
+            });
         }
         self.touch_type(sub);
         self.touch_type(sup);
@@ -1190,7 +1202,7 @@ impl SchemaGraph {
         self.check_member_free(a_owner, a_path)?;
         if a_owner == b_owner && a_path == b_path {
             return Err(ModelError::DuplicateMember {
-                owner: b_owner,
+                owner: self.ty(b_owner).name,
                 member: b_path.to_string(),
             });
         }
@@ -1423,11 +1435,14 @@ impl SchemaGraph {
         self.check_live(parent)?;
         self.check_live(child)?;
         if parent == child {
-            return Err(ModelError::SelfReference(parent));
+            return Err(ModelError::SelfReference(self.ty(parent).name));
         }
         if self.hier_reachable(kind, child, parent) {
             // `child` is already above `parent`: the new edge closes a cycle.
-            return Err(ModelError::HierarchyCycle { parent, child });
+            return Err(ModelError::HierarchyCycle {
+                parent: self.ty(parent).name,
+                child: self.ty(child).name,
+            });
         }
         self.check_member_free(parent, parent_path)?;
         self.check_member_free(child, child_path)?;
@@ -1526,7 +1541,7 @@ impl SchemaGraph {
             return Ok(());
         }
         if new_type == other_type {
-            return Err(ModelError::SelfReference(new_type));
+            return Err(ModelError::SelfReference(self.ty(new_type).name));
         }
         self.check_member_free(new_type, path.as_str())?;
         // Cycle check with the link itself ignored: the move creates the
@@ -1537,8 +1552,8 @@ impl SchemaGraph {
         };
         if self.hier_reachable_excluding(kind, id, c, p) {
             return Err(ModelError::HierarchyCycle {
-                parent: p,
-                child: c,
+                parent: self.ty(p).name,
+                child: self.ty(c).name,
             });
         }
         self.touch_type(old_type);
@@ -1810,6 +1825,11 @@ mod tests {
             g.remove_key(a, &Key::single("id")),
             Err(ModelError::NoSuchKey { .. })
         ));
+        g.remove_type(a, RemoveTypeMode::default()).unwrap();
+        assert_eq!(
+            g.add_key(a, Key::single("id")),
+            Err(ModelError::DeadType(a))
+        );
     }
 
     #[test]

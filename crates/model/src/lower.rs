@@ -1,9 +1,15 @@
 //! Conversion between `sws_odl::Schema` ASTs and [`SchemaGraph`]s.
 //!
 //! * [`schema_to_graph`] resolves names, pairs up the two declared sides of
-//!   each relationship / hierarchy link, and builds the graph. The input is
-//!   expected to be clean per `sws_odl::validate_schema`; lowering reports
-//!   the first structural problem it meets as a [`LowerError`].
+//!   each relationship / hierarchy link, and builds the graph. It is where a
+//!   schema's structure is checked: it reports the first structural problem
+//!   it meets as a [`LowerError`] — a duplicate type, member, key or extent,
+//!   an unresolved name, an unpaired or mismatched inverse, a link that is
+//!   not 1:N, a supertype or hierarchy cycle, or a self-reference. What it
+//!   accepts and [`crate::wf`] still objects to (key and `order_by`
+//!   attributes that are not visible, dangling attribute and operation
+//!   domains, members that shadow an inherited one) the consistency report
+//!   flags as errors with a repair.
 //! * [`graph_to_schema`] produces the **canonical AST**: interfaces and
 //!   members sorted by name. Two graphs describe the same schema iff their
 //!   canonical ASTs are equal — the repository persists this form.
@@ -124,12 +130,7 @@ pub fn schema_to_graph(schema: &Schema) -> Result<SchemaGraph, LowerError> {
                 continue;
             }
             let a = g.require_type(&iface.name)?;
-            let b = g
-                .type_id(&rel.target)
-                .ok_or_else(|| LowerError::UnknownType {
-                    interface: iface.name.clone(),
-                    name: rel.target.clone(),
-                })?;
+            let b = g.require_type(&rel.target)?;
             g.add_relationship(
                 a,
                 &rel.path,

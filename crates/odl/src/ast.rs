@@ -33,11 +33,6 @@ impl Schema {
         self.interfaces.iter().find(|i| i.name == name)
     }
 
-    /// Find an interface by name, mutably.
-    pub fn interface_mut(&mut self, name: &str) -> Option<&mut Interface> {
-        self.interfaces.iter_mut().find(|i| i.name == name)
-    }
-
     /// Total number of constructs (interfaces, attributes, relationships,
     /// operations, part-of links, instance-of links, supertype links). Used
     /// by the case-study reuse metrics.
@@ -119,8 +114,9 @@ impl Interface {
         self.instance_ofs.iter().find(|h| h.path == path)
     }
 
-    /// All member (instance-property + hierarchy-link) names, for uniqueness
-    /// checking.
+    /// The names of every member: attributes, relationship paths,
+    /// operations, then part-of and instance-of paths. Lowering refuses a
+    /// schema in which two of them coincide.
     pub fn member_names(&self) -> impl Iterator<Item = &str> {
         self.attributes
             .iter()
@@ -387,11 +383,6 @@ mod tests {
         s.interfaces.push(Interface::new("Student"));
         assert!(s.interface("Course").is_some());
         assert!(s.interface("Faculty").is_none());
-        s.interface_mut("Student").unwrap().extent = Some("students".into());
-        assert_eq!(
-            s.interface("Student").unwrap().extent.as_deref(),
-            Some("students")
-        );
     }
 
     #[test]

@@ -20,9 +20,13 @@
 //! * [`lexer`] and [`parser`] — a hand-written lexer and recursive-descent
 //!   parser for the concrete syntax documented in [`parser`],
 //! * [`printer`] — a canonical pretty-printer whose output round-trips
-//!   through the parser,
-//! * [`validate`] — source-level well-formedness checks (name uniqueness,
-//!   reference resolution, inverse reciprocity, hierarchy-link cardinality).
+//!   through the parser.
+//!
+//! This crate checks syntax only. The paper's standing assumptions (unique
+//! names, reciprocal inverses, the implicit 1:N cardinality of part-of and
+//! instance-of) are checked where a schema enters the model: `sws-model`'s
+//! lowering rejects structural errors, and the consistency report flags
+//! the rest (see `docs/odl.md`).
 //!
 //! # Example
 //!
@@ -52,7 +56,6 @@ pub mod lexer;
 pub mod parser;
 pub mod printer;
 pub mod types;
-pub mod validate;
 
 pub use ast::{
     Attribute, Cardinality, HierKind, HierLink, Interface, Key, Operation, Param, ParamDir,
@@ -62,4 +65,3 @@ pub use error::{OdlError, OdlErrorKind, Span, MAX_TYPE_NESTING};
 pub use parser::{parse_interface, parse_schema};
 pub use printer::{assemble_schema, print_interface, print_interface_block, print_schema};
 pub use types::{CollectionKind, DomainType};
-pub use validate::{validate_schema, ValidationIssue};

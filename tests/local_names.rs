@@ -86,14 +86,15 @@ fn aliases_compose_with_real_modifications() {
 
 #[test]
 fn locally_named_output_is_valid_odl() {
-    // The renamed schema must itself parse and validate — it is a real
-    // deliverable, not just display sugar.
+    // The renamed schema must itself parse, lower and check clean — it is
+    // a real deliverable, not just display sugar.
     let mut repo = Repository::ingest(genome::acedb());
     repo.set_type_alias("Strain", "Phenotype").unwrap();
     repo.set_type_alias("Paper", "Publication").unwrap();
     repo.set_member_alias("Paper", "title", "headline").unwrap();
     let local = repo.custom_schema_local_odl();
     let parsed = shrink_wrap_schemas::odl::parse_schema(&local).expect("valid ODL");
-    assert!(shrink_wrap_schemas::odl::validate_schema(&parsed).is_empty());
-    shrink_wrap_schemas::model::schema_to_graph(&parsed).expect("lowers cleanly");
+    let g = shrink_wrap_schemas::model::schema_to_graph(&parsed).expect("lowers cleanly");
+    let report = shrink_wrap_schemas::core::check_consistency(&g, &g);
+    assert_eq!(report.errors().count(), 0, "{}", report.render());
 }

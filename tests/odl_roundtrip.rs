@@ -9,9 +9,9 @@ use shrink_wrap_schemas::odl::{parse_schema, print_schema};
 mod props {
     use super::*;
     use proptest::prelude::*;
+    use shrink_wrap_schemas::core::check_consistency;
     use shrink_wrap_schemas::corpus::synthetic::SyntheticSpec;
     use shrink_wrap_schemas::model::{check_well_formed, schema_to_graph};
-    use shrink_wrap_schemas::odl::validate_schema;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -31,13 +31,16 @@ mod props {
             prop_assert_eq!(graph_to_schema(&relowered), ast);
         }
 
-        /// Generated schemas validate cleanly at both levels.
+        /// Generated schemas are well-formed, and their canonical AST
+        /// lowers with no consistency error.
         #[test]
         fn generated_schemas_validate(n in 1usize..30, seed in 0u64..10_000) {
             let g = SyntheticSpec::sized(n, seed).generate();
             prop_assert!(check_well_formed(&g).is_empty());
-            let ast = graph_to_schema(&g);
-            prop_assert!(validate_schema(&ast).is_empty());
+            let relowered = schema_to_graph(&graph_to_schema(&g))
+                .map_err(|e| TestCaseError::fail(format!("{e}")))?;
+            let report = check_consistency(&relowered, &relowered);
+            prop_assert!(report.errors().next().is_none(), "{}", report.render());
         }
 
         /// Printing is deterministic and canonical: print(parse(print(x))) ==

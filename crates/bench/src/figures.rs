@@ -101,7 +101,7 @@ pub fn fig7() -> (Workspace, String, String) {
 pub fn fig4() -> String {
     let g = university::graph();
     let student = g.type_id("Student").expect("corpus");
-    render_tree(&g, student, &|g, t| g.ty(t).subtypes.clone())
+    render_tree(&g, student, &|g, t| g.ty(t).subtypes.to_vec())
 }
 
 /// Fig. 5: the house parts explosion, rendered as a tree.

@@ -10,10 +10,18 @@
 //! beyond the `CHUNK` slots a write lands in. IDs stay plain slot indices,
 //! stable while appending, exactly as with the `Vec`s this replaces.
 //!
+//! The nodes stay inline in their chunks, so a walk over the arena reads
+//! them contiguously; what a node owns on the heap (a type's member lists,
+//! an operation's signature) sits behind a [`Shared`] instead, which costs
+//! a list read one more dependent load than an inline `Vec`. Copying a chunk
+//! therefore copies each node's fields and bumps one refcount per
+//! non-empty [`Shared`] — no allocation — and the write that follows
+//! copies only the one list it changes.
+//!
 //! [`SchemaGraph`]: crate::SchemaGraph
 
 use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::ops::{Deref, DerefMut, Index, IndexMut};
 use std::sync::Arc;
 
 /// Slots per chunk. Picked from a sweep of 16 / 32 / 64 over the serve
@@ -152,6 +160,130 @@ impl<T: Clone> ChunkedVec<T> {
             }
             None => None,
         }
+    }
+}
+
+/// A value with an allocation-free blank form (an empty list), which a
+/// [`Shared`] lends out while holding no pointer at all.
+pub trait Blank: Clone + 'static {
+    /// The blank value.
+    const BLANK: &'static Self;
+
+    /// Is `self` the blank value?
+    fn is_blank(&self) -> bool;
+}
+
+impl<T: Clone + 'static> Blank for Vec<T> {
+    const BLANK: &'static Self = &Vec::new();
+
+    fn is_blank(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+/// A copy-on-write value inside an arena slot. A clone bumps a refcount;
+/// the first `&mut` access while a clone still shares the value copies
+/// this one value ([`Arc::make_mut`]), nothing else of the slot. A blank
+/// value holds no allocation until it is first written. Reads and writes
+/// go through [`Deref`]/[`DerefMut`], so `node.attrs.push(id)` and
+/// `node.attrs.iter()` read as on a plain `Vec`.
+pub struct Shared<T: Blank>(Option<Arc<T>>);
+
+impl<T: Blank> Shared<T> {
+    /// Do `self` and `other` hold the same allocation (or are both blank
+    /// without one)? Tests use this to see copy-on-write at work.
+    #[cfg(test)]
+    pub(crate) fn shares_with(&self, other: &Shared<T>) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+}
+
+impl<T: Blank> Clone for Shared<T> {
+    #[inline]
+    fn clone(&self) -> Self {
+        Shared(self.0.clone())
+    }
+}
+
+impl<T: Blank> Default for Shared<T> {
+    #[inline]
+    fn default() -> Self {
+        Shared(None)
+    }
+}
+
+impl<T: Blank> From<T> for Shared<T> {
+    fn from(value: T) -> Self {
+        Shared((!value.is_blank()).then(|| Arc::new(value)))
+    }
+}
+
+impl<T: Blank> Deref for Shared<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        match &self.0 {
+            Some(value) => value,
+            None => T::BLANK,
+        }
+    }
+}
+
+impl<T: Blank> DerefMut for Shared<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut T {
+        Arc::make_mut(self.0.get_or_insert_with(|| Arc::new(T::BLANK.clone())))
+    }
+}
+
+impl<'a, T: Blank> IntoIterator for &'a Shared<T>
+where
+    &'a T: IntoIterator,
+{
+    type Item = <&'a T as IntoIterator>::Item;
+    type IntoIter = <&'a T as IntoIterator>::IntoIter;
+
+    fn into_iter(self) -> Self::IntoIter {
+        (**self).into_iter()
+    }
+}
+
+/// Yields the values themselves, copying them first if a clone still
+/// shares them.
+impl<T: Blank + IntoIterator> IntoIterator for Shared<T> {
+    type Item = T::Item;
+    type IntoIter = T::IntoIter;
+
+    fn into_iter(self) -> T::IntoIter {
+        match self.0 {
+            Some(value) => Arc::unwrap_or_clone(value).into_iter(),
+            None => T::BLANK.clone().into_iter(),
+        }
+    }
+}
+
+impl<T: Blank + PartialEq> PartialEq for Shared<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Blank + Eq> Eq for Shared<T> {}
+
+impl<T: Clone + PartialEq<U> + 'static, U> PartialEq<Vec<U>> for Shared<Vec<T>> {
+    fn eq(&self, other: &Vec<U>) -> bool {
+        **self == *other
+    }
+}
+
+impl<T: Blank + fmt::Debug> fmt::Debug for Shared<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
     }
 }
 

@@ -9,8 +9,13 @@
 //! entries pruned with an attribute, …). `sws-core`'s propagation layer
 //! turns these reports into the designer-facing *impact reports* of the
 //! paper (activity 9).
+//!
+//! A node's heap-owned parts — a type's eight member lists, an
+//! operation's signature — are [`Shared`] copy-on-write values, so a
+//! graph clone that later diverges copies one refcount per list of the
+//! chunk it writes to, and allocates only for the list the write changes.
 
-use crate::arena::ChunkedVec;
+use crate::arena::{Blank, ChunkedVec, Shared};
 use crate::error::ModelError;
 use crate::ids::{AttrId, LinkId, OpId, RelId, TypeId};
 use crate::intern::{SymKey, Symbol};
@@ -28,21 +33,21 @@ pub struct TypeNode {
     /// Extent name, if declared; unique among live types.
     pub extent: Option<Symbol>,
     /// Key list (interned attribute names).
-    pub keys: Vec<SymKey>,
+    pub keys: Shared<Vec<SymKey>>,
     /// Direct supertypes.
-    pub supertypes: Vec<TypeId>,
+    pub supertypes: Shared<Vec<TypeId>>,
     /// Direct subtypes (derived; maintained by the graph).
-    pub subtypes: Vec<TypeId>,
+    pub subtypes: Shared<Vec<TypeId>>,
     /// Attributes owned by this type.
-    pub attrs: Vec<AttrId>,
+    pub attrs: Shared<Vec<AttrId>>,
     /// Relationship ends owned by this type, as `(relationship, end index)`.
-    pub rel_ends: Vec<(RelId, u8)>,
+    pub rel_ends: Shared<Vec<(RelId, u8)>>,
     /// Operations owned by this type.
-    pub ops: Vec<OpId>,
+    pub ops: Shared<Vec<OpId>>,
     /// Hierarchy links in which this type is the parent (whole / generic).
-    pub parent_links: Vec<LinkId>,
+    pub parent_links: Shared<Vec<LinkId>>,
     /// Hierarchy links in which this type is the child (part / instance).
-    pub child_links: Vec<LinkId>,
+    pub child_links: Shared<Vec<LinkId>>,
     pub(crate) alive: bool,
 }
 
@@ -102,8 +107,23 @@ pub struct OpNode {
     /// hot member-name compares never touch the `String`).
     pub name: Symbol,
     /// The full signature (name, return type, args, raises).
-    pub op: Operation,
+    pub op: Shared<Operation>,
     pub(crate) alive: bool,
+}
+
+/// A signature with no name, no arguments and no raises, returning `void`;
+/// no live operation is blank.
+impl Blank for Operation {
+    const BLANK: &'static Self = &Operation {
+        name: String::new(),
+        return_type: DomainType::Void,
+        args: Vec::new(),
+        raises: Vec::new(),
+    };
+
+    fn is_blank(&self) -> bool {
+        self == Self::BLANK
+    }
 }
 
 /// A part-of or instance-of link. The parent side (whole / generic entity)
@@ -357,8 +377,10 @@ impl UndoPatch {
 ///
 /// Cloning is cheap: the arenas are copy-on-write chunks and the name
 /// index is shared until the next type is added or removed, so a clone
-/// costs one refcount bump per chunk (see `arena.rs`) and the first write
-/// after it copies only the chunks it lands in.
+/// costs one refcount bump per chunk (see `arena.rs`). The first write
+/// after it copies only the chunk it lands in, and since a node's member
+/// lists and signature are [`Shared`], that copy bumps their refcounts;
+/// only the list the write changes is copied.
 #[derive(Debug, Clone)]
 pub struct SchemaGraph {
     name: String,
@@ -798,14 +820,14 @@ impl SchemaGraph {
             name: sym,
             is_abstract: false,
             extent: None,
-            keys: Vec::new(),
-            supertypes: Vec::new(),
-            subtypes: Vec::new(),
-            attrs: Vec::new(),
-            rel_ends: Vec::new(),
-            ops: Vec::new(),
-            parent_links: Vec::new(),
-            child_links: Vec::new(),
+            keys: Shared::default(),
+            supertypes: Shared::default(),
+            subtypes: Shared::default(),
+            attrs: Shared::default(),
+            rel_ends: Shared::default(),
+            ops: Shared::default(),
+            parent_links: Shared::default(),
+            child_links: Shared::default(),
             alive: true,
         });
         self.names_mut().insert(sym, id);
@@ -1336,7 +1358,7 @@ impl SchemaGraph {
         self.ops.push(OpNode {
             owner,
             name,
-            op,
+            op: op.into(),
             alive: true,
         });
         self.types[owner.index()].ops.push(id);
@@ -2413,8 +2435,8 @@ mod tests {
                     n.name,
                     sorted(&n.supertypes),
                     sorted(&n.subtypes),
-                    n.parent_links.clone(),
-                    n.child_links.clone(),
+                    n.parent_links.to_vec(),
+                    n.child_links.to_vec(),
                 )
             })
             .collect()
@@ -2558,5 +2580,125 @@ mod tests {
         g.set_abstract(id, true).unwrap();
         assert!(!g.types.shares_chunk_with(&fresh.types, id.index()));
         assert!(!fresh.ty(id).is_abstract);
+    }
+
+    /// Which of the eight member lists `a` and `b` share, in declaration
+    /// order (`keys` … `child_links`).
+    fn shared_lists(a: &TypeNode, b: &TypeNode) -> [bool; 8] {
+        [
+            a.keys.shares_with(&b.keys),
+            a.supertypes.shares_with(&b.supertypes),
+            a.subtypes.shares_with(&b.subtypes),
+            a.attrs.shares_with(&b.attrs),
+            a.rel_ends.shares_with(&b.rel_ends),
+            a.ops.shares_with(&b.ops),
+            a.parent_links.shares_with(&b.parent_links),
+            a.child_links.shares_with(&b.child_links),
+        ]
+    }
+
+    #[test]
+    fn a_write_after_a_clone_copies_only_the_list_it_changes() {
+        use crate::arena::CHUNK;
+        // Two full chunks of types that each own every kind of list: two
+        // attributes, a key, an op, a relationship to the next type, part-of
+        // links to the whole `W` and the part `P`, the root `R` as supertype
+        // and the leaves `L*` as subtypes.
+        let mut g = graph();
+        let n = 2 * CHUNK;
+        let ts: Vec<TypeId> = (0..n)
+            .map(|i| g.add_type(&format!("T{i}")).unwrap())
+            .collect();
+        let root = g.add_type("R").unwrap();
+        let (whole, part) = (g.add_type("W").unwrap(), g.add_type("P").unwrap());
+        let leaves: Vec<TypeId> = (0..4)
+            .map(|j| g.add_type(&format!("L{j}")).unwrap())
+            .collect();
+        for (i, &t) in ts.iter().enumerate() {
+            let next = ts[(i + 1) % n];
+            g.add_attribute(t, &format!("a{i}"), DomainType::Long, None)
+                .unwrap();
+            g.add_attribute(t, &format!("b{i}"), DomainType::String, Some(8))
+                .unwrap();
+            g.add_key(t, Key::single(format!("a{i}"))).unwrap();
+            g.add_operation(t, Operation::nullary(format!("op{i}"), DomainType::Void))
+                .unwrap();
+            g.add_relationship(
+                t,
+                &format!("next{i}"),
+                Cardinality::One,
+                vec![],
+                next,
+                &format!("prev{i}"),
+                Cardinality::One,
+                vec![],
+            )
+            .unwrap();
+            for (parent, child) in [(whole, t), (t, part)] {
+                let (pp, cp) = (format!("p{i}_{}", parent.0), format!("c{i}_{}", child.0));
+                g.add_link(
+                    HierKind::PartOf,
+                    parent,
+                    &pp,
+                    CollectionKind::Set,
+                    vec![],
+                    child,
+                    &cp,
+                )
+                .unwrap();
+            }
+            g.add_supertype(t, root).unwrap();
+            for &leaf in &leaves {
+                g.add_supertype(leaf, t).unwrap();
+            }
+        }
+        let view = g.clone();
+        let frozen = interfaces(&view);
+
+        let target = ts[CHUNK + 5];
+        g.begin_undo();
+        g.add_attribute(target, "extra", DomainType::Long, None)
+            .unwrap();
+        let patch = g.commit_undo();
+
+        // The target's chunk is copied; every list in it is still shared
+        // but the one the write changed.
+        assert!(!g.types.shares_chunk_with(&view.types, target.index()));
+        assert!(g.types.shares_chunk_with(&view.types, 0));
+        for &t in &ts[CHUNK..2 * CHUNK] {
+            let shared = shared_lists(&g.types[t.index()], &view.types[t.index()]);
+            let mut expect = [true; 8];
+            expect[3] = t != target;
+            assert_eq!(shared, expect, "{}", g.type_name(t));
+        }
+        assert_eq!(g.ty(target).attrs.len(), 3);
+        assert_eq!(view.ty(target).attrs.len(), 2);
+        assert_eq!(interfaces(&view), frozen);
+
+        // Reverting restores the before-image, which shares the view's lists.
+        g.revert(&patch);
+        assert_eq!(
+            shared_lists(&g.types[target.index()], &view.types[target.index()]),
+            [true; 8]
+        );
+        assert!(g.types.iter().eq(view.types.iter()));
+        assert!(g.attrs.iter().eq(view.attrs.iter()));
+        assert!(g.rels.iter().eq(view.rels.iter()));
+        assert!(g.ops.iter().eq(view.ops.iter()));
+        assert!(g.links.iter().eq(view.links.iter()));
+        assert_eq!(interfaces(&g), frozen);
+    }
+
+    #[test]
+    fn blank_lists_and_signatures_hold_no_allocation() {
+        let blank: Shared<Vec<TypeId>> = Shared::default();
+        assert!(blank.is_empty());
+        assert!(Shared::from(Vec::<TypeId>::new()).shares_with(&blank));
+        assert!(Shared::from(Operation::BLANK.clone()).shares_with(&Shared::default()));
+        let mut written = blank.clone();
+        written.push(TypeId(0));
+        assert_eq!(written, vec![TypeId(0)]);
+        assert!(!written.shares_with(&blank));
+        assert!(blank.is_empty());
     }
 }

@@ -301,7 +301,7 @@ pub fn type_to_interface(g: &SchemaGraph, id: TypeId) -> Interface {
         .collect();
     iface.attributes.sort_by(|a, b| a.name.cmp(&b.name));
 
-    iface.operations = node.ops.iter().map(|&o| g.op(o).op.clone()).collect();
+    iface.operations = node.ops.iter().map(|&o| (*g.op(o).op).clone()).collect();
     iface.operations.sort_by(|a, b| a.name.cmp(&b.name));
 
     iface.relationships = node

@@ -31,10 +31,16 @@
 //! JSON escapes: one export at 10,000 types allocates fewer bytes than a
 //! quarter of its ODL.
 //!
-//! The last pins a stale submit to O(1) allocations in its lag: answering
+//! Another pins a stale submit to O(1) allocations in its lag: answering
 //! and writing a `conflict` 128 ops behind the head allocates at most a
 //! few times more often than one 1 op behind. The delta clones refcounts
 //! and the commutation verdict allocates nothing.
+//!
+//! The last pins the first write after a publish to the list it changes:
+//! an accepted submit on a type whose chunk-mates own many members
+//! allocates as often as one on a type whose chunk-mates own none. The
+//! chunk copy bumps the refcounts of the mates' member lists instead of
+//! copying them.
 
 #![cfg(feature = "alloc-stats")]
 
@@ -42,8 +48,8 @@ use shrink_wrap_schemas::core::{ConceptKind, ModOp, Workspace};
 use shrink_wrap_schemas::corpus::synthetic::SyntheticSpec;
 use shrink_wrap_schemas::corpus::university;
 use shrink_wrap_schemas::designer::{DesignService, OpEnvelope, Request, Response, Session};
-use shrink_wrap_schemas::model::graph_to_schema;
-use shrink_wrap_schemas::odl::print_schema;
+use shrink_wrap_schemas::model::{graph_to_schema, SchemaGraph, CHUNK};
+use shrink_wrap_schemas::odl::{print_schema, Cardinality, DomainType, Key, Operation};
 use std::sync::{Mutex, PoisonError};
 use sws_trace::{FieldValue, Recorder, TraceSummary};
 
@@ -417,5 +423,101 @@ fn a_stale_submit_allocates_as_often_at_lag_128_as_at_lag_1() {
     assert!(
         far <= near + 4,
         "a stale submit allocated {far} times at lag {HEAD}, {near} times at lag 1"
+    );
+}
+
+/// `alloc.count` of one accepted `add_attribute` submit on the member-less
+/// type `A00`, whose 31 chunk-mates `A01`…`A31` each own eight attributes,
+/// a key, an operation and two relationship ends, and of one on the
+/// member-less `B00`, whose 31 chunk-mates `B01`…`B31` own nothing. Each
+/// submit follows a publish, so it finds its type chunk shared with the
+/// read view.
+fn chunk_mate_allocations() -> (u64, u64) {
+    let mut g = SchemaGraph::new("chunks");
+    let names = |prefix: char| (0..CHUNK).map(move |i| format!("{prefix}{i:02}"));
+    for name in names('A').chain(names('B')).chain(["Warm".to_string()]) {
+        g.add_type(&name).expect("fresh name");
+    }
+    let rich: Vec<_> = names('A')
+        .skip(1)
+        .map(|name| g.type_id(&name).expect("added above"))
+        .collect();
+    for (i, &t) in rich.iter().enumerate() {
+        for k in 0..8 {
+            g.add_attribute(t, &format!("a{i}_{k}"), DomainType::Long, None)
+                .expect("fresh member");
+        }
+        g.add_key(t, Key::single(format!("a{i}_0")))
+            .expect("key on an own attribute");
+        g.add_operation(t, Operation::nullary(format!("op{i}"), DomainType::Void))
+            .expect("fresh member");
+        g.add_relationship(
+            t,
+            &format!("next{i}"),
+            Cardinality::One,
+            vec![],
+            rich[(i + 1) % rich.len()],
+            &format!("prev{i}"),
+            Cardinality::One,
+            vec![],
+        )
+        .expect("fresh paths");
+    }
+    let session =
+        Session::from_odl(&print_schema(&graph_to_schema(&g))).expect("chunk schema ingests");
+    let working = session.repository().workspace().working();
+    for (chunk, prefix) in [(0, 'A'), (1, 'B')] {
+        for name in names(prefix) {
+            let id = working.type_id(&name).expect("ingested");
+            assert_eq!(id.index() / CHUNK, chunk, "{name} lands in chunk {chunk}");
+        }
+    }
+    let service = DesignService::new(session);
+    let opened = service.handle(Request::Open {
+        session: "guard".to_string(),
+    });
+    assert!(matches!(opened, Response::Opened { .. }), "{opened:?}");
+    let submit = |base_rev: u64, ty: &str| Request::Submit {
+        session: "guard".to_string(),
+        base_rev,
+        ops: vec![OpEnvelope {
+            context: ConceptKind::WagonWheel,
+            statement: format!("add_attribute({ty}, long, zz_guard)"),
+        }],
+    };
+    let accepted = |response: Response| match response {
+        Response::Accepted { rev, .. } => rev,
+        other => panic!("submit at head must be accepted, got {other:?}"),
+    };
+    let rev = accepted(service.handle(submit(0, "Warm")));
+    let mut rev = Some(rev);
+    let mut measure = |ty: &str| {
+        let base = rev.take().expect("the last submit was accepted");
+        allocations(|| rev = Some(accepted(service.handle(submit(base, ty))))).0
+    };
+    let rich_mates = measure("A00");
+    let bare_mates = measure("B00");
+    (rich_mates, bare_mates)
+}
+
+/// The first write to a type chunk after a publish copies the chunk's
+/// slots and bumps their member lists' refcounts; it allocates only for
+/// the list it changes. So an accepted submit allocates as often on a
+/// type whose 31 chunk-mates own twelve members each as on one whose
+/// chunk-mates own none. A chunk copy that clones every member list
+/// allocates about 155 more times in the first case and fails here.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds run from-scratch oracles inside the publish; run with --release"
+)]
+fn a_write_after_a_publish_allocates_alike_whatever_its_chunk_mates_own() {
+    let _serial = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let (rich_mates, bare_mates) = chunk_mate_allocations();
+    eprintln!("submit alloc.count: {rich_mates} beside rich chunk-mates, {bare_mates} beside bare");
+    assert!(
+        rich_mates.abs_diff(bare_mates) <= 8,
+        "a submit allocated {rich_mates} times beside member-rich chunk-mates, \
+         {bare_mates} times beside member-less ones"
     );
 }

@@ -11,17 +11,16 @@
 //! stable while appending, exactly as with the `Vec`s this replaces.
 //!
 //! The nodes stay inline in their chunks, so a walk over the arena reads
-//! them contiguously; what a node owns on the heap (a type's member lists,
-//! an operation's signature) sits behind a [`Shared`] instead, which costs
-//! a list read one more dependent load than an inline `Vec`. Copying a chunk
-//! therefore copies each node's fields and bumps one refcount per
-//! non-empty [`Shared`] — no allocation — and the write that follows
-//! copies only the one list it changes.
+//! them contiguously. What a node owns on the heap is shared rather than
+//! owned: a type's member lists are [`SharedList`]s and an operation's
+//! signature is an `Arc`. Copying a chunk therefore copies each node's
+//! fields and bumps one refcount per non-empty list — no allocation — and
+//! the write that follows allocates only the one list it changes.
 //!
 //! [`SchemaGraph`]: crate::SchemaGraph
 
 use std::fmt;
-use std::ops::{Deref, DerefMut, Index, IndexMut};
+use std::ops::{Deref, Index, IndexMut};
 use std::sync::Arc;
 
 /// Slots per chunk. Picked from a sweep of 16 / 32 / 64 over the serve
@@ -163,37 +162,52 @@ impl<T: Clone> ChunkedVec<T> {
     }
 }
 
-/// A value with an allocation-free blank form (an empty list), which a
-/// [`Shared`] lends out while holding no pointer at all.
-pub trait Blank: Clone + 'static {
-    /// The blank value.
-    const BLANK: &'static Self;
+/// A copy-on-write list inside an arena slot: empty is no pointer at all,
+/// otherwise one [`Arc`]`<[T]>` whose refcounts and elements share one
+/// allocation and whose length sits inline in the slot, so a read follows
+/// the same single pointer an inline `Vec` would.
+///
+/// A clone bumps the refcount. A write builds the list it leaves behind
+/// and swaps it in, so it never touches what a clone still shares:
+/// [`push`](Self::push) allocates once, [`retain`](Self::retain) only if
+/// it drops something, [`clear`](Self::clear) never. Reads go through
+/// [`Deref`] to `[T]`, so `node.attrs.iter()` and `node.attrs.push(id)`
+/// read as on a `Vec`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct SharedList<T>(Option<Arc<[T]>>);
 
-    /// Is `self` the blank value?
-    fn is_blank(&self) -> bool;
-}
+impl<T: Clone> SharedList<T> {
+    /// Append `value`.
+    pub fn push(&mut self, value: T) {
+        let list: Arc<[T]> = self.iter().cloned().chain([value]).collect();
+        self.0 = Some(list);
+    }
 
-impl<T: Clone + 'static> Blank for Vec<T> {
-    const BLANK: &'static Self = &Vec::new();
-
-    fn is_blank(&self) -> bool {
-        self.is_empty()
+    /// Keep only the elements `keep` accepts, in order; `keep` sees each
+    /// element once, and a list it keeps whole is not copied.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let Some(cut) = self.iter().position(|value| !keep(value)) else {
+            return;
+        };
+        let list: SharedList<T> = self[..cut]
+            .iter()
+            .chain(self[cut + 1..].iter().filter(|value| keep(value)))
+            .cloned()
+            .collect();
+        *self = list;
     }
 }
 
-/// A copy-on-write value inside an arena slot. A clone bumps a refcount;
-/// the first `&mut` access while a clone still shares the value copies
-/// this one value ([`Arc::make_mut`]), nothing else of the slot. A blank
-/// value holds no allocation until it is first written. Reads and writes
-/// go through [`Deref`]/[`DerefMut`], so `node.attrs.push(id)` and
-/// `node.attrs.iter()` read as on a plain `Vec`.
-pub struct Shared<T: Blank>(Option<Arc<T>>);
+impl<T> SharedList<T> {
+    /// Drop every element (and this list's hold on its allocation).
+    pub fn clear(&mut self) {
+        self.0 = None;
+    }
 
-impl<T: Blank> Shared<T> {
-    /// Do `self` and `other` hold the same allocation (or are both blank
+    /// Do `self` and `other` hold the same allocation (or are both empty
     /// without one)? Tests use this to see copy-on-write at work.
     #[cfg(test)]
-    pub(crate) fn shares_with(&self, other: &Shared<T>) -> bool {
+    pub(crate) fn shares_with(&self, other: &SharedList<T>) -> bool {
         match (&self.0, &other.0) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             (None, None) => true,
@@ -202,86 +216,49 @@ impl<T: Blank> Shared<T> {
     }
 }
 
-impl<T: Blank> Clone for Shared<T> {
-    #[inline]
-    fn clone(&self) -> Self {
-        Shared(self.0.clone())
-    }
-}
-
-impl<T: Blank> Default for Shared<T> {
+impl<T> Default for SharedList<T> {
     #[inline]
     fn default() -> Self {
-        Shared(None)
+        SharedList(None)
     }
 }
 
-impl<T: Blank> From<T> for Shared<T> {
-    fn from(value: T) -> Self {
-        Shared((!value.is_blank()).then(|| Arc::new(value)))
+impl<T> FromIterator<T> for SharedList<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let list: Arc<[T]> = iter.into_iter().collect();
+        SharedList((!list.is_empty()).then_some(list))
     }
 }
 
-impl<T: Blank> Deref for Shared<T> {
-    type Target = T;
+impl<T> Deref for SharedList<T> {
+    type Target = [T];
 
     #[inline]
-    fn deref(&self) -> &T {
+    fn deref(&self) -> &[T] {
         match &self.0 {
-            Some(value) => value,
-            None => T::BLANK,
+            Some(list) => list,
+            None => &[],
         }
     }
 }
 
-impl<T: Blank> DerefMut for Shared<T> {
+impl<'a, T> IntoIterator for &'a SharedList<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
     #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        Arc::make_mut(self.0.get_or_insert_with(|| Arc::new(T::BLANK.clone())))
-    }
-}
-
-impl<'a, T: Blank> IntoIterator for &'a Shared<T>
-where
-    &'a T: IntoIterator,
-{
-    type Item = <&'a T as IntoIterator>::Item;
-    type IntoIter = <&'a T as IntoIterator>::IntoIter;
-
     fn into_iter(self) -> Self::IntoIter {
-        (**self).into_iter()
+        self.iter()
     }
 }
 
-/// Yields the values themselves, copying them first if a clone still
-/// shares them.
-impl<T: Blank + IntoIterator> IntoIterator for Shared<T> {
-    type Item = T::Item;
-    type IntoIter = T::IntoIter;
-
-    fn into_iter(self) -> T::IntoIter {
-        match self.0 {
-            Some(value) => Arc::unwrap_or_clone(value).into_iter(),
-            None => T::BLANK.clone().into_iter(),
-        }
-    }
-}
-
-impl<T: Blank + PartialEq> PartialEq for Shared<T> {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl<T: Blank + Eq> Eq for Shared<T> {}
-
-impl<T: Clone + PartialEq<U> + 'static, U> PartialEq<Vec<U>> for Shared<Vec<T>> {
+impl<T: PartialEq<U>, U> PartialEq<Vec<U>> for SharedList<T> {
     fn eq(&self, other: &Vec<U>) -> bool {
         **self == *other
     }
 }
 
-impl<T: Blank + fmt::Debug> fmt::Debug for Shared<T> {
+impl<T: fmt::Debug> fmt::Debug for SharedList<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         (**self).fmt(f)
     }
@@ -440,5 +417,34 @@ mod tests {
         assert!(writer.shares_chunk_with(&snapshot, 0));
         assert!(!writer.shares_chunk_with(&snapshot, CHUNK));
         assert!(!writer.shares_chunk_with(&snapshot, 2 * CHUNK));
+    }
+
+    #[test]
+    fn empty_lists_hold_no_allocation_and_unchanged_lists_stay_shared() {
+        let empty: SharedList<usize> = SharedList::default();
+        assert!(empty.is_empty());
+        assert!(std::iter::empty()
+            .collect::<SharedList<usize>>()
+            .shares_with(&empty));
+        let mut written = empty.clone();
+        written.push(0);
+        written.push(1);
+        assert_eq!(written, vec![0, 1]);
+        assert!(!written.shares_with(&empty));
+        assert!(empty.is_empty());
+
+        // A retain that keeps everything leaves the list shared; one that
+        // drops everything leaves no allocation behind.
+        let view = written.clone();
+        written.retain(|_| true);
+        assert!(written.shares_with(&view));
+        written.retain(|&i| i != 0);
+        assert_eq!(written, vec![1]);
+        assert_eq!(view, vec![0, 1]);
+        written.retain(|_| false);
+        assert!(written.shares_with(&empty));
+        written.push(2);
+        written.clear();
+        assert!(written.shares_with(&empty));
     }
 }

@@ -10,12 +10,13 @@
 //! turns these reports into the designer-facing *impact reports* of the
 //! paper (activity 9).
 //!
-//! A node's heap-owned parts — a type's eight member lists, an
-//! operation's signature — are [`Shared`] copy-on-write values, so a
-//! graph clone that later diverges copies one refcount per list of the
-//! chunk it writes to, and allocates only for the list the write changes.
+//! A node's heap-owned parts — a type's eight member lists
+//! ([`SharedList`]s), an operation's signature (an `Arc`) — are shared
+//! copy-on-write, so a graph clone that later diverges copies one
+//! refcount per list of the chunk it writes to, and allocates only for
+//! the list the write changes.
 
-use crate::arena::{Blank, ChunkedVec, Shared};
+use crate::arena::{ChunkedVec, SharedList};
 use crate::error::ModelError;
 use crate::ids::{AttrId, LinkId, OpId, RelId, TypeId};
 use crate::intern::{SymKey, Symbol};
@@ -33,21 +34,21 @@ pub struct TypeNode {
     /// Extent name, if declared; unique among live types.
     pub extent: Option<Symbol>,
     /// Key list (interned attribute names).
-    pub keys: Shared<Vec<SymKey>>,
+    pub keys: SharedList<SymKey>,
     /// Direct supertypes.
-    pub supertypes: Shared<Vec<TypeId>>,
+    pub supertypes: SharedList<TypeId>,
     /// Direct subtypes (derived; maintained by the graph).
-    pub subtypes: Shared<Vec<TypeId>>,
+    pub subtypes: SharedList<TypeId>,
     /// Attributes owned by this type.
-    pub attrs: Shared<Vec<AttrId>>,
+    pub attrs: SharedList<AttrId>,
     /// Relationship ends owned by this type, as `(relationship, end index)`.
-    pub rel_ends: Shared<Vec<(RelId, u8)>>,
+    pub rel_ends: SharedList<(RelId, u8)>,
     /// Operations owned by this type.
-    pub ops: Shared<Vec<OpId>>,
+    pub ops: SharedList<OpId>,
     /// Hierarchy links in which this type is the parent (whole / generic).
-    pub parent_links: Shared<Vec<LinkId>>,
+    pub parent_links: SharedList<LinkId>,
     /// Hierarchy links in which this type is the child (part / instance).
-    pub child_links: Shared<Vec<LinkId>>,
+    pub child_links: SharedList<LinkId>,
     pub(crate) alive: bool,
 }
 
@@ -107,23 +108,8 @@ pub struct OpNode {
     /// hot member-name compares never touch the `String`).
     pub name: Symbol,
     /// The full signature (name, return type, args, raises).
-    pub op: Shared<Operation>,
+    pub op: Arc<Operation>,
     pub(crate) alive: bool,
-}
-
-/// A signature with no name, no arguments and no raises, returning `void`;
-/// no live operation is blank.
-impl Blank for Operation {
-    const BLANK: &'static Self = &Operation {
-        name: String::new(),
-        return_type: DomainType::Void,
-        args: Vec::new(),
-        raises: Vec::new(),
-    };
-
-    fn is_blank(&self) -> bool {
-        self == Self::BLANK
-    }
 }
 
 /// A part-of or instance-of link. The parent side (whole / generic entity)
@@ -379,8 +365,8 @@ impl UndoPatch {
 /// index is shared until the next type is added or removed, so a clone
 /// costs one refcount bump per chunk (see `arena.rs`). The first write
 /// after it copies only the chunk it lands in, and since a node's member
-/// lists and signature are [`Shared`], that copy bumps their refcounts;
-/// only the list the write changes is copied.
+/// lists and signature are shared, that copy bumps their refcounts; only
+/// the list the write changes is copied.
 #[derive(Debug, Clone)]
 pub struct SchemaGraph {
     name: String,
@@ -820,14 +806,14 @@ impl SchemaGraph {
             name: sym,
             is_abstract: false,
             extent: None,
-            keys: Shared::default(),
-            supertypes: Shared::default(),
-            subtypes: Shared::default(),
-            attrs: Shared::default(),
-            rel_ends: Shared::default(),
-            ops: Shared::default(),
-            parent_links: Shared::default(),
-            child_links: Shared::default(),
+            keys: SharedList::default(),
+            supertypes: SharedList::default(),
+            subtypes: SharedList::default(),
+            attrs: SharedList::default(),
+            rel_ends: SharedList::default(),
+            ops: SharedList::default(),
+            parent_links: SharedList::default(),
+            child_links: SharedList::default(),
             alive: true,
         });
         self.names_mut().insert(sym, id);
@@ -914,13 +900,15 @@ impl SchemaGraph {
         }
 
         // Members.
-        for a in self.ty(id).attrs.clone() {
+        let attrs = self.ty(id).attrs.clone();
+        for &a in &attrs {
             let attr = self.attr(a);
             report.removed_attrs.push((name, attr.name));
             self.touch_attr(a);
             self.attrs[a.index()].alive = false;
         }
-        for o in self.ty(id).ops.clone() {
+        let ops = self.ty(id).ops.clone();
+        for &o in &ops {
             let op = self.op(o);
             report.removed_ops.push((name, op.name));
             self.touch_op(o);
@@ -938,7 +926,7 @@ impl SchemaGraph {
 
         // Subtype edges down: rewire or detach.
         let subs = self.ty(id).subtypes.clone();
-        for sub in subs {
+        for &sub in &subs {
             let sub_name = self.ty(sub).name;
             report.removed_supertype_edges.push((sub_name, name));
             self.touch_type(sub);
@@ -1358,7 +1346,7 @@ impl SchemaGraph {
         self.ops.push(OpNode {
             owner,
             name,
-            op: op.into(),
+            op: Arc::new(op),
             alive: true,
         });
         self.types[owner.index()].ops.push(id);
@@ -1413,7 +1401,7 @@ impl SchemaGraph {
             return Err(ModelError::DeadOp(id));
         }
         self.touch_op(id);
-        self.ops[id.index()].op.return_type = return_type;
+        Arc::make_mut(&mut self.ops[id.index()].op).return_type = return_type;
         Ok(())
     }
 
@@ -1423,7 +1411,7 @@ impl SchemaGraph {
             return Err(ModelError::DeadOp(id));
         }
         self.touch_op(id);
-        self.ops[id.index()].op.args = args;
+        Arc::make_mut(&mut self.ops[id.index()].op).args = args;
         Ok(())
     }
 
@@ -1433,7 +1421,7 @@ impl SchemaGraph {
             return Err(ModelError::DeadOp(id));
         }
         self.touch_op(id);
-        self.ops[id.index()].op.raises = raises;
+        Arc::make_mut(&mut self.ops[id.index()].op).raises = raises;
         Ok(())
     }
 
@@ -2426,8 +2414,8 @@ mod tests {
     fn shape(g: &SchemaGraph) -> Shape {
         g.types()
             .map(|(_, n)| {
-                let sorted = |v: &Vec<TypeId>| {
-                    let mut v = v.clone();
+                let sorted = |v: &[TypeId]| {
+                    let mut v = v.to_vec();
                     v.sort();
                     v
                 };
@@ -2687,18 +2675,5 @@ mod tests {
         assert!(g.ops.iter().eq(view.ops.iter()));
         assert!(g.links.iter().eq(view.links.iter()));
         assert_eq!(interfaces(&g), frozen);
-    }
-
-    #[test]
-    fn blank_lists_and_signatures_hold_no_allocation() {
-        let blank: Shared<Vec<TypeId>> = Shared::default();
-        assert!(blank.is_empty());
-        assert!(Shared::from(Vec::<TypeId>::new()).shares_with(&blank));
-        assert!(Shared::from(Operation::BLANK.clone()).shares_with(&Shared::default()));
-        let mut written = blank.clone();
-        written.push(TypeId(0));
-        assert_eq!(written, vec![TypeId(0)]);
-        assert!(!written.shares_with(&blank));
-        assert!(blank.is_empty());
     }
 }

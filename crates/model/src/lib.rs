@@ -12,8 +12,8 @@
 //! * [`ids`] — newtype IDs,
 //! * `arena` — [`ChunkedVec`], the copy-on-write chunked storage behind
 //!   the graph's arenas (and the core crate's published ODL blocks), and
-//!   [`Shared`], the copy-on-write field that keeps a node's member lists
-//!   out of a chunk copy,
+//!   [`SharedList`], the copy-on-write list that keeps a node's member
+//!   lists out of a chunk copy,
 //! * [`graph`] — the graph, its accessors and invariant-preserving mutators
 //!   (with cascade reporting for the propagation rules),
 //! * [`lower`] — lossless conversion between `sws_odl::Schema` ASTs and
@@ -40,7 +40,7 @@ pub mod lower;
 pub mod query;
 pub mod wf;
 
-pub use arena::{Blank, ChunkedVec, Shared, CHUNK};
+pub use arena::{ChunkedVec, SharedList, CHUNK};
 pub use diff::{diff_graphs, MemberChange, SchemaDiff, TypeDiff};
 pub use error::ModelError;
 pub use graph::LinkSide;
